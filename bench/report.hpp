@@ -15,9 +15,13 @@
 //     }
 //   }
 //
-// All durations are virtual-time nanoseconds (names end in _ns). run_benches.sh
-// collects the per-bench files into BENCH_results.json.
+// All durations are virtual-time nanoseconds (names end in _ns), except the
+// two host.* gauges: what the run cost the host, in process CPU ms and peak
+// resident MB. run_benches.sh collects the per-bench files into
+// BENCH_results.json.
 #pragma once
+
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <string>
@@ -68,6 +72,17 @@ public:
     void write() {
         if (written_ || path_.empty()) return;
         written_ = true;
+        // Host cost of the whole process so far. Unlike every other key it
+        // varies run to run; bench_compare.py's default keys skip host.*,
+        // and ci.sh gates host.cpu_ms loosely (2x) on its own.
+        rusage usage{};
+        getrusage(RUSAGE_SELF, &usage);
+        const auto ms = [](const timeval& tv) {
+            return static_cast<double>(tv.tv_sec) * 1e3 +
+                   static_cast<double>(tv.tv_usec) / 1e3;
+        };
+        add_gauge("host.cpu_ms", ms(usage.ru_utime) + ms(usage.ru_stime));
+        add_gauge("host.peak_rss_mb", static_cast<double>(usage.ru_maxrss) / 1024.0);
         std::string out;
         trace::JsonWriter w(&out);
         w.begin_object();

@@ -14,7 +14,10 @@ deltas for the selected key metrics, and exits nonzero when
 Key metrics are lower-is-better duration gauges selected by glob; the
 default set covers the page-fault bench's protocol latencies. Improvements
 (arbitrarily large) never fail the gate — they just warrant a baseline
-refresh to tighten it.
+refresh to tighten it. The host.* gauges (process CPU ms, peak RSS MB) are
+the one exception to exact reproducibility: no default key matches them,
+and a gate on them (ci.sh: --key host.cpu_ms --threshold 1.0) must be
+loose.
 
 Usage:
   bench_compare.py BASELINE.json NEW.json [--threshold 0.10]

@@ -196,7 +196,7 @@ void Balancer::decide() {
     // tracked page's heat so phase shifts age out of the pre-copy set.
     // Gated so disabled-workset runs touch nothing.
     if (k_.pages().workset_push() > 0) {
-        k_.for_each_task_mut([](task::Task& t) { t.workset_decay(); });
+        k_.for_each_live_task([](task::Task& t) { t.workset_decay(); });
     }
 }
 
@@ -288,7 +288,7 @@ void Balancer::decide_steal() {
 }
 
 void Balancer::decide_affinity_hints() {
-    k_.for_each_task_mut([this](task::Task& t) {
+    k_.for_each_live_task([this](task::Task& t) {
         if (t.actor == nullptr || t.shadow) return;
         const bool awake = t.state == task::TaskState::kRunning ||
                            t.state == task::TaskState::kRunnable;
@@ -362,7 +362,7 @@ void Balancer::decide_affinity_hints() {
 void Balancer::decay_fault_counters() {
     // Halve every counter each tick so the affinity signal tracks the
     // *recent* fault mix instead of accumulating forever.
-    k_.for_each_task_mut([](task::Task& t) {
+    k_.for_each_live_task([](task::Task& t) {
         for (auto& c : t.fault_from) c /= 2;
     });
 }

@@ -194,6 +194,7 @@ void Migration::on_migrate(msg::Node& node, msg::MessagePtr m) {
         t->fault_from.fill(0);
         t->actor = k_.resolve_actor(req.tid);
         k_.site(req.pid).local_tasks()[req.tid] = t;
+        k_.revive_task(*t);
     } else {
         task::Task& fresh =
             k_.groups().instantiate_local(req.pid, req.tid, req.origin, "migrated");

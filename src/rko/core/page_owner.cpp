@@ -942,14 +942,15 @@ std::uint32_t PageOwner::revoke_range(ProcessSite& site, mem::Vaddr start,
     if (check::enabled()) {
         // Post-condition: no directory entry in the range survives. The
         // caller removed the VMA (under vma_op_lock) before revoking, so no
-        // new entry can be born in the range concurrently.
-        for (auto& shard : site.dir_shards()) {
-            shard.lock.lock();
+        // new entry can be born in the range concurrently. The sweep never
+        // yields, so it reads the shards without their simulated locks —
+        // taking them would charge virtual time and make RKO_CHECK runs
+        // diverge from unchecked ones.
+        for (const auto& shard : site.dir_shards()) {
             for (const auto& [vpn, entry] : shard.entries) {
                 RKO_ASSERT_MSG(vpn < vpn_lo || vpn >= vpn_hi,
                                "directory entry survived revoke_range");
             }
-            shard.lock.unlock();
         }
     }
     return revoked;
@@ -1138,47 +1139,58 @@ std::uint32_t PageOwner::sequester_range(ProcessSite& site, mem::Vaddr start,
 std::uint32_t PageOwner::home_range_fanout(ProcessSite& site, HomeRangeKind kind,
                                            mem::Vaddr start, mem::Vaddr end) {
     RKO_ASSERT(site.is_origin() && k_.home_map().sharded());
-    // Wait out a census rebuild of any shard we just inherited (elastic):
-    // sweeping mid-rebuild would miss the entries the census is about to
-    // install, and the holders they name would keep PTEs in the dead range.
-    // The rebuilder never takes the vma_op_lock our caller holds.
-    for (int s = 0; s < k_.home_map().shards(); ++s) {
-        while (site.home_rebuilding(s)) {
-            k_.engine().current().sleep_for(1000);
-        }
-    }
-    // Local slice first (the origin always owns some shards), then one
-    // kHomeRangeOp per other eligible home — their sweeps run concurrently
-    // under rpc_scatter. The replica broadcast already completed, so no
-    // kernel can validate a new fault in the range while these run.
     std::uint32_t touched = 0;
-    switch (kind) {
-    case HomeRangeKind::kRevoke:
-        touched += revoke_range(site, start, end);
-        break;
-    case HomeRangeKind::kDowngrade:
-        touched += downgrade_range(site, start, end);
-        break;
-    case HomeRangeKind::kSequester:
-        touched += sequester_range(site, start, end);
-        break;
-    }
-    std::vector<msg::Node::ScatterItem> posts;
-    for (topo::KernelMask m = k_.home_map().eligible(); m != 0; m &= m - 1) {
-        const auto h = static_cast<topo::KernelId>(std::countr_zero(m));
-        if (h == k_.id() || k_.node().peer_dead(h)) continue;
-        posts.push_back(
-            {h, msg::make_message(msg::MsgType::kHomeRangeOp, msg::MsgKind::kRequest,
-                                  HomeRangeOpReq{site.pid(), kind, start, end})});
-    }
-    if (!posts.empty()) {
-        auto replies = k_.node().rpc_scatter(std::move(posts));
-        for (const auto& reply : replies) {
-            if (reply == nullptr) continue; // home died mid-sweep (elastic)
-            touched += reply->payload_as<HomeRangeOpResp>().touched;
+    // A home that leaves mid-pass (death or drain) takes its unswept slice
+    // with it. The survivor inheriting the slice rebuilds it from a PTE
+    // census, and the census still names every holder in the range, so
+    // sweep again until one whole pass runs under an unchanged home set.
+    // The set only shrinks after boot, so this adds at most one pass per
+    // home that leaves.
+    for (;;) {
+        const topo::KernelMask homes = k_.home_map().eligible();
+        // Wait out a census rebuild of any shard we just inherited
+        // (elastic): sweeping mid-rebuild would miss the entries the census
+        // is about to install, and the holders they name would keep PTEs
+        // in the dead range. The rebuilder never takes the vma_op_lock our
+        // caller holds.
+        for (int s = 0; s < k_.home_map().shards(); ++s) {
+            while (site.home_rebuilding(s)) {
+                k_.engine().current().sleep_for(1000);
+            }
         }
+        // Local slice first (the origin always owns some shards), then one
+        // kHomeRangeOp per other eligible home — their sweeps run
+        // concurrently under rpc_scatter. The replica broadcast already
+        // completed, so no kernel can validate a new fault in the range
+        // while these run.
+        switch (kind) {
+        case HomeRangeKind::kRevoke:
+            touched += revoke_range(site, start, end);
+            break;
+        case HomeRangeKind::kDowngrade:
+            touched += downgrade_range(site, start, end);
+            break;
+        case HomeRangeKind::kSequester:
+            touched += sequester_range(site, start, end);
+            break;
+        }
+        std::vector<msg::Node::ScatterItem> posts;
+        for (topo::KernelMask m = k_.home_map().eligible(); m != 0; m &= m - 1) {
+            const auto h = static_cast<topo::KernelId>(std::countr_zero(m));
+            if (h == k_.id() || k_.node().peer_dead(h)) continue;
+            posts.push_back({h, msg::make_message(
+                                    msg::MsgType::kHomeRangeOp, msg::MsgKind::kRequest,
+                                    HomeRangeOpReq{site.pid(), kind, start, end})});
+        }
+        if (!posts.empty()) {
+            auto replies = k_.node().rpc_scatter(std::move(posts));
+            for (const auto& reply : replies) {
+                if (reply == nullptr) continue; // home died mid-sweep (elastic)
+                touched += reply->payload_as<HomeRangeOpResp>().touched;
+            }
+        }
+        if (k_.home_map().eligible() == homes) return touched;
     }
-    return touched;
 }
 
 void PageOwner::on_home_range_op(msg::Node& node, msg::MessagePtr m) {

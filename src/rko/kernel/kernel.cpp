@@ -1,8 +1,10 @@
 #include "rko/kernel/kernel.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "rko/balance/balance.hpp"
+#include "rko/check/gate.hpp"
 #include "rko/core/dfutex.hpp"
 #include "rko/core/migration.hpp"
 #include "rko/core/page_owner.hpp"
@@ -12,6 +14,17 @@
 #include "rko/elastic/elastic.hpp"
 
 namespace rko::kernel {
+
+namespace {
+
+/// Left behind by a migration (kShadow, or kExited on an intermediate
+/// kernel) or by the thread's exit: nothing runs on it until a migration
+/// revives it.
+bool dormant(const task::Task& t) {
+    return t.state == task::TaskState::kExited || t.state == task::TaskState::kShadow;
+}
+
+} // namespace
 
 Kernel::Kernel(sim::Engine& engine, const topo::Topology& topo,
                const topo::CostModel& costs, mem::PhysMem& phys, msg::Fabric& fabric,
@@ -102,7 +115,13 @@ task::Task& Kernel::add_task(std::unique_ptr<task::Task> task) {
     auto& ref = *task;
     RKO_ASSERT_MSG(!tasks_.contains(ref.tid), "duplicate tid on kernel");
     tasks_.emplace(ref.tid, std::move(task));
+    live_.emplace(ref.tid, &ref);
     return ref;
+}
+
+void Kernel::revive_task(task::Task& t) {
+    RKO_ASSERT(find_task(t.tid) == &t && !dormant(t));
+    live_.emplace(t.tid, &t); // no-op when no walk dropped it meanwhile
 }
 
 Nanos Kernel::mmap_lock_wait_time() const {
@@ -113,15 +132,35 @@ Nanos Kernel::mmap_lock_wait_time() const {
     return total;
 }
 
-std::size_t Kernel::live_task_count() const {
-    std::size_t live = 0;
-    for (const auto& [tid, task] : tasks_) {
-        if (task->state != task::TaskState::kExited &&
-            task->state != task::TaskState::kShadow) {
-            ++live;
-        }
+std::size_t Kernel::live_task_count() {
+    std::erase_if(live_, [](const auto& entry) { return dormant(*entry.second); });
+    if (check::enabled()) {
+        // The index must cover every live record: a dormant record that
+        // turned live again without revive_task would go uncounted here
+        // and unseen by the balancer.
+        const auto live = std::count_if(tasks_.begin(), tasks_.end(), [](const auto& e) {
+            return !dormant(*e.second);
+        });
+        RKO_ASSERT_MSG(static_cast<std::size_t>(live) == live_.size(),
+                       "live-task index lost a runnable record");
     }
-    return live;
+    return live_.size();
+}
+
+void Kernel::for_each_live_task(const std::function<void(task::Task&)>& fn) {
+    for (auto it = live_.begin(); it != live_.end();) {
+        task::Task& t = *it->second;
+        if (dormant(t)) {
+            it = live_.erase(it);
+            continue;
+        }
+        const Tid tid = t.tid;
+        fn(t);
+        // Re-find the successor: while `fn` yielded, other actors may have
+        // added, revived or dropped index entries (the old iterator may be
+        // gone), exactly as a tasks_ walk sees records added behind it.
+        it = live_.upper_bound(tid);
+    }
 }
 
 void Kernel::syscall_entry() {

@@ -124,8 +124,13 @@ public:
     void drop_site(Pid pid);
     task::Task* find_task(Tid tid);
     task::Task& add_task(std::unique_ptr<task::Task> task);
+    /// Puts a dormant record a migration just reactivated back in the live
+    /// index (Migration::on_migrate's revival branch).
+    void revive_task(task::Task& t);
+    /// Every record this kernel ever held, dormant ones included.
     std::size_t task_count() const { return tasks_.size(); }
-    std::size_t live_task_count() const;
+    /// Records that can run: neither kExited nor kShadow.
+    std::size_t live_task_count();
 
     /// Total queueing time on this kernel's per-process mmap locks.
     Nanos mmap_lock_wait_time() const;
@@ -135,11 +140,15 @@ public:
         for (const auto& [tid, t] : tasks_) fn(*t);
     }
 
-    /// Mutable task visit (the balancer's affinity scan and fault-counter
-    /// decay). Same deterministic tid order as for_each_task.
+    /// Mutable visit of every task record (elastic sweeps). Same
+    /// deterministic tid order as for_each_task.
     void for_each_task_mut(const std::function<void(task::Task&)>& fn) {
         for (auto& [tid, t] : tasks_) fn(*t);
     }
+
+    /// Visits the records that can run, in the same tid order (the
+    /// balancer's per-tick scans). `fn` may yield.
+    void for_each_live_task(const std::function<void(task::Task&)>& fn);
 
     /// Visits every process site on this kernel (invariant checkers).
     void for_each_site(const std::function<void(core::ProcessSite&)>& fn) {
@@ -189,7 +198,15 @@ private:
 
     home::Map home_map_;
     std::map<Pid, std::unique_ptr<core::ProcessSite>> sites_;
+    /// Owns every record, forever: exited threads, shadows, and retired
+    /// intermediate records stay for find_task and the audits.
     std::map<Tid, std::unique_ptr<task::Task>> tasks_;
+    /// The records of tasks_ that may still run, so per-tick scans cost the
+    /// live threads rather than every record ever held. add_task and
+    /// revive_task insert; a record that turned kExited or kShadow is
+    /// dropped by the next walk that meets it (only revival makes a
+    /// dormant record live again).
+    std::map<Tid, task::Task*> live_;
     Pid next_id_ = 0;
     ActorResolver resolver_;
 

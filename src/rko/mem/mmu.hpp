@@ -52,14 +52,22 @@ public:
     T read(Vaddr addr) {
         static_assert(std::is_trivially_copyable_v<T>);
         T value;
-        read_bytes(addr, reinterpret_cast<std::byte*>(&value), sizeof(T));
+        if (const std::byte* page = tlb_hit(addr, sizeof(T), kProtRead)) {
+            std::memcpy(&value, page + (addr & kPageMask), sizeof(T));
+        } else {
+            read_bytes(addr, reinterpret_cast<std::byte*>(&value), sizeof(T));
+        }
         return value;
     }
 
     template <typename T>
     void write(Vaddr addr, const T& value) {
         static_assert(std::is_trivially_copyable_v<T>);
-        write_bytes(addr, reinterpret_cast<const std::byte*>(&value), sizeof(T));
+        if (std::byte* page = tlb_hit(addr, sizeof(T), kProtWrite)) {
+            std::memcpy(page + (addr & kPageMask), &value, sizeof(T));
+        } else {
+            write_bytes(addr, reinterpret_cast<const std::byte*>(&value), sizeof(T));
+        }
     }
 
     void read_bytes(Vaddr addr, std::byte* out, std::size_t n);
@@ -94,6 +102,27 @@ private:
     /// Translates one page for `access`, faulting as needed; returns the
     /// host pointer to the page base.
     std::byte* translate(Vaddr addr, std::uint32_t access);
+
+    /// The inline soft-TLB hit for an `n`-byte access: the host page base
+    /// when translate + read_bytes/write_bytes would take nothing but a TLB
+    /// hit, with the same bookkeeping (one mem_access, one hit); null
+    /// otherwise. Null whenever their slow steps could run: an access of a
+    /// whole 64-byte line or more (charged per line), one that straddles a
+    /// page, a charge that would flush and yield, a pending shootdown, or a
+    /// TLB miss or protection mismatch (fill or fault).
+    std::byte* tlb_hit(Vaddr addr, std::size_t n, std::uint32_t access) {
+        if (n >= 64 || (addr & kPageMask) + n > kPageSize) return nullptr;
+        if (pending_ + costs_.mem_access >= costs_.charge_quantum) return nullptr;
+        if (space_ == nullptr || seen_generation_ != space_->tlb_generation()) {
+            return nullptr;
+        }
+        const std::uint64_t vpn = vpn_of(addr);
+        const TlbEntry& entry = tlb_[vpn % kTlbEntries];
+        if (entry.vpn != vpn || (entry.prot & access) != access) return nullptr;
+        pending_ += costs_.mem_access;
+        ++hits_;
+        return entry.host;
+    }
 
     void charge(Nanos ns) {
         pending_ += ns;

@@ -1,5 +1,7 @@
 #include "rko/mem/phys.hpp"
 
+#include <new>
+
 namespace rko::mem {
 
 PhysMem::PhysMem(int nkernels, std::size_t frames_per_kernel)
@@ -7,10 +9,15 @@ PhysMem::PhysMem(int nkernels, std::size_t frames_per_kernel)
     RKO_ASSERT(nkernels >= 1 && frames_per_kernel >= 1);
     partitions_.reserve(static_cast<std::size_t>(nkernels));
     for (int k = 0; k < nkernels; ++k) {
-        // Value-initialized: frames start zeroed, like RAM after kernel boot
-        // scrubbing. Guest-visible zeroing cost is charged at allocation.
-        partitions_.push_back(
-            std::make_unique<std::byte[]>(frames_per_kernel * kPageSize));
+        // Frames start zeroed, like RAM after kernel boot scrubbing, but the
+        // zeroing is the host's, done lazily: a partition this large is a
+        // fresh anonymous mapping, so calloc skips the memset and the OS
+        // supplies a zero page on first touch. A machine then pays host
+        // memory and time only for the frames its guests use. Guest-visible
+        // zeroing cost is charged at allocation (alloc_page_zeroed).
+        auto* base = static_cast<std::byte*>(std::calloc(frames_per_kernel, kPageSize));
+        if (base == nullptr) throw std::bad_alloc();
+        partitions_.emplace_back(base);
     }
 }
 

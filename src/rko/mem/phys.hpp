@@ -1,12 +1,14 @@
 // Simulated physical memory, partitioned per kernel.
 //
 // At boot Popcorn carves the machine's RAM into per-kernel partitions; we
-// model each partition as a host allocation. A Paddr encodes (kernel,
-// frame): paddr = (global_frame_index + 1) * kPageSize, so paddr 0 stays an
-// invalid sentinel.
+// model each partition as a host allocation, zeroed lazily by the host (see
+// PhysMem::PhysMem). A Paddr encodes (kernel, frame): paddr =
+// (global_frame_index + 1) * kPageSize, so paddr 0 stays an invalid
+// sentinel.
 #pragma once
 
 #include <cstddef>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -49,9 +51,13 @@ private:
         return global;
     }
 
+    struct FreeDeleter {
+        void operator()(std::byte* p) const { std::free(p); }
+    };
+
     int nkernels_;
     std::size_t frames_per_kernel_;
-    std::vector<std::unique_ptr<std::byte[]>> partitions_;
+    std::vector<std::unique_ptr<std::byte[], FreeDeleter>> partitions_;
 };
 
 } // namespace rko::mem

@@ -23,9 +23,12 @@ void SpinLock::lock() {
     ++contended_;
     const Nanos enqueued_at = self.now();
     waiters_.push_back(&self);
-    self.park();
+    // Only unlock's handoff admits. A permit banked by an earlier wake
+    // that found this actor already runnable (e.g. an rpc failed by peer
+    // death) ends a park early; without the loop the waiter would run
+    // unadmitted.
+    while (owner_ != &self) self.park();
     wait_time_ += self.now() - enqueued_at;
-    RKO_ASSERT(owner_ == &self);
     if (race::enabled()) race::on_lock_acquired(this, race::LockKind::kSpin);
 }
 
@@ -77,8 +80,9 @@ void RwLock::lock_shared() {
         return;
     }
     const Nanos enqueued_at = self.now();
-    waiters_.push_back(Waiter{&self, false});
-    self.park();
+    bool admitted = false;
+    waiters_.push_back(Waiter{&self, false, &admitted});
+    while (!admitted) self.park(); // see SpinLock::lock
     wait_time_ += self.now() - enqueued_at;
     if (race::enabled()) race::on_lock_acquired(this, race::LockKind::kRwReader);
 }
@@ -102,8 +106,9 @@ void RwLock::lock() {
         return;
     }
     const Nanos enqueued_at = self.now();
-    waiters_.push_back(Waiter{&self, true});
-    self.park();
+    bool admitted = false;
+    waiters_.push_back(Waiter{&self, true, &admitted});
+    while (!admitted) self.park(); // see SpinLock::lock
     wait_time_ += self.now() - enqueued_at;
     RKO_ASSERT(writer_ == &self);
     if (race::enabled()) race::on_lock_acquired(this, race::LockKind::kRwWriter);
@@ -136,6 +141,7 @@ void RwLock::admit_front() {
         Waiter next = waiters_.front();
         waiters_.pop_front();
         writer_ = next.actor;
+        *next.admitted = true;
         next.actor->unpark(costs_.handoff);
         return;
     }
@@ -143,6 +149,7 @@ void RwLock::admit_front() {
         Waiter next = waiters_.front();
         waiters_.pop_front();
         ++readers_;
+        *next.admitted = true;
         next.actor->unpark(costs_.handoff);
     }
 }

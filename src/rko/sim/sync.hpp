@@ -82,6 +82,7 @@ private:
     struct Waiter {
         Actor* actor;
         bool writer;
+        bool* admitted; ///< the waiter's own flag, set by admit_front
     };
 
     void admit_front();

@@ -162,6 +162,53 @@ TEST(Balance, HysteresisBoundsTugOfWar) {
     EXPECT_GE(counter_value(metrics, "balance.ticks"), 50u);
 }
 
+// The balancer's per-tick scans walk only records that can run. A thread
+// that leaves k0 turns its record there into a shadow, which drops out of
+// the walk; coming back revives that same record, which must walk again.
+TEST(Balance, RevivedRecordRejoinsLiveScan) {
+    Machine machine(balance_config(4, 2, balance::Policy::kNone));
+    kernel::Kernel& k0 = machine.kernel(0);
+    auto& process = machine.create_process(0);
+    std::size_t live_away = 0;
+    std::size_t live_back = 0;
+    bool scanned_back = false;
+    process.spawn(
+        [&](Guest& g) {
+            g.migrate(1);
+            live_away = k0.live_task_count();
+            g.migrate(0);
+            live_back = k0.live_task_count();
+            k0.for_each_live_task(
+                [&](task::Task& t) { scanned_back = scanned_back || t.tid == g.tid(); });
+        },
+        0);
+    machine.run();
+    process.check_all_joined();
+    EXPECT_EQ(live_away, 0u);
+    EXPECT_EQ(live_back, 1u);
+    EXPECT_TRUE(scanned_back);
+    EXPECT_EQ(k0.task_count(), 1u); // one record, revived in place
+}
+
+// Exited records stay owned by the kernel but leave the live count.
+TEST(Balance, ExitedRecordsLeaveLiveCount) {
+    constexpr int kCycles = 6;
+    Machine machine(balance_config(4, 2, balance::Policy::kAffinity));
+    auto& process = machine.create_process(0);
+    process.spawn(
+        [&](Guest& g) {
+            for (int i = 0; i < kCycles; ++i) {
+                g.join(g.spawn([](Guest& child) { child.compute(30_us); }, 1));
+            }
+        },
+        0);
+    machine.run();
+    process.check_all_joined();
+    kernel::Kernel& k1 = machine.kernel(1);
+    EXPECT_EQ(k1.task_count(), static_cast<std::size_t>(kCycles));
+    EXPECT_EQ(k1.live_task_count(), 0u);
+}
+
 TEST(Balance, SameSeedRunsBitIdentical) {
     auto run_once = [] {
         MachineConfig config = balance_config(8, 4, balance::Policy::kIdleSteal);

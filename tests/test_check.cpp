@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rko/api/machine.hpp"
@@ -99,6 +100,42 @@ TEST(Check, CleanWorkloadAuditsClean) {
     process.check_all_joined();
     const check::Report report = check::run_all(machine);
     EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+// The process-wide gate (RKO_CHECK) arms inline protocol assertions, the
+// munmap post-condition sweeps among them. They are host-side: a
+// munmap-heavy run ends at the same virtual time with the same message
+// count whether they are armed or not.
+TEST(Check, GateLeavesVirtualTimeUnchanged) {
+    const auto run = [](bool on) {
+        ScopedCheck gate(on);
+        MachineConfig cfg;
+        cfg.ncores = 4;
+        cfg.nkernels = 2;
+        cfg.frames_per_kernel = 1024;
+        Machine machine(cfg);
+        auto& process = machine.create_process(0);
+        for (topo::KernelId k = 0; k < 2; ++k) {
+            process.spawn(
+                [](Guest& g) {
+                    for (std::uint32_t i = 0; i < 16; ++i) {
+                        const Vaddr buf = g.mmap(4 * kPageSize);
+                        for (Vaddr p = 0; p < 4; ++p) {
+                            g.write<std::uint32_t>(buf + p * kPageSize, i);
+                        }
+                        g.munmap(buf, 4 * kPageSize);
+                    }
+                },
+                k);
+        }
+        machine.run();
+        process.check_all_joined();
+        return std::pair{machine.now(), machine.total_messages()};
+    };
+    const auto armed = run(true);
+    const auto unarmed = run(false);
+    EXPECT_EQ(armed.first, unarmed.first);
+    EXPECT_EQ(armed.second, unarmed.second);
 }
 
 // Dropping one victim invalidation during a write upgrade leaves a stale

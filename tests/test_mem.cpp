@@ -50,6 +50,14 @@ TEST(PhysMem, DistinctFramesDistinctStorage) {
     a[0] = std::byte{0xaa};
     EXPECT_EQ(b[0], std::byte{0});
     EXPECT_EQ(c[0], std::byte{0});
+    // Fresh frames read zero end to end, up to each partition's last byte.
+    for (int k = 0; k < phys.nkernels(); ++k) {
+        const std::byte* last =
+            phys.frame_ptr(phys.frame_paddr(k, phys.frames_per_kernel() - 1));
+        for (std::size_t i = 0; i < kPageSize; ++i) {
+            ASSERT_EQ(last[i], std::byte{0}) << "kernel " << k << " byte " << i;
+        }
+    }
 }
 
 TEST(FrameAllocator, AllocatesDistinctFrames) {
@@ -388,6 +396,98 @@ TEST(Mmu, ChargesAdvanceVirtualTime) {
     engine.run();
     // 100k accesses at ~2 ns each plus fault costs: at least 200 us.
     EXPECT_GE(elapsed, 200'000);
+}
+
+// read<T>/write<T> take an inline soft-TLB hit; read_bytes/write_bytes go
+// through translate. The same access sequence through each, in its own
+// engine, must book the same virtual time and the same TLB counters.
+struct AccessTotals {
+    Nanos clock_sum = 0; ///< now() after every access pair: flush points
+    Nanos before_flush = 0;
+    Nanos after_flush = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t faults = 0;
+    std::uint64_t checksum = 0;
+};
+
+template <typename T>
+T load(Mmu& mmu, Vaddr addr, bool typed) {
+    if (typed) return mmu.read<T>(addr);
+    T value{};
+    mmu.read_bytes(addr, reinterpret_cast<std::byte*>(&value), sizeof(T));
+    return value;
+}
+
+template <typename T>
+void store(Mmu& mmu, Vaddr addr, const T& value, bool typed) {
+    if (typed) {
+        mmu.write<T>(addr, value);
+    } else {
+        mmu.write_bytes(addr, reinterpret_cast<const std::byte*>(&value), sizeof(T));
+    }
+}
+
+AccessTotals run_access_sequence(bool typed) {
+    struct Line {
+        std::uint64_t words[8];
+    };
+    static_assert(sizeof(Line) == 64);
+    AccessTotals totals;
+    Engine engine;
+    Actor actor(engine, "t", [&](Actor& self) {
+        MmuFixture f;
+        f.attach_demand_zero();
+        Mmu& mmu = f.mmu;
+        // ~6000 accesses at 2 ns: several 2 us charge quanta, with faults
+        // and fills on eight pages mixed in.
+        for (std::uint32_t i = 0; i < 3000; ++i) {
+            const Vaddr a = kMmapBase + (i % 8) * kPageSize + (i * 12) % (kPageSize - 4);
+            store<std::uint32_t>(mmu, a, i, typed);
+            totals.checksum += load<std::uint32_t>(mmu, a, typed);
+            totals.clock_sum += self.now();
+        }
+        // A shootdown between two hits on the same page.
+        totals.checksum += load<std::uint32_t>(mmu, kMmapBase, typed);
+        f.space.bump_tlb_generation();
+        totals.checksum += load<std::uint32_t>(mmu, kMmapBase, typed);
+        // A u64 straddling a page boundary.
+        const Vaddr straddle = kMmapBase + 9 * kPageSize - 4;
+        store<std::uint64_t>(mmu, straddle, 0x1122334455667788ULL, typed);
+        totals.checksum += load<std::uint64_t>(mmu, straddle, typed);
+        // One whole 64-byte line: charged a line on top of the access.
+        Line line{};
+        for (std::uint64_t w = 0; w < 8; ++w) line.words[w] = w * 0x0101;
+        store<Line>(mmu, kMmapBase + 10 * kPageSize + 128, line, typed);
+        const Line back = load<Line>(mmu, kMmapBase + 10 * kPageSize + 128, typed);
+        for (const std::uint64_t w : back.words) totals.checksum += w;
+        totals.before_flush = self.now();
+        mmu.flush_charges();
+        totals.after_flush = self.now();
+        totals.hits = mmu.tlb_hits();
+        totals.misses = mmu.tlb_misses();
+        totals.faults = mmu.faults();
+    });
+    actor.start();
+    engine.run();
+    EXPECT_TRUE(actor.finished());
+    return totals;
+}
+
+TEST(Mmu, InlineTlbHitMatchesByteCopyPath) {
+    const AccessTotals typed = run_access_sequence(true);
+    const AccessTotals bytes = run_access_sequence(false);
+    EXPECT_EQ(typed.clock_sum, bytes.clock_sum);
+    EXPECT_EQ(typed.before_flush, bytes.before_flush);
+    EXPECT_EQ(typed.after_flush, bytes.after_flush);
+    EXPECT_EQ(typed.hits, bytes.hits);
+    EXPECT_EQ(typed.misses, bytes.misses);
+    EXPECT_EQ(typed.faults, bytes.faults);
+    EXPECT_EQ(typed.checksum, bytes.checksum);
+    // The sequence really crossed quanta and mostly hit.
+    EXPECT_GT(typed.after_flush, 5 * topo::CostModel{}.charge_quantum);
+    EXPECT_GT(typed.hits, 5000u);
+    EXPECT_EQ(typed.faults, 11u); // pages 0-7, both halves of 8|9, page 10
 }
 
 TEST(Mmu, BulkCopyThroughPages) {

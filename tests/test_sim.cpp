@@ -2,6 +2,7 @@
 // permit semantics, virtual-clock monotonicity, and simulated locks.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -336,6 +337,50 @@ TEST(RwLock, WriterNotStarvedByLateReaders) {
     r2.start();
     engine.run();
     EXPECT_GE(writer_at, 10_us);
+}
+
+// A waiter that carries a stale permit (banked by a wake that found it
+// already runnable) must still wait for the holder: the permit ends its
+// first park early, but only the unlock admits it.
+TEST(RwLock, StalePermitDoesNotAdmitWaiters) {
+    Engine engine;
+    SpinLock spin;
+    RwLock rw;
+    std::vector<Nanos> acquired;
+    Actor holder(engine, "holder", [&](Actor& self) {
+        spin.lock();
+        rw.lock();
+        self.sleep_for(10_us);
+        rw.unlock();
+        spin.unlock();
+    });
+    const auto waiter = [&](const std::function<void()>& lock_and_release) {
+        return [&, lock_and_release](Actor& self) {
+            self.sleep_for(1_us);
+            self.unpark(); // running: banks a permit
+            lock_and_release();
+            acquired.push_back(self.now());
+        };
+    };
+    Actor reader(engine, "reader", waiter([&] {
+                     rw.lock_shared();
+                     rw.unlock_shared();
+                 }));
+    Actor writer(engine, "writer", waiter([&] {
+                     rw.lock();
+                     rw.unlock();
+                 }));
+    Actor spinner(engine, "spinner", waiter([&] {
+                      spin.lock();
+                      spin.unlock();
+                  }));
+    holder.start();
+    reader.start();
+    writer.start();
+    spinner.start();
+    engine.run();
+    ASSERT_EQ(acquired.size(), 3u);
+    for (const Nanos at : acquired) EXPECT_GE(at, 10_us);
 }
 
 TEST(WaitList, NotifyOneWakesInOrder) {
