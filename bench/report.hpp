@@ -17,8 +17,9 @@
 //
 // All durations are virtual-time nanoseconds (names end in _ns), except the
 // two host.* gauges: what the run cost the host, in process CPU ms and peak
-// resident MB. run_benches.sh collects the per-bench files into
-// BENCH_results.json.
+// resident MB. The sim.events counter measures the same host cost
+// deterministically: the events every engine in the process dispatched.
+// run_benches.sh collects the per-bench files into BENCH_results.json.
 #pragma once
 
 #include <sys/resource.h>
@@ -30,6 +31,7 @@
 #include "harness.hpp"
 #include "rko/core/workset.hpp"
 #include "rko/home/home.hpp"
+#include "rko/sim/engine.hpp"
 #include "rko/trace/json.hpp"
 #include "rko/trace/metrics.hpp"
 
@@ -83,6 +85,9 @@ public:
         };
         add_gauge("host.cpu_ms", ms(usage.ru_utime) + ms(usage.ru_stime));
         add_gauge("host.peak_rss_mb", static_cast<double>(usage.ru_maxrss) / 1024.0);
+        // Repeats exactly for a given build and seed, so ci.sh gates it at
+        // the default 10% where host.cpu_ms needs 2x.
+        add_counter("sim.events", sim::Engine::process_dispatch_count());
         std::string out;
         trace::JsonWriter w(&out);
         w.begin_object();

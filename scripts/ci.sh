@@ -6,7 +6,9 @@
 #   2. checked:  the same ctest suite with RKO_CHECK=1, arming every gated
 #                inline protocol assertion (busy-bit audits, waiter dedup,
 #                post-revoke sweeps) — keeps the soak/invariant results of
-#                later stages trustworthy
+#                later stages trustworthy; then once more with sharded homes
+#                and working-set push both on (RKO_HOME_SHARDS=4
+#                RKO_WORKSET_PUSH=32), a flag pair that once aborted
 #   3. race:     the suite again with RKO_RACE=1 RKO_CHECK=1 (lockset /
 #                lock-order / await-atomicity detector armed; a finding
 #                fails the run via the "race" invariant family), plus a
@@ -24,7 +26,10 @@
 #                (host.cpu_ms) varies run to run, so it gets a loose 2x gate,
 #                on the three benches that run long enough to measure; it
 #                catches a simulator host-cost regression (e.g. guest RAM
-#                zeroed eagerly again: 20-40x) without flaking on noise
+#                zeroed eagerly again: 20-40x) without flaking on noise.
+#                The simulated event count (sim.events) measures host cost
+#                deterministically, so it gets the default 10% gate on the
+#                two benches whose balancer runs the futex census
 #
 # Usage: scripts/ci.sh [--quick]   (--quick: 25 explore seeds, skip sanitizers)
 set -e
@@ -49,9 +54,11 @@ cmake --build build -j "$JOBS" || fail tier-1 "cmake --build build -j"
 ctest --test-dir build --output-on-failure -j "$JOBS" \
   || fail tier-1 "ctest --test-dir build --output-on-failure"
 
-echo "=== ci.sh stage 2/7: tier-1 tests with RKO_CHECK=1 ==="
+echo "=== ci.sh stage 2/7: tier-1 tests with RKO_CHECK=1, then shards=4 + workset=32 ==="
 RKO_CHECK=1 ctest --test-dir build --output-on-failure -j "$JOBS" \
   || fail checked "RKO_CHECK=1 ctest --test-dir build --output-on-failure"
+RKO_HOME_SHARDS=4 RKO_WORKSET_PUSH=32 ctest --test-dir build --output-on-failure -j "$JOBS" \
+  || fail checked "RKO_HOME_SHARDS=4 RKO_WORKSET_PUSH=32 ctest --test-dir build --output-on-failure"
 
 echo "=== ci.sh stage 3/7: race detector (RKO_RACE=1) ==="
 RKO_RACE=1 RKO_CHECK=1 ctest --test-dir build --output-on-failure -j "$JOBS" \
@@ -114,6 +121,11 @@ for b in bench_pagefault bench_rebalance bench_mmap_scale; do
   scripts/bench_compare.py "bench/baselines/${b}_quick.json" \
       "build/bench_out/${b}_quick.json" --key host.cpu_ms --threshold 1.0 \
     || fail bench "scripts/bench_compare.py bench/baselines/${b}_quick.json build/bench_out/${b}_quick.json --key host.cpu_ms --threshold 1.0"
+done
+for b in bench_rebalance bench_futex; do
+  scripts/bench_compare.py "bench/baselines/${b}_quick.json" \
+      "build/bench_out/${b}_quick.json" --key sim.events \
+    || fail bench "scripts/bench_compare.py bench/baselines/${b}_quick.json build/bench_out/${b}_quick.json --key sim.events"
 done
 
 echo ""

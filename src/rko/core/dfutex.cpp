@@ -343,6 +343,12 @@ DFutex::HotWord DFutex::hottest_word() {
     const auto nk = static_cast<std::size_t>(k_.fabric().nkernels());
     std::map<std::pair<Pid, mem::Vaddr>, std::vector<std::uint32_t>> live;
     for (Bucket& bucket : table_) {
+        // Unlocked emptiness check, free in virtual time like the balancer's
+        // other scans: an empty bucket adds nothing to the census, so only
+        // occupied buckets pay a simulated lock. A waiter that lands just
+        // after its bucket was checked is counted on the next tick, like
+        // one that lands just after its bucket was scanned.
+        if (bucket.queue.empty()) continue;
         bucket.lock.lock();
         bucket.shadow.on_read();
         for (const Waiter& w : bucket.queue) {

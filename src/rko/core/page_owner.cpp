@@ -1667,7 +1667,9 @@ void PageOwner::push_prefetch_page(ProcessSite& site, mem::Vaddr page,
     // Read-replication protocol work for one claimed page — the same
     // transitions a demand read fault would make, but initiated by the
     // origin and delivered as an unsolicited push.
-    // Prefetch is best-effort: a fetch source that died (elastic) simply
+    // Prefetch is best-effort: a fetch source that died (elastic) or
+    // answers ok=false (a munmap replica sweep dropped its copy after our
+    // snapshot — the transient the read path tolerates, DESIGN §14) simply
     // cancels this page's push — release the claimed busy bit and let the
     // requester demand-fault it later.
     const auto cancel_claim = [&] {
@@ -1699,13 +1701,12 @@ void PageOwner::push_prefetch_page(ProcessSite& site, mem::Vaddr page,
                                           msg::MsgKind::kRequest,
                                           PageFetchReq{site.pid(), page, false}),
                 &st);
-            if (reply == nullptr) {
+            if (reply == nullptr ||
+                !reply->payload_prefix_as<PageFetchResp>().ok) {
                 cancel_claim();
                 return;
             }
-            const auto& fetched = reply->payload_prefix_as<PageFetchResp>();
-            RKO_ASSERT_MSG(fetched.ok, "sharer lost its copy mid-prefetch");
-            push.data = fetched.data;
+            push.data = reply->payload_prefix_as<PageFetchResp>().data;
             push.source = static_cast<std::uint8_t>(source);
         }
         updated.sharers = snapshot.sharers | topo::kbit(requester);
@@ -1722,13 +1723,12 @@ void PageOwner::push_prefetch_page(ProcessSite& site, mem::Vaddr page,
                                                   msg::MsgKind::kRequest,
                                                   PageFetchReq{site.pid(), page, true}),
                 &st);
-            if (reply == nullptr) {
+            if (reply == nullptr ||
+                !reply->payload_prefix_as<PageFetchResp>().ok) {
                 cancel_claim();
                 return;
             }
-            const auto& fetched = reply->payload_prefix_as<PageFetchResp>();
-            RKO_ASSERT_MSG(fetched.ok, "owner lost its copy mid-prefetch");
-            push.data = fetched.data;
+            push.data = reply->payload_prefix_as<PageFetchResp>().data;
         }
         push.source = static_cast<std::uint8_t>(snapshot.owner);
         updated.state = PageDirEntry::State::kShared;
@@ -1897,8 +1897,9 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
     }
 
     // Remote byte sources: per-page fetches (rare — the home usually holds
-    // what it serves). A source that died (elastic) cancels that page's
-    // push; the requester demand-faults it after the membership update.
+    // what it serves). A source that died (elastic) or lost its copy to a
+    // munmap replica sweep since the snapshot (ok=false) cancels that
+    // page's push; the requester demand-faults it later.
     for (PushPage& p : work) {
         if (p.local || p.cancelled) continue;
         fetches_.inc();
@@ -1908,14 +1909,12 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
             msg::make_message(msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
                               PageFetchReq{site.pid(), p.page, p.downgrade}),
             &st);
-        if (reply == nullptr) {
+        if (reply == nullptr || !reply->payload_prefix_as<PageFetchResp>().ok) {
             cancel_claim(p.vpn);
             p.cancelled = true;
             continue;
         }
-        const auto& fetched = reply->payload_prefix_as<PageFetchResp>();
-        RKO_ASSERT_MSG(fetched.ok, "source lost its copy mid-workset-push");
-        p.push.data = fetched.data;
+        p.push.data = reply->payload_prefix_as<PageFetchResp>().data;
     }
 
     // Elastic: a requester that died while we captured will never confirm —

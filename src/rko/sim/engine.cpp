@@ -8,6 +8,7 @@ namespace rko::sim {
 
 namespace {
 Engine* g_current_engine = nullptr;
+std::uint64_t g_process_dispatches = 0;
 } // namespace
 
 Engine* current_engine() { return g_current_engine; }
@@ -44,6 +45,7 @@ bool Engine::step_bounded(Nanos deadline) {
     RKO_ASSERT(ev.at >= now_);
     now_ = ev.at;
     ++dispatches_;
+    ++g_process_dispatches;
     current_ = actor;
     Engine* const prev_engine = g_current_engine;
     g_current_engine = this;
@@ -53,6 +55,8 @@ bool Engine::step_bounded(Nanos deadline) {
     current_ = nullptr;
     return true;
 }
+
+std::uint64_t Engine::process_dispatch_count() { return g_process_dispatches; }
 
 bool Engine::step() { return step_bounded(std::numeric_limits<Nanos>::max()); }
 

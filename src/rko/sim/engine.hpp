@@ -76,6 +76,11 @@ public:
 
     std::uint64_t dispatch_count() const { return dispatches_; }
 
+    /// Events dispatched by every engine this process has run, including
+    /// destroyed ones: a deterministic measure of host cost, unlike CPU
+    /// time (bench JSON reports it as sim.events).
+    static std::uint64_t process_dispatch_count();
+
     /// Turns on seeded tie-break shuffling (see the file comment). Must be
     /// called before any events are scheduled so every event gets a key.
     void enable_tie_shuffle(std::uint64_t seed) {

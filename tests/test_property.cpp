@@ -246,7 +246,14 @@ struct FuzzParam {
     int kernels;
     int threads;
     bool read_replication = true;
+    /// 0: the MachineConfig default (RKO_HOME_SHARDS / RKO_WORKSET_PUSH).
+    std::uint8_t home_shards = 0;
+    std::uint16_t workset_push = 0;
 };
+// gtest_discover_tests names each case after the printed bytes of its
+// param, so the two knobs above live in what was tail padding: growing the
+// struct would rename every existing case.
+static_assert(sizeof(FuzzParam) == 24);
 
 class DsmFuzz : public testing::TestWithParam<FuzzParam> {};
 
@@ -254,6 +261,8 @@ TEST_P(DsmFuzz, NoIncrementEverLost) {
     const FuzzParam param = GetParam();
     auto config = smp::popcorn_config(param.cores, param.kernels);
     config.read_replication = param.read_replication;
+    if (param.home_shards != 0) config.home_shards = param.home_shards;
+    if (param.workset_push != 0) config.workset_push = param.workset_push;
     api::Machine machine(config);
     auto& process = machine.create_process(0);
 
@@ -355,13 +364,23 @@ INSTANTIATE_TEST_SUITE_P(
                     FuzzParam{15, 16, 8, 16}, FuzzParam{16, 8, 1, 8},
                     // migrate-on-any-fault ablation (no Shared state)
                     FuzzParam{17, 8, 4, 8, false},
-                    FuzzParam{18, 8, 2, 6, false}),
+                    FuzzParam{18, 8, 2, 6, false},
+                    // sharded homes + working-set push: a munmap replica
+                    // sweep can drop a push source's copy mid-push
+                    FuzzParam{13, 8, 4, 8, true, 4, 32},
+                    FuzzParam{15, 16, 8, 16, true, 4, 32}),
     [](const testing::TestParamInfo<FuzzParam>& info) {
         return "seed" + std::to_string(info.param.seed) + "_c" +
                std::to_string(info.param.cores) + "_k" +
                std::to_string(info.param.kernels) + "_t" +
                std::to_string(info.param.threads) +
-               (info.param.read_replication ? "" : "_noshared");
+               (info.param.read_replication ? "" : "_noshared") +
+               (info.param.home_shards != 0
+                    ? "_s" + std::to_string(info.param.home_shards)
+                    : "") +
+               (info.param.workset_push != 0
+                    ? "_w" + std::to_string(info.param.workset_push)
+                    : "");
     });
 
 } // namespace
