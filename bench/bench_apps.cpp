@@ -32,7 +32,11 @@ using bench::Table;
 /// as a multikernel OS". The difference is what else each can run: the
 /// multikernel cannot host IS/CG's shared address space at all.
 Nanos churn_multikernel(int ncores, int nkernels, const apps::ChurnConfig& config) {
-    Machine machine(smp::popcorn_config(ncores, nkernels));
+    auto machine_config = smp::popcorn_config(ncores, nkernels);
+    // A multikernel domain's state lives on its own kernel: pinned, so the
+    // baseline never follows RKO_HOME_SHARDS into Popcorn's sharded homes.
+    machine_config.home_shards = 1;
+    Machine machine(machine_config);
     std::vector<api::Process*> domains;
     for (int w = 0; w < config.nworkers; ++w) {
         const auto kid = apps::place(w, nkernels);

@@ -303,36 +303,50 @@ int main(int argc, char** argv) {
     {
         // Each working-set size runs twice: plain demand faulting, then with
         // fault-around prefetch (window 8). The streaming reader's +1-page
-        // stride is detected after 3 faults; from then on every batch round
-        // trip moves up to 8 pages (one kPageFaultBatch reply + 7 pushes).
+        // stride is detected after 3 faults; from then on every round trip
+        // moves up to 8 pages. Two placements around the home (kernel 0,
+        // the origin, which maps the region):
+        //   remote — written on kernel 0, read on kernel 1: one
+        //            kPageFaultBatch reply + up to 7 pushes per window;
+        //   home   — written on kernel 1, read on kernel 0: the home fetches
+        //            up to 7 pages per window in one kPageFetch scatter.
         struct StreamStats {
             Nanos move_time = 0;
             std::uint64_t issued = 0, hit = 0, wasted = 0;
         };
-        auto stream_once = [&](int pages, int window) {
+        auto stream_once = [&](int pages, int window, bool home_reader) {
             auto config = smp::popcorn_config(4, 2);
             config.prefetch_window = window;
             Machine machine(config);
             auto& process = machine.create_process(0);
             StreamStats stats;
-            auto& owner = process.spawn(
+            const topo::KernelId writer = home_reader ? 1 : 0;
+            // Simplification: every thread recomputes the deterministic
+            // mmap base instead of passing it through guest memory.
+            const Vaddr buf = mem::kMmapBase;
+            auto fill = [buf, pages](Guest& g) {
+                for (int i = 0; i < pages; ++i) {
+                    g.write<std::uint64_t>(buf + static_cast<Vaddr>(i) * kPageSize,
+                                           static_cast<std::uint64_t>(i));
+                }
+                g.write<Vaddr>(buf, buf); // self-reference marks readiness
+            };
+            Thread& mapper = process.spawn(
                 [&, pages](Guest& g) {
-                    const Vaddr buf =
-                        g.mmap(static_cast<std::uint64_t>(pages) * kPageSize);
-                    for (int i = 0; i < pages; ++i) {
-                        g.write<std::uint64_t>(buf + static_cast<Vaddr>(i) * kPageSize,
-                                               static_cast<std::uint64_t>(i));
-                    }
-                    g.write<Vaddr>(buf, buf); // self-reference marks readiness
+                    g.mmap(static_cast<std::uint64_t>(pages) * kPageSize);
+                    if (writer == 0) fill(g);
                 },
                 0);
+            Thread& filled = writer == 0 ? mapper
+                                         : process.spawn(
+                                               [&](Guest& g) {
+                                                   g.join(mapper);
+                                                   fill(g);
+                                               },
+                                               writer);
             process.spawn(
                 [&, pages](Guest& g) {
-                    g.join(owner);
-                    // Find buf via the owner's published self-reference: the
-                    // bench passes it through guest memory to stay honest.
-                    // (Simplification: recompute the deterministic mmap base.)
-                    const Vaddr buf = mem::kMmapBase;
+                    g.join(filled);
                     stats.move_time = timed(g, [&] {
                         std::uint64_t sum = 0;
                         for (int i = 0; i < pages; ++i) {
@@ -342,41 +356,49 @@ int main(int argc, char** argv) {
                         (void)sum;
                     });
                 },
-                1);
+                home_reader ? 0 : 1);
             machine.run();
             process.check_all_joined();
-            stats.issued = machine.kernel(0).pages().prefetch_issued();
-            stats.hit = machine.kernel(1).pages().prefetch_hit();
-            stats.wasted = machine.kernel(1).pages().prefetch_wasted();
+            for (topo::KernelId k = 0; k < machine.nkernels(); ++k) {
+                stats.issued += machine.kernel(k).pages().prefetch_issued();
+                stats.hit += machine.kernel(k).pages().prefetch_hit();
+                stats.wasted += machine.kernel(k).pages().prefetch_wasted();
+            }
             return stats;
         };
-        Table table({"working set", "demand move", "prefetch move", "speedup",
+        Table table({"reader", "working set", "demand move", "prefetch move", "speedup",
                      "MB/s (pf)"});
-        for (const int pages : {16, 64, 256, 1024}) {
-            const StreamStats demand = stream_once(pages, 1);
-            const StreamStats pf = stream_once(pages, 8);
-            const double mb = static_cast<double>(pages) * kPageSize / 1e6;
-            table.add_row(
-                {fmt("%d pages", pages), fmt_ns(demand.move_time),
-                 fmt_ns(pf.move_time),
-                 fmt("%.2fx", static_cast<double>(demand.move_time) /
-                                  static_cast<double>(pf.move_time)),
-                 fmt("%.1f", mb / (static_cast<double>(pf.move_time) / 1e9))});
-            report.add_gauge(fmt("stream.%d.move_ns", pages),
-                             static_cast<double>(demand.move_time));
-            report.add_gauge(fmt("stream.%d.prefetch_move_ns", pages),
-                             static_cast<double>(pf.move_time));
-            report.add_gauge(fmt("stream.%d.prefetch_issued", pages),
-                             static_cast<double>(pf.issued));
-            report.add_gauge(fmt("stream.%d.prefetch_hit", pages),
-                             static_cast<double>(pf.hit));
-            report.add_gauge(fmt("stream.%d.prefetch_wasted", pages),
-                             static_cast<double>(pf.wasted));
+        for (const bool home_reader : {false, true}) {
+            const char* prefix = home_reader ? "stream.home" : "stream";
+            for (const int pages : {16, 64, 256, 1024}) {
+                const StreamStats demand = stream_once(pages, 1, home_reader);
+                const StreamStats pf = stream_once(pages, 8, home_reader);
+                const double mb = static_cast<double>(pages) * kPageSize / 1e6;
+                table.add_row(
+                    {home_reader ? "home" : "remote", fmt("%d pages", pages),
+                     fmt_ns(demand.move_time), fmt_ns(pf.move_time),
+                     fmt("%.2fx", static_cast<double>(demand.move_time) /
+                                      static_cast<double>(pf.move_time)),
+                     fmt("%.1f", mb / (static_cast<double>(pf.move_time) / 1e9))});
+                report.add_gauge(fmt("%s.%d.move_ns", prefix, pages),
+                                 static_cast<double>(demand.move_time));
+                report.add_gauge(fmt("%s.%d.prefetch_move_ns", prefix, pages),
+                                 static_cast<double>(pf.move_time));
+                report.add_gauge(fmt("%s.%d.prefetch_issued", prefix, pages),
+                                 static_cast<double>(pf.issued));
+                report.add_gauge(fmt("%s.%d.prefetch_hit", prefix, pages),
+                                 static_cast<double>(pf.hit));
+                if (!home_reader) {
+                    report.add_gauge(fmt("%s.%d.prefetch_wasted", prefix, pages),
+                                     static_cast<double>(pf.wasted));
+                }
+            }
         }
         table.print();
-        std::printf("\nWith the window off the reader pays one origin round "
-                    "trip per page; with fault-around on, batched replies and "
-                    "pushed pages amortize that trip across the window.\n");
+        std::printf("\nWith the window off the reader pays one home round "
+                    "trip per page; with fault-around on, batched replies, "
+                    "pushed pages or the home's scattered fetches amortize "
+                    "that trip across the window.\n");
     }
 
     bench::section("(f) sharded homes: fault throughput vs kernel count");

@@ -29,7 +29,12 @@
 #                zeroed eagerly again: 20-40x) without flaking on noise.
 #                The simulated event count (sim.events) measures host cost
 #                deterministically, so it gets the default 10% gate on the
-#                two benches whose balancer runs the futex census
+#                two benches whose balancer runs the futex census. Last, the
+#                repository benchmark's smoke test (perfbench/smoke_test.py)
+#                builds perfbench into .bench_build and runs every workload
+#                at tiny size, traced and untraced, checking correctness and
+#                the metric names against BENCHMARK.json — a library change
+#                that breaks the benchmark fails here
 #
 # Usage: scripts/ci.sh [--quick]   (--quick: 25 explore seeds, skip sanitizers)
 set -e
@@ -127,6 +132,8 @@ for b in bench_rebalance bench_futex; do
       "build/bench_out/${b}_quick.json" --key sim.events \
     || fail bench "scripts/bench_compare.py bench/baselines/${b}_quick.json build/bench_out/${b}_quick.json --key sim.events"
 done
+python3 perfbench/smoke_test.py \
+  || fail bench "python3 perfbench/smoke_test.py"
 
 echo ""
 echo "ci.sh: all stages green"

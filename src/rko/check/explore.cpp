@@ -505,6 +505,82 @@ ScenarioResult run_prefetch_race(const ExploreConfig& cfg) {
     return finish(machine);
 }
 
+/// prefetch_race with the windows taken at the home: kernel 1 writes a
+/// 24-page region, so kernel 1 owns it Exclusive, and a reader on kernel 0
+/// (the origin, home of every page unsharded) streams it twice with
+/// prefetch_window=8. Each window's claimed pages are fetched in one
+/// scatter and installed at the home, racing (a) a writer on kernel 2
+/// storming the middle of the region — its write faults wait out the
+/// claimed busy bits, then must invalidate the home's fresh copies — and
+/// (b) an unmapper on kernel 3 cycling the 6-page tail. The unmapper starts
+/// once the reader is half way through its first pass and refills each
+/// fresh tail mapping, so the home's windows keep claiming tail pages that
+/// kernel 3 owns while the next munmap runs: revoke must wait on the
+/// claimed busy bits, then drop the copies the home installed after the
+/// VMA vanished. The reader may legally segfault; audits + reproducibility
+/// only.
+ScenarioResult run_home_prefetch_race(const ExploreConfig& cfg) {
+    constexpr int kPages = 24;
+    constexpr int kTail = 6;
+    MachineConfig mc = base_config(cfg);
+    mc.prefetch_window = 8;
+    Machine machine(mc);
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    int reached = -1; // the reader's furthest page (host-side progress flag)
+    auto& init = process.spawn(
+        [&](Guest& g) {
+            buf = g.mmap(kPages * kPageSize);
+            for (int p = 0; p < kPages; ++p) {
+                g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize,
+                                       static_cast<std::uint64_t>(0x100 + p));
+            }
+        },
+        1);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            for (int pass = 0; pass < 2; ++pass) {
+                for (int p = 0; p < kPages; ++p) {
+                    reached = std::max(reached, p);
+                    (void)g.read<std::uint64_t>(
+                        buf + static_cast<Vaddr>(p) * kPageSize);
+                    g.compute(200_ns);
+                }
+            }
+        },
+        0);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            for (int i = 0; i < 12; ++i) {
+                g.write<std::uint64_t>(
+                    buf + static_cast<Vaddr>(8 + i % 8) * kPageSize,
+                    static_cast<std::uint64_t>(0x200 + i));
+                g.compute(500_ns);
+            }
+        },
+        2);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            for (int i = 0; i < 400 && reached < kPages / 2; ++i) g.compute(1_us);
+            for (int c = 0; c < 4; ++c) {
+                g.compute(3_us);
+                g.munmap(buf + (kPages - kTail) * kPageSize, kTail * kPageSize);
+                g.compute(1_us);
+                const Vaddr tail = g.mmap(kTail * kPageSize);
+                for (int p = 0; p < kTail; ++p) {
+                    g.write<std::uint64_t>(tail + static_cast<Vaddr>(p) * kPageSize,
+                                           static_cast<std::uint64_t>(0x300 + p));
+                }
+            }
+        },
+        3);
+    machine.run();
+    return finish(machine);
+}
+
 // ---------------------------------------------------------------------------
 // Elastic-membership storms (§11): kernels fail-stop, hot-join, and drain
 // mid-run while the load balancer is moving the very threads affected.
@@ -882,6 +958,11 @@ const std::vector<Scenario>& scenarios() {
          "fault-around pushes race write upgrades and munmap of the tail",
          /*content_deterministic=*/false, /*expect_violation=*/false,
          &run_prefetch_race},
+        {"home_prefetch_race",
+         "the home's own fault-around fetches race write upgrades and "
+         "munmap of the tail",
+         /*content_deterministic=*/false, /*expect_violation=*/false,
+         &run_home_prefetch_race},
         {"kill_storm",
          "two kernels fail-stop mid-run; leases expire and the survivors "
          "re-home their state",

@@ -34,12 +34,33 @@ std::uint32_t effective_prot(std::uint32_t vma_prot, bool writable) {
     return writable ? vma_prot : (vma_prot & ~mem::kProtWrite);
 }
 
+/// Drops the holders `node` knows to be dead, as the reaper's sweep
+/// (rehome_dead) does for every entry that is not busy. Returns false when
+/// no holder is left: the only copy died.
+bool strip_dead_holders(PageDirEntry& entry, const msg::Node& node) {
+    if (entry.state == PageDirEntry::State::kExclusive) {
+        return !node.peer_dead(entry.owner);
+    }
+    for (topo::KernelMask mask = entry.sharers; mask != 0; mask &= mask - 1) {
+        const auto holder = static_cast<topo::KernelId>(std::countr_zero(mask));
+        if (node.peer_dead(holder)) entry.sharers &= ~topo::kbit(holder);
+    }
+    return entry.sharers != 0;
+}
+
 /// Shared tail of commit_install/abandon_pending: applies `updated` (ok) or
 /// removes the requester from the holder set (!ok). Shard lock held.
 void apply_commit_locked(ProcessSite::DirShard& shard, std::uint64_t vpn,
-                         PageDirEntry updated, topo::KernelId requester, bool ok) {
+                         PageDirEntry updated, topo::KernelId requester, bool ok,
+                         const msg::Node& node) {
     auto it = shard.entries.find(vpn);
     RKO_ASSERT(it != shard.entries.end() && it->second.busy);
+    // The reaper skips entries busy under a transaction, so a holder that
+    // died after this transaction snapshotted it is stripped here.
+    if (!strip_dead_holders(updated, node)) {
+        shard.entries.erase(it);
+        return;
+    }
     if (ok) {
         it->second = updated; // updated.busy is already false
         return;
@@ -536,7 +557,7 @@ void PageOwner::commit_install(ProcessSite& site, mem::Vaddr page,
     PageDirEntry updated = pending_it->second;
     shard.pending.erase(pending_it);
     shard.pending_from.erase(vpn);
-    apply_commit_locked(shard, vpn, updated, requester, ok);
+    apply_commit_locked(shard, vpn, updated, requester, ok, k_.node());
     shard.shadow.on_write();
     shard.busy_wait.notify_all();
     shard.lock.unlock();
@@ -560,7 +581,7 @@ bool PageOwner::abandon_pending(ProcessSite& site, mem::Vaddr page,
     const PageDirEntry updated = pending_it->second;
     shard.pending.erase(pending_it);
     shard.pending_from.erase(from_it);
-    apply_commit_locked(shard, vpn, updated, requester, /*ok=*/false);
+    apply_commit_locked(shard, vpn, updated, requester, /*ok=*/false, k_.node());
     shard.shadow.on_write();
     shard.busy_wait.notify_all();
     shard.lock.unlock();
@@ -634,13 +655,24 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
     if (home == k_.id()) {
         local_faults_.inc();
         trace::Span span(k_.engine(), k_.id(), "page.fault.local", page);
+        // Fault-around at the home pays off only if another kernel can
+        // hold this process's pages. A process that never left its origin
+        // (and every SMP process) skips the detector and its claim costs.
+        // replica_mask is kept at the origin only; a non-origin home is
+        // sharded, so the origin is always a second kernel.
+        const bool peers = !site.is_origin() ||
+                           (site.group().replica_mask & ~topo::kbit(k_.id())) != 0;
+        const std::uint32_t window = peers ? stride_window(vma, page, access, t) : 0;
         const FaultStatus status =
             origin_transaction(site, page, access, k_.id(), resp);
         if (status == FaultStatus::kSegv) return mem::Mmu::FaultResult::kSegv;
         if (status == FaultStatus::kRetry) return mem::Mmu::FaultResult::kFixed;
         const bool installed = install_locally(site, vma, page, access, resp);
         commit_install(site, page, k_.id(), installed);
-        if (installed) attribute(resp);
+        if (installed) {
+            attribute(resp);
+            if (window >= 2) home_fault_around(site, vma, page, window);
+        }
         return mem::Mmu::FaultResult::kFixed;
     }
 
@@ -648,31 +680,12 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
     trace::Span span(k_.engine(), k_.id(), "page.fault.remote", page);
 
     // Fault-around: a thread on a sequential read streak upgrades this
-    // fault into a batched transaction — the origin services the faulting
+    // fault into a batched transaction — the home services the faulting
     // page as usual and pushes the window's remaining pages unsolicited
     // (kPagePush), turning one RTT per page into one RTT per window. With
     // the knob off (window <= 1) none of this code runs and the wire
     // traffic is bit-identical to the plain protocol.
-    std::uint32_t window = 0;
-    if (prefetch_window_ > 1 && t != nullptr && (access & mem::kProtWrite) == 0) {
-        if (t->last_fault_page + mem::kPageSize == page) {
-            ++t->fault_run;
-        } else {
-            t->fault_run = 1;
-        }
-        t->last_fault_page = page;
-        if (t->fault_run >= kPrefetchMinRun) {
-            // Clip to the (replica) VMA; the origin re-clips against the
-            // master and the non-busy directory entries it can claim.
-            const std::uint64_t avail = (vma.end - page) >> mem::kPageShift;
-            const std::uint64_t cap =
-                std::min<std::uint64_t>(std::min<std::uint64_t>(
-                                            static_cast<std::uint64_t>(prefetch_window_),
-                                            kMaxFaultAround),
-                                        avail);
-            if (cap >= 2) window = static_cast<std::uint32_t>(cap);
-        }
-    }
+    std::uint32_t window = stride_window(vma, page, access, t);
     // Post-migration boost (§15): a freshly migrated thread's remote read
     // faults batch from the FIRST touch (no min-run — the whole address
     // space is cold here, so any pattern benefits) with the widened cap.
@@ -728,6 +741,28 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
                                      PageInstalledMsg{site.pid(), page, k_.id(),
                                                       installed}));
     return mem::Mmu::FaultResult::kFixed;
+}
+
+std::uint32_t PageOwner::stride_window(const mem::Vma& vma, mem::Vaddr page,
+                                       std::uint32_t access, task::Task* t) {
+    if (prefetch_window_ <= 1 || t == nullptr || (access & mem::kProtWrite) != 0) {
+        return 0;
+    }
+    if (t->last_fault_page + mem::kPageSize == page) {
+        ++t->fault_run;
+    } else {
+        t->fault_run = 1;
+    }
+    t->last_fault_page = page;
+    if (t->fault_run < kPrefetchMinRun) return 0;
+    // Clip to the faulting kernel's VMA; the home's claim re-clips against
+    // its own tree and the non-busy directory entries it can claim.
+    const std::uint64_t avail = (vma.end - page) >> mem::kPageShift;
+    const std::uint64_t cap = std::min<std::uint64_t>(
+        std::min<std::uint64_t>(static_cast<std::uint64_t>(prefetch_window_),
+                                kMaxFaultAround),
+        avail);
+    return cap >= 2 ? static_cast<std::uint32_t>(cap) : 0;
 }
 
 std::byte* PageOwner::ensure_readable(ProcessSite& site, mem::Vaddr page) {
@@ -870,6 +905,72 @@ void append_ranged_posts(
             i += n;
         }
     }
+}
+
+/// Releases a claimed busy bit whose transfer was cancelled and wakes its
+/// waiters; the page demand-faults later. Like a commit, the release
+/// strips holders that died while the claim was held.
+void release_claim(ProcessSite& site, const msg::Node& node, std::uint64_t vpn) {
+    auto& shard = site.dir_shard(vpn);
+    shard.lock.lock();
+    auto it = shard.entries.find(vpn);
+    if (it != shard.entries.end()) {
+        it->second.busy = false;
+        if (!strip_dead_holders(it->second, node)) shard.entries.erase(it);
+    }
+    shard.busy_wait.notify_all();
+    shard.lock.unlock();
+}
+
+/// Parks a claimed page's post-transfer state; the requester's install
+/// confirm (commit_install) applies it and releases the busy bit.
+void park_pending(ProcessSite& site, std::uint64_t vpn, const PageDirEntry& updated,
+                  topo::KernelId requester) {
+    auto& shard = site.dir_shard(vpn);
+    shard.lock.lock();
+    RKO_ASSERT(shard.entries.contains(vpn));
+    shard.pending[vpn] = updated;
+    shard.pending_from[vpn] = requester;
+    shard.lock.unlock();
+}
+
+/// How one claimed page replicates to `requester`: the transitions a
+/// demand read fault makes, minus the dead-holder fallbacks (a dead or
+/// copy-less source cancels the claim instead).
+struct ReadSharePlan {
+    topo::KernelId source = -1; ///< kernel whose copy supplies the bytes
+    bool downgrade = false;     ///< source is the Exclusive owner: drop its write bit
+    PageDirEntry updated;       ///< directory state once the requester installs
+};
+
+ReadSharePlan plan_read_share(ProcessSite& site, std::uint64_t vpn, topo::KernelId self,
+                              topo::KernelId requester) {
+    auto& shard = site.dir_shard(vpn);
+    shard.lock.lock();
+    auto it = shard.entries.find(vpn);
+    RKO_ASSERT_MSG(it != shard.entries.end() && it->second.busy,
+                   "page transfer lost its claimed entry");
+    const PageDirEntry snapshot = it->second;
+    shard.lock.unlock();
+
+    ReadSharePlan plan;
+    plan.updated = snapshot;
+    plan.updated.busy = false;
+    if (snapshot.state == PageDirEntry::State::kShared) {
+        // Our own copy is the cheapest source; else the lowest sharer.
+        plan.source = snapshot.holds(self) ? self
+                                           : static_cast<topo::KernelId>(
+                                                 std::countr_zero(snapshot.sharers));
+        plan.updated.sharers = snapshot.sharers | topo::kbit(requester);
+    } else {
+        // Exclusive elsewhere (the claim excluded requester-held pages).
+        plan.source = snapshot.owner;
+        plan.downgrade = true;
+        plan.updated.state = PageDirEntry::State::kShared;
+        plan.updated.sharers = topo::kbit(snapshot.owner) | topo::kbit(requester);
+        plan.updated.owner = -1;
+    }
+    return plan;
 }
 
 } // namespace
@@ -1455,11 +1556,7 @@ std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) 
             PageDirEntry snapshot;
             if (!claim_busy(k_.engine(), k_.node(), shard, vpn, &snapshot)) continue;
             if (!snapshot.holds(holder)) {
-                shard.lock.lock();
-                auto it = shard.entries.find(vpn);
-                if (it != shard.entries.end()) it->second.busy = false;
-                shard.busy_wait.notify_all();
-                shard.lock.unlock();
+                release_claim(site, k_.node(), vpn);
                 continue;
             }
             EvictPage p;
@@ -1656,105 +1753,100 @@ std::vector<mem::Vaddr> PageOwner::claim_prefetch_pages(ProcessSite& site,
 void PageOwner::push_prefetch_page(ProcessSite& site, mem::Vaddr page,
                                    topo::KernelId requester) {
     const std::uint64_t vpn = mem::vpn_of(page);
-    auto& shard = site.dir_shard(vpn);
-    shard.lock.lock();
-    auto it = shard.entries.find(vpn);
-    RKO_ASSERT_MSG(it != shard.entries.end() && it->second.busy,
-                   "prefetch lost its claimed entry");
-    const PageDirEntry snapshot = it->second;
-    shard.lock.unlock();
+    const ReadSharePlan plan = plan_read_share(site, vpn, k_.id(), requester);
 
-    // Read-replication protocol work for one claimed page — the same
-    // transitions a demand read fault would make, but initiated by the
-    // origin and delivered as an unsolicited push.
     // Prefetch is best-effort: a fetch source that died (elastic) or
     // answers ok=false (a munmap replica sweep dropped its copy after our
     // snapshot — the transient the read path tolerates, DESIGN §14) simply
     // cancels this page's push — release the claimed busy bit and let the
     // requester demand-fault it later.
-    const auto cancel_claim = [&] {
-        shard.lock.lock();
-        auto entry_it = shard.entries.find(vpn);
-        if (entry_it != shard.entries.end()) entry_it->second.busy = false;
-        shard.busy_wait.notify_all();
-        shard.lock.unlock();
-    };
-
     PagePushMsg push{};
     push.pid = site.pid();
     push.va = page;
     push.data_included = true;
     push.zero_fill = false;
-    PageDirEntry updated = snapshot;
-    updated.busy = false;
-    if (snapshot.state == PageDirEntry::State::kShared) {
-        if (snapshot.holds(k_.id())) {
-            RKO_ASSERT(local_fetch(site, page, false, push.data.data()));
-            push.source = static_cast<std::uint8_t>(k_.id());
-        } else {
-            const auto source =
-                static_cast<topo::KernelId>(std::countr_zero(snapshot.sharers));
-            fetches_.inc();
-            msg::RpcStatus st = msg::RpcStatus::kOk;
-            auto reply = k_.node().rpc(
-                source, msg::make_message(msg::MsgType::kPageFetch,
-                                          msg::MsgKind::kRequest,
-                                          PageFetchReq{site.pid(), page, false}),
-                &st);
-            if (reply == nullptr ||
-                !reply->payload_prefix_as<PageFetchResp>().ok) {
-                cancel_claim();
-                return;
-            }
-            push.data = reply->payload_prefix_as<PageFetchResp>().data;
-            push.source = static_cast<std::uint8_t>(source);
-        }
-        updated.sharers = snapshot.sharers | topo::kbit(requester);
+    push.source = static_cast<std::uint8_t>(plan.source);
+    if (plan.source == k_.id()) {
+        RKO_ASSERT(local_fetch(site, page, plan.downgrade, push.data.data()));
     } else {
-        // Exclusive elsewhere (the requester was excluded at claim time):
-        // downgrade the owner exactly like a read fault would.
-        if (snapshot.owner == k_.id()) {
-            RKO_ASSERT(local_fetch(site, page, true, push.data.data()));
-        } else {
-            fetches_.inc();
-            msg::RpcStatus st = msg::RpcStatus::kOk;
-            auto reply = k_.node().rpc(
-                snapshot.owner, msg::make_message(msg::MsgType::kPageFetch,
-                                                  msg::MsgKind::kRequest,
-                                                  PageFetchReq{site.pid(), page, true}),
-                &st);
-            if (reply == nullptr ||
-                !reply->payload_prefix_as<PageFetchResp>().ok) {
-                cancel_claim();
-                return;
-            }
-            push.data = reply->payload_prefix_as<PageFetchResp>().data;
+        fetches_.inc();
+        msg::RpcStatus st = msg::RpcStatus::kOk;
+        auto reply = k_.node().rpc(
+            plan.source,
+            msg::make_message(msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
+                              PageFetchReq{site.pid(), page, plan.downgrade}),
+            &st);
+        if (reply == nullptr || !reply->payload_prefix_as<PageFetchResp>().ok) {
+            release_claim(site, k_.node(), vpn);
+            return;
         }
-        push.source = static_cast<std::uint8_t>(snapshot.owner);
-        updated.state = PageDirEntry::State::kShared;
-        updated.sharers = topo::kbit(snapshot.owner) | topo::kbit(requester);
-        updated.owner = -1;
+        push.data = reply->payload_prefix_as<PageFetchResp>().data;
     }
     if (k_.node().peer_dead(requester)) {
         // The requester died while we were fetching: nobody will ever
         // confirm the push — do not park a pending that cannot commit.
-        cancel_claim();
+        release_claim(site, k_.node(), vpn);
         return;
     }
 
-    // Park the post-transaction state; the requester's kPageInstalled (sent
-    // by its on_page_push, success or not) commits or rolls back and
-    // releases the busy bit — the standard three-phase shape.
-    shard.lock.lock();
-    RKO_ASSERT(shard.entries.contains(vpn));
-    shard.pending[vpn] = updated;
-    shard.pending_from[vpn] = requester;
-    shard.lock.unlock();
+    // The requester's kPageInstalled (sent by its on_page_push, success or
+    // not) commits or rolls back the parked state and releases the busy
+    // bit — the standard three-phase shape.
+    park_pending(site, vpn, plan.updated, requester);
     prefetch_issued_.inc();
     k_.node().send(requester,
                    msg::make_message_prefix(msg::MsgType::kPagePush,
                                             msg::MsgKind::kOneway, push,
                                             wire_bytes(push)));
+}
+
+void PageOwner::home_fault_around(ProcessSite& site, const mem::Vma& vma,
+                                  mem::Vaddr page, std::uint32_t window) {
+    struct Fetch {
+        mem::Vaddr page;
+        ReadSharePlan plan;
+    };
+    std::vector<Fetch> fetches;
+    std::vector<msg::Node::ScatterItem> posts;
+    for (const mem::Vaddr claimed : claim_prefetch_pages(site, page, window, k_.id())) {
+        const ReadSharePlan plan =
+            plan_read_share(site, mem::vpn_of(claimed), k_.id(), k_.id());
+        // The claim skipped pages the home holds: every source is remote.
+        RKO_ASSERT(plan.source != k_.id());
+        fetches_.inc();
+        posts.push_back({plan.source,
+                         msg::make_message(msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
+                                           PageFetchReq{site.pid(), claimed,
+                                                        plan.downgrade})});
+        fetches.push_back({claimed, plan});
+    }
+    if (posts.empty()) return;
+    // One round trip for the whole window: every holder serves its pages
+    // concurrently.
+    const auto replies = k_.node().rpc_scatter(std::move(posts));
+    for (std::size_t i = 0; i < fetches.size(); ++i) {
+        const Fetch& f = fetches[i];
+        const std::uint64_t vpn = mem::vpn_of(f.page);
+        // A dead source (null reply) or a copy a munmap replica sweep
+        // dropped since the snapshot (ok=false) cancels this page, as on
+        // the push paths.
+        if (replies[i] == nullptr || !replies[i]->payload_prefix_as<PageFetchResp>().ok) {
+            release_claim(site, k_.node(), vpn);
+            continue;
+        }
+        prefetch_issued_.inc();
+        PageFaultResp resp{};
+        resp.status = FaultStatus::kOk;
+        resp.data_included = true;
+        resp.source = static_cast<std::uint8_t>(f.plan.source);
+        resp.data = replies[i]->payload_prefix_as<PageFetchResp>().data;
+        // A racing munmap/mprotect waits on this busy bit, then treats the
+        // home as a holder, so installing against the faulting VMA is safe.
+        park_pending(site, vpn, f.plan.updated, k_.id());
+        const bool installed = install_locally(site, vma, f.page, mem::kProtRead, resp);
+        commit_install(site, f.page, k_.id(), installed);
+        (installed ? prefetch_hit_ : prefetch_wasted_).inc();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1805,58 +1897,23 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
     struct PushPage {
         mem::Vaddr page = 0;
         std::uint64_t vpn = 0;
-        PageDirEntry updated;
-        topo::KernelId source = -1;
-        bool local = false;     ///< bytes come from this kernel's own copy
-        bool downgrade = false; ///< source was Exclusive (strip its write bit)
+        ReadSharePlan plan;
+        bool local = false; ///< bytes come from this kernel's own copy
         bool cancelled = false;
         PagePushMsg push{};
     };
     std::vector<PushPage> work(pages.size());
-    const auto cancel_claim = [&](std::uint64_t vpn) {
-        auto& shard = site.dir_shard(vpn);
-        shard.lock.lock();
-        auto it = shard.entries.find(vpn);
-        if (it != shard.entries.end()) it->second.busy = false;
-        shard.busy_wait.notify_all();
-        shard.lock.unlock();
-    };
-
-    // Plan: snapshot every claimed entry and decide each page's byte
-    // source and post-push directory state (the same transitions a demand
-    // read fault would make).
     for (std::size_t i = 0; i < pages.size(); ++i) {
         PushPage& p = work[i];
         p.page = pages[i];
         p.vpn = mem::vpn_of(p.page);
-        auto& shard = site.dir_shard(p.vpn);
-        shard.lock.lock();
-        auto it = shard.entries.find(p.vpn);
-        RKO_ASSERT_MSG(it != shard.entries.end() && it->second.busy,
-                       "workset push lost its claimed entry");
-        const PageDirEntry snapshot = it->second;
-        shard.lock.unlock();
-        p.updated = snapshot;
-        p.updated.busy = false;
+        p.plan = plan_read_share(site, p.vpn, k_.id(), requester);
+        p.local = p.plan.source == k_.id();
         p.push.pid = site.pid();
         p.push.va = p.page;
         p.push.data_included = true;
         p.push.zero_fill = false;
-        if (snapshot.state == PageDirEntry::State::kShared) {
-            p.source = snapshot.holds(k_.id())
-                           ? k_.id()
-                           : static_cast<topo::KernelId>(
-                                 std::countr_zero(snapshot.sharers));
-            p.updated.sharers = snapshot.sharers | topo::kbit(requester);
-        } else {
-            p.source = snapshot.owner;
-            p.downgrade = true;
-            p.updated.state = PageDirEntry::State::kShared;
-            p.updated.sharers = topo::kbit(snapshot.owner) | topo::kbit(requester);
-            p.updated.owner = -1;
-        }
-        p.local = p.source == k_.id();
-        p.push.source = static_cast<std::uint8_t>(p.source);
+        p.push.source = static_cast<std::uint8_t>(p.plan.source);
     }
 
     // Batched local capture. Where the per-page paths pay one modeled
@@ -1869,7 +1926,7 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
         WriteGuard guard(site.space().mmap_lock());
         std::uint32_t downgraded = 0;
         for (PushPage& p : work) {
-            if (!p.local || !p.downgrade) continue;
+            if (!p.local || !p.plan.downgrade) continue;
             const mem::Pte* pte = site.space().page_table().find(p.page);
             RKO_ASSERT_MSG(pte != nullptr && pte->present,
                            "workset push: directory says local copy, no PTE");
@@ -1905,12 +1962,12 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
         fetches_.inc();
         msg::RpcStatus st = msg::RpcStatus::kOk;
         auto reply = k_.node().rpc(
-            p.source,
+            p.plan.source,
             msg::make_message(msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
-                              PageFetchReq{site.pid(), p.page, p.downgrade}),
+                              PageFetchReq{site.pid(), p.page, p.plan.downgrade}),
             &st);
         if (reply == nullptr || !reply->payload_prefix_as<PageFetchResp>().ok) {
-            cancel_claim(p.vpn);
+            release_claim(site, k_.node(), p.vpn);
             p.cancelled = true;
             continue;
         }
@@ -1923,7 +1980,7 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
     // with kPeerDead anyway).
     if (k_.node().peer_dead(requester)) {
         for (PushPage& p : work) {
-            if (!p.cancelled) cancel_claim(p.vpn);
+            if (!p.cancelled) release_claim(site, k_.node(), p.vpn);
         }
         return 0;
     }
@@ -1934,12 +1991,7 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
     std::uint32_t pushed = 0;
     for (PushPage& p : work) {
         if (p.cancelled) continue;
-        auto& shard = site.dir_shard(p.vpn);
-        shard.lock.lock();
-        RKO_ASSERT(shard.entries.contains(p.vpn));
-        shard.pending[p.vpn] = p.updated;
-        shard.pending_from[p.vpn] = requester;
-        shard.lock.unlock();
+        park_pending(site, p.vpn, p.plan.updated, requester);
         workset_pushed_.inc();
         k_.node().send(requester,
                        msg::make_message_prefix(msg::MsgType::kWorksetPush,

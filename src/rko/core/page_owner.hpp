@@ -165,9 +165,11 @@ public:
     std::uint64_t remote_faults() const { return remote_faults_.value; }
     std::uint64_t invalidations() const { return invalidations_.value; }
     std::uint64_t fetches() const { return fetches_.value; }
-    /// Pages pushed by this (origin) kernel's fault-around transactions.
+    /// Fault-around pages this (home) kernel granted: pushed to a remote
+    /// requester, or fetched for one of its own read streaks.
     std::uint64_t prefetch_issued() const { return prefetch_issued_.value; }
-    /// Pushed pages this (requester) kernel installed / failed to install.
+    /// Granted pages this kernel installed / failed to install (a remote
+    /// requester's pushes, or the home's own fetched window).
     std::uint64_t prefetch_hit() const { return prefetch_hit_.value; }
     std::uint64_t prefetch_wasted() const { return prefetch_wasted_.value; }
     /// kPageInvalidateRange RPCs issued by the ranged revoke/downgrade/
@@ -232,9 +234,15 @@ private:
         const std::array<std::vector<std::uint64_t>, topo::kMaxKernels>& by_holder,
         InvalidateRangeOp op);
 
-    // Fault-around prefetch (origin side). claim_prefetch_pages try-claims
+    /// The fault-around stride detector both fault branches share: records
+    /// this fault in `t`'s read streak and returns the window (pages,
+    /// including `page`, clipped to `vma`) the fault should batch, or 0.
+    std::uint32_t stride_window(const mem::Vma& vma, mem::Vaddr page,
+                                std::uint32_t access, task::Task* t);
+
+    // Fault-around prefetch (home side). claim_prefetch_pages try-claims
     // the busy bits of up to window-1 pages after `first` (skipping absent,
-    // busy, or already-requester-held entries; clipped to the master VMA);
+    // busy, or already-requester-held entries; clipped to the home's VMA);
     // push_prefetch_page then runs one claimed page's read-replication
     // transaction and ships the bytes as an unsolicited kPagePush.
     std::vector<mem::Vaddr> claim_prefetch_pages(ProcessSite& site, mem::Vaddr first,
@@ -243,6 +251,13 @@ private:
                                                  std::uint32_t cap = kMaxFaultAround);
     void push_prefetch_page(ProcessSite& site, mem::Vaddr page,
                             topo::KernelId requester);
+
+    /// Fault-around for a read fault taken AT the home: claims the rest of
+    /// the window for this kernel, fetches every claimed page from its
+    /// holder in one rpc_scatter of kPageFetch, and installs and commits
+    /// each one locally.
+    void home_fault_around(ProcessSite& site, const mem::Vma& vma, mem::Vaddr page,
+                           std::uint32_t window);
 
     // Working-set push (home side, DESIGN.md §15). claim_workset_pages
     // try-claims an explicit VPN list (same skip rules as the prefetch

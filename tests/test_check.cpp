@@ -191,6 +191,8 @@ TEST(Check, ScenarioRegistry) {
     EXPECT_NE(check::find_scenario("kill_storm"), nullptr);
     EXPECT_NE(check::find_scenario("join_storm"), nullptr);
     EXPECT_NE(check::find_scenario("home_storm"), nullptr);
+    EXPECT_NE(check::find_scenario("prefetch_race"), nullptr);
+    EXPECT_NE(check::find_scenario("home_prefetch_race"), nullptr);
     EXPECT_EQ(check::find_scenario("no_such_scenario"), nullptr);
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "rko/api/machine.hpp"
+#include "rko/check/invariants.hpp"
 #include "rko/core/page_owner.hpp"
 #include "rko/core/wire.hpp"
 #include "rko/home/home.hpp"
@@ -337,6 +338,45 @@ TEST(ParallelFanout, WriteFaultLatencyNearFlatInSharers) {
 // ---------------------------------------------------------------------------
 
 namespace {
+/// Where a stream's pages are written and read back. The process's origin,
+/// kernel 0, is the home of every page (unsharded) and maps the region in
+/// both placements.
+enum class Reader {
+    kRemote, ///< written on kernel 0, read on kernel 1: the home pushes windows
+    kHome,   ///< written on kernel 1, read on kernel 0: the home fetches its own
+};
+constexpr std::array<Reader, 2> kReaders{Reader::kRemote, Reader::kHome};
+const char* name(Reader r) { return r == Reader::kRemote ? "remote reader" : "home reader"; }
+topo::KernelId writer_kernel(Reader r) { return r == Reader::kRemote ? 0 : 1; }
+topo::KernelId reader_kernel(Reader r) { return r == Reader::kRemote ? 1 : 0; }
+
+/// Maps `pages` pages at mem::kMmapBase on kernel 0 and stores value(i) in
+/// page i from the placement's writer kernel. Returns the thread a reader
+/// joins before streaming.
+template <typename Value>
+Thread& map_and_fill(api::Process& process, Reader reader, int pages, Value value) {
+    const auto fill = [pages, value](Guest& g) {
+        for (int i = 0; i < pages; ++i) {
+            g.write<std::uint64_t>(mem::kMmapBase + static_cast<Vaddr>(i) * kPageSize,
+                                   value(i));
+        }
+    };
+    const bool home_writes = writer_kernel(reader) == 0;
+    Thread& mapper = process.spawn(
+        [pages, fill, home_writes](Guest& g) {
+            g.mmap(static_cast<std::uint64_t>(pages) * kPageSize);
+            if (home_writes) fill(g);
+        },
+        0);
+    if (home_writes) return mapper;
+    return process.spawn(
+        [&mapper, fill](Guest& g) {
+            g.join(mapper);
+            fill(g);
+        },
+        writer_kernel(reader));
+}
+
 struct StreamRun {
     Nanos move_time = 0;
     Nanos vtime = 0;
@@ -345,27 +385,26 @@ struct StreamRun {
     std::uint64_t batch_faults = 0;
     std::uint64_t pushes = 0;
     std::uint64_t issued = 0, hit = 0, wasted = 0;
+    /// Stream pages whose directory entry ended non-busy and held by
+    /// exactly kernels 0 and 1.
+    int shared_by_both = 0;
 };
 
-StreamRun stream_pages(int pages, int window, std::uint64_t seed = 1) {
+/// Streams `pages` written pages through one reader (see Reader); the
+/// counters are machine-wide sums.
+StreamRun stream_pages(int pages, int window, Reader reader = Reader::kRemote,
+                       std::uint64_t seed = 1) {
     auto config = smp::popcorn_config(4, 2);
     config.prefetch_window = window;
     config.seed = seed;
     Machine machine(config);
     auto& process = machine.create_process(0);
     StreamRun out;
-    auto& owner = process.spawn(
-        [&, pages](Guest& g) {
-            const Vaddr buf = g.mmap(static_cast<std::uint64_t>(pages) * kPageSize);
-            for (int i = 0; i < pages; ++i) {
-                g.write<std::uint64_t>(buf + static_cast<Vaddr>(i) * kPageSize,
-                                       static_cast<std::uint64_t>(i));
-            }
-        },
-        0);
+    Thread& writer = map_and_fill(process, reader, pages,
+                                  [](int i) { return static_cast<std::uint64_t>(i); });
     process.spawn(
         [&, pages](Guest& g) {
-            g.join(owner);
+            g.join(writer);
             const Vaddr buf = mem::kMmapBase;
             out.move_time = timed(g, [&] {
                 std::uint64_t sum = 0;
@@ -377,34 +416,49 @@ StreamRun stream_pages(int pages, int window, std::uint64_t seed = 1) {
                                    static_cast<std::uint64_t>(pages - 1) / 2);
             });
         },
-        1);
+        reader_kernel(reader));
     out.vtime = machine.run();
     process.check_all_joined();
     out.messages = machine.total_messages();
     out.bytes = machine.total_message_bytes();
-    out.batch_faults =
-        machine.kernel(0).node().dispatched(msg::MsgType::kPageFaultBatch);
-    out.pushes = machine.kernel(1).node().dispatched(msg::MsgType::kPagePush);
-    out.issued = machine.kernel(0).pages().prefetch_issued();
-    out.hit = machine.kernel(1).pages().prefetch_hit();
-    out.wasted = machine.kernel(1).pages().prefetch_wasted();
+    const std::uint64_t vpn_lo = mem::vpn_of(mem::kMmapBase);
+    const std::uint64_t vpn_hi = vpn_lo + static_cast<std::uint64_t>(pages);
+    for (topo::KernelId k = 0; k < machine.nkernels(); ++k) {
+        auto& kernel = machine.kernel(k);
+        out.batch_faults += kernel.node().dispatched(msg::MsgType::kPageFaultBatch);
+        out.pushes += kernel.node().dispatched(msg::MsgType::kPagePush);
+        out.issued += kernel.pages().prefetch_issued();
+        out.hit += kernel.pages().prefetch_hit();
+        out.wasted += kernel.pages().prefetch_wasted();
+        if (!kernel.has_site(process.pid())) continue;
+        for (const auto& shard : kernel.site(process.pid()).dir_shards()) {
+            for (const auto& [vpn, entry] : shard.entries) {
+                if (vpn >= vpn_lo && vpn < vpn_hi && !entry.busy &&
+                    entry.holder_mask() == (topo::kbit(0) | topo::kbit(1))) {
+                    ++out.shared_by_both;
+                }
+            }
+        }
+    }
     return out;
 }
 } // namespace
 
 TEST(Prefetch, WindowOffIsPlainDemandProtocol) {
-    for (const int window : {0, 1}) {
-        const StreamRun run = stream_pages(16, window);
-        EXPECT_EQ(run.batch_faults, 0u) << "window " << window;
-        EXPECT_EQ(run.pushes, 0u) << "window " << window;
-        EXPECT_EQ(run.issued, 0u) << "window " << window;
+    for (const Reader reader : kReaders) {
+        for (const int window : {0, 1}) {
+            const StreamRun run = stream_pages(16, window, reader);
+            EXPECT_EQ(run.batch_faults, 0u) << name(reader) << ", window " << window;
+            EXPECT_EQ(run.pushes, 0u) << name(reader) << ", window " << window;
+            EXPECT_EQ(run.issued, 0u) << name(reader) << ", window " << window;
+        }
+        // Both disabled settings are the same machine.
+        const StreamRun off0 = stream_pages(16, 0, reader);
+        const StreamRun off1 = stream_pages(16, 1, reader);
+        EXPECT_EQ(off0.vtime, off1.vtime) << name(reader);
+        EXPECT_EQ(off0.messages, off1.messages) << name(reader);
+        EXPECT_EQ(off0.bytes, off1.bytes) << name(reader);
     }
-    // Both disabled settings are the same machine.
-    const StreamRun off0 = stream_pages(16, 0);
-    const StreamRun off1 = stream_pages(16, 1);
-    EXPECT_EQ(off0.vtime, off1.vtime);
-    EXPECT_EQ(off0.messages, off1.messages);
-    EXPECT_EQ(off0.bytes, off1.bytes);
 }
 
 TEST(Prefetch, BatchesAndBeatsDemandFaulting) {
@@ -422,15 +476,117 @@ TEST(Prefetch, BatchesAndBeatsDemandFaulting) {
     EXPECT_LT(pf.bytes, demand.bytes + demand.bytes / 8);
 }
 
+TEST(Prefetch, HomeReaderBatchesRemoteOwnedPages) {
+    RKO_SKIP_IF_SHARDED();
+    // Kernel 1 owns every page Exclusive when the home starts reading:
+    // without the window each home read fault fetches one page per round
+    // trip; with it, one scatter fetches the rest of each window.
+    const StreamRun demand = stream_pages(64, 1, Reader::kHome);
+    const StreamRun pf = stream_pages(64, 8, Reader::kHome);
+    EXPECT_EQ(demand.issued, 0u);
+    EXPECT_GT(pf.issued, 0u);
+    EXPECT_EQ(pf.issued, pf.hit + pf.wasted);
+    EXPECT_LT(pf.move_time, demand.move_time)
+        << "the home window did not speed up a sequential stream";
+    // The same pages move either way, and the fetches carry no extra bytes.
+    EXPECT_LE(pf.bytes, demand.bytes);
+    EXPECT_EQ(pf.shared_by_both, 64);
+    EXPECT_EQ(demand.shared_by_both, 64);
+}
+
+TEST(Prefetch, HomeStreakOnSingleKernelProcessCostsNothing) {
+    // With no other kernel holding the process's pages the home window has
+    // nothing to fetch, so a sequential read streak must not pay for its
+    // claims: SMP, and a Popcorn process that never leaves its origin.
+    constexpr int kPages = 64;
+    const auto end_time = [](api::MachineConfig config, int window) {
+        config.prefetch_window = window;
+        config.home_shards = 1; // every page homed at the origin
+        Machine machine(config);
+        auto& process = machine.create_process(0);
+        process.spawn(
+            [](Guest& g) {
+                const Vaddr buf = g.mmap(kPages * kPageSize);
+                for (int i = 0; i < kPages; ++i) {
+                    const Vaddr page = buf + static_cast<Vaddr>(i) * kPageSize;
+                    (void)g.read<std::uint64_t>(page);
+                    g.write<std::uint64_t>(page, static_cast<std::uint64_t>(i));
+                    EXPECT_EQ(g.read<std::uint64_t>(page), static_cast<std::uint64_t>(i));
+                }
+            },
+            0);
+        const Nanos end = machine.run();
+        process.check_all_joined();
+        return end;
+    };
+    EXPECT_EQ(end_time(smp::smp_config(4), 8), end_time(smp::smp_config(4), 1))
+        << "SMP";
+    EXPECT_EQ(end_time(smp::popcorn_config(4, 2), 8),
+              end_time(smp::popcorn_config(4, 2), 1))
+        << "Popcorn process on its origin";
+}
+
+TEST(Prefetch, HomeWindowSurvivesSourceDeath) {
+    RKO_SKIP_IF_SHARDED(); // kernel 0 must home every page
+    // Kernel 1 owns the stream and dies while the home reads it. A window
+    // fetch it never answered cancels its claim; one it answered commits.
+    // Both happen while the reaper's sweep skips the busy entries, so the
+    // release and the commit must strip the corpse themselves.
+    constexpr int kPages = 64;
+    const auto run = [](Nanos kill_at) {
+        auto config = smp::popcorn_config(4, 2);
+        config.prefetch_window = 8;
+        config.balance.policy = balance::Policy::kIdleSteal;
+        config.balance.period = 20_us;
+        config.balance.min_residency = 50_us;
+        config.elastic.enabled = true;
+        config.elastic.lease_misses = 4;
+        Machine machine(config);
+        auto& process = machine.create_process(0);
+        Thread& writer = map_and_fill(process, Reader::kHome, kPages,
+                                      [](int i) { return 0x100ULL + i; });
+        Nanos stream_start = 0;
+        process.spawn(
+            [&](Guest& g) {
+                g.join(writer);
+                stream_start = g.now();
+                for (int i = 0; i < kPages; ++i) {
+                    const std::uint64_t v =
+                        g.read<std::uint64_t>(mem::kMmapBase + static_cast<Vaddr>(i) * kPageSize);
+                    // A page whose only copy died with kernel 1 reads zero.
+                    EXPECT_TRUE(v == 0 || v == 0x100ULL + i) << "page " << i;
+                }
+            },
+            0);
+        // Keeps the survivor's failure detector ticking past the lease.
+        process.spawn([](Guest& g) { g.compute(2_ms); }, 0);
+        if (kill_at != 0) {
+            machine.run_until(kill_at);
+            machine.kill_kernel(1);
+        }
+        machine.run();
+        process.check_all_joined();
+        const check::Report report = check::run_all(machine);
+        EXPECT_TRUE(report.ok()) << "kill at " << kill_at << " ns\n" << report.to_string();
+        return stream_start;
+    };
+    // Kill at 5 us steps through the first two windows of the stream.
+    const Nanos start = run(0);
+    ASSERT_GT(start, 0);
+    for (Nanos offset = 5_us; offset <= 100_us; offset += 5_us) run(start + offset);
+}
+
 TEST(Prefetch, SameSeedRunsAreBitIdentical) {
-    const StreamRun a = stream_pages(24, 8, /*seed=*/5);
-    const StreamRun b = stream_pages(24, 8, /*seed=*/5);
-    EXPECT_EQ(a.vtime, b.vtime);
-    EXPECT_EQ(a.move_time, b.move_time);
-    EXPECT_EQ(a.messages, b.messages);
-    EXPECT_EQ(a.bytes, b.bytes);
-    EXPECT_EQ(a.issued, b.issued);
-    EXPECT_EQ(a.hit, b.hit);
+    for (const Reader reader : kReaders) {
+        const StreamRun a = stream_pages(24, 8, reader, /*seed=*/5);
+        const StreamRun b = stream_pages(24, 8, reader, /*seed=*/5);
+        EXPECT_EQ(a.vtime, b.vtime) << name(reader);
+        EXPECT_EQ(a.move_time, b.move_time) << name(reader);
+        EXPECT_EQ(a.messages, b.messages) << name(reader);
+        EXPECT_EQ(a.bytes, b.bytes) << name(reader);
+        EXPECT_EQ(a.issued, b.issued) << name(reader);
+        EXPECT_EQ(a.hit, b.hit) << name(reader);
+    }
 }
 
 TEST(Prefetch, StopsAtVmaBoundary) {
@@ -479,53 +635,52 @@ TEST(Prefetch, StopsAtVmaBoundary) {
 }
 
 TEST(Prefetch, SurvivesMunmapRace) {
-    // The origin unmaps the tail of the stream while pushes for it may be
-    // in flight: pushed pages whose VMA vanished must be dropped (counted
-    // wasted), their busy bits released, and the machine must quiesce.
-    for (const std::uint64_t seed : {3ULL, 9ULL, 31ULL}) {
-        auto config = smp::popcorn_config(4, 2);
-        config.prefetch_window = 8;
-        config.seed = seed;
-        config.shuffle_ties = true;
-        config.fabric.delivery_jitter = 300;
-        config.fabric.jitter_seed = seed;
-        Machine machine(config);
-        auto& process = machine.create_process(0);
-        constexpr int kPages = 24;
-        Vaddr buf = 0;
-        auto& owner = process.spawn(
-            [&](Guest& g) {
-                buf = g.mmap(kPages * kPageSize);
-                for (int i = 0; i < kPages; ++i) {
-                    g.write<std::uint64_t>(buf + static_cast<Vaddr>(i) * kPageSize, 7);
+    // The origin unmaps the tail of the stream while fault-around windows
+    // for it may be in flight: pages whose VMA vanished must be dropped
+    // (counted wasted), their busy bits released, and the machine must
+    // quiesce. The home reader's own windows race the unmap the same way.
+    for (const Reader reader : kReaders) {
+        for (const std::uint64_t seed : {3ULL, 9ULL, 31ULL}) {
+            auto config = smp::popcorn_config(4, 2);
+            config.prefetch_window = 8;
+            config.seed = seed;
+            config.shuffle_ties = true;
+            config.fabric.delivery_jitter = 300;
+            config.fabric.jitter_seed = seed;
+            Machine machine(config);
+            auto& process = machine.create_process(0);
+            constexpr int kPages = 24;
+            const Vaddr buf = mem::kMmapBase;
+            Thread& writer =
+                map_and_fill(process, reader, kPages, [](int) { return 7ULL; });
+            process.spawn(
+                [&](Guest& g) {
+                    g.join(writer);
+                    for (int i = 0; i < kPages; ++i) {
+                        (void)g.read<std::uint64_t>(buf +
+                                                    static_cast<Vaddr>(i) * kPageSize);
+                        g.compute(200_ns);
+                    }
+                },
+                reader_kernel(reader));
+            process.spawn(
+                [&](Guest& g) {
+                    g.join(writer);
+                    g.compute(5_us);
+                    g.munmap(buf + (kPages - 8) * kPageSize, 8 * kPageSize);
+                },
+                0);
+            machine.run(); // must drain without asserting
+            // The reader either finished or segfaulted on the unmapped
+            // tail — both are legal; what matters is that every busy bit
+            // was released (a leak would deadlock later transactions on
+            // those pages).
+            process.check_all_joined();
+            for (auto& shard : machine.kernel(0).site(process.pid()).dir_shards()) {
+                for (const auto& [vpn, entry] : shard.entries) {
+                    EXPECT_FALSE(entry.busy)
+                        << "leaked busy bit, " << name(reader) << ", seed " << seed;
                 }
-            },
-            0);
-        process.spawn(
-            [&](Guest& g) {
-                g.join(owner);
-                for (int i = 0; i < kPages; ++i) {
-                    (void)g.read<std::uint64_t>(buf +
-                                                static_cast<Vaddr>(i) * kPageSize);
-                    g.compute(200_ns);
-                }
-            },
-            1);
-        process.spawn(
-            [&](Guest& g) {
-                g.join(owner);
-                g.compute(5_us);
-                g.munmap(buf + (kPages - 8) * kPageSize, 8 * kPageSize);
-            },
-            0);
-        machine.run(); // must drain without asserting
-        // The reader either finished or segfaulted on the unmapped tail —
-        // both are legal; what matters is that every busy bit was released
-        // (a leak would deadlock later transactions on those pages).
-        process.check_all_joined();
-        for (auto& shard : machine.kernel(0).site(process.pid()).dir_shards()) {
-            for (const auto& [vpn, entry] : shard.entries) {
-                EXPECT_FALSE(entry.busy) << "leaked busy bit, seed " << seed;
             }
         }
     }
