@@ -236,8 +236,9 @@ int main(int argc, char** argv) {
                     fmt_ns(elapsed).c_str(), fmt_ns(elapsed / (2 * rounds)).c_str());
         report.add_gauge("falseshare.handoff_ns",
                          static_cast<double>(elapsed / (2 * rounds)));
-        std::printf("(each handoff = read-replicate + write-invalidate: the "
-                    "worst case the paper tells programmers to avoid)\n");
+        std::printf("(the worst case the paper tells programmers to avoid: once "
+                    "the page turns migratory each handoff is one ownership "
+                    "transfer, not read-replicate + write-invalidate)\n");
     }
 
     bench::section("(d) protocol ablation: reader replication vs migrate-on-fault");

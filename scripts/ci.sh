@@ -20,9 +20,11 @@
 #                with invariant audits armed (RKO_CHECK=1); failures print
 #                the offending seed and its repro line
 #   7. bench:    quick page-fault + rebalance + futex + migration +
-#                mmap-scale benches vs the committed baselines — virtual
-#                time is exactly reproducible, so any >10% drift in a key
-#                protocol latency is a real regression. Host CPU time
+#                mmap-scale + apps benches vs the committed baselines —
+#                virtual time is exactly reproducible, so any >10% drift in
+#                a key protocol latency (for bench_apps: every IS, CG and
+#                churn Popcorn makespan, EXPERIMENTS E7) is a real
+#                regression. Host CPU time
 #                (host.cpu_ms) varies run to run, so it gets a loose 2x gate,
 #                on the three benches that run long enough to measure; it
 #                catches a simulator host-cost regression (e.g. guest RAM
@@ -122,6 +124,13 @@ scripts/bench_compare.py bench/baselines/bench_mmap_scale_quick.json \
     build/bench_out/bench_mmap_scale_quick.json \
     --key "multiproc.*.smp_lock_wait_ns" --key "multiproc.*.popcorn_lock_wait_ns" \
   || fail bench "scripts/bench_compare.py bench/baselines/bench_mmap_scale_quick.json build/bench_out/bench_mmap_scale_quick.json --key 'multiproc.*.smp_lock_wait_ns' --key 'multiproc.*.popcorn_lock_wait_ns'"
+./build/bench/bench_apps --quick \
+    --json=build/bench_out/bench_apps_quick.json >/dev/null \
+  || fail bench "./build/bench/bench_apps --quick --json=..."
+scripts/bench_compare.py bench/baselines/bench_apps_quick.json \
+    build/bench_out/bench_apps_quick.json \
+    --key "is.*.popcorn_ns" --key "cg.*.popcorn_ns" --key "churn.*.popcorn_ns" \
+  || fail bench "scripts/bench_compare.py bench/baselines/bench_apps_quick.json build/bench_out/bench_apps_quick.json --key 'is.*.popcorn_ns' --key 'cg.*.popcorn_ns' --key 'churn.*.popcorn_ns'"
 for b in bench_pagefault bench_rebalance bench_mmap_scale; do
   scripts/bench_compare.py "bench/baselines/${b}_quick.json" \
       "build/bench_out/${b}_quick.json" --key host.cpu_ms --threshold 1.0 \

@@ -119,6 +119,10 @@ ScenarioResult finish(Machine& m) {
     res.messages = m.total_messages();
     res.report = run_all(m);
     res.content_hash = content_hash(m);
+    for (topo::KernelId k = 0; k < m.nkernels(); ++k) {
+        res.migratory_grants += m.kernel(k).pages().migratory_grants();
+        res.migratory_reverts += m.kernel(k).pages().migratory_reverts();
+    }
     Fnv h;
     h.u64(res.content_hash);
     h.u64(static_cast<std::uint64_t>(res.vtime));
@@ -866,6 +870,67 @@ ScenarioResult run_migrate_under_write_sharing(const ExploreConfig& cfg) {
     return finish(machine);
 }
 
+/// Migratory pages (DESIGN.md §17) under every pattern that meets them on
+/// one page: incrementers on all four kernels read then write their own
+/// slot (false sharing, so the page turns migratory and is handed over by
+/// ownership grants); the one on k3 migrates every few rounds, so grants
+/// race the arriving thread's refaults; a spinner on k2 keeps reading a
+/// progress word, so grants meet a clean owner and revert the page; and
+/// threads on k0 and k1 bump a mutex-protected counter on the same page,
+/// so the futex path's origin peeks race the grants. Every final word is
+/// schedule-independent, so content is hashed across seeds.
+ScenarioResult run_migratory_race(const ExploreConfig& cfg) {
+    constexpr int kRounds = 12;
+    constexpr int kLocked = 6;
+    Machine machine(base_config(cfg));
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    auto& init = process.spawn([&](Guest& g) { buf = g.mmap(kPageSize); }, 0);
+    const auto slot = [&](int i) { return buf + static_cast<Vaddr>(i) * 64; };
+    const auto done = [&] { return buf + 1024; };
+    for (int i = 0; i < 4; ++i) {
+        process.spawn(
+            [&, i](Guest& g) {
+                g.join(init);
+                for (int r = 0; r < kRounds; ++r) {
+                    g.write<std::uint64_t>(slot(i), g.read<std::uint64_t>(slot(i)) + 1);
+                    g.compute(static_cast<Nanos>(2 + i) * 1_us);
+                    if (i == 3 && r % 4 == 3) {
+                        g.migrate(static_cast<topo::KernelId>((r / 4) % 4));
+                    }
+                }
+                g.rmw_u32(done(), [](std::uint32_t v) { return v + 1; });
+            },
+            static_cast<topo::KernelId>(i));
+    }
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            // Bounded: a protocol bug that loses an increment must fail the
+            // audits, not hang the sweep.
+            for (int i = 0; i < 1000 && g.read<std::uint32_t>(done()) < 4; ++i) {
+                g.compute(1_us);
+            }
+        },
+        2);
+    for (int i = 0; i < 2; ++i) {
+        process.spawn(
+            [&](Guest& g) {
+                g.join(init);
+                for (int n = 0; n < kLocked; ++n) {
+                    g.mutex_lock(buf + 2048);
+                    g.write<std::uint64_t>(buf + 2056,
+                                           g.read<std::uint64_t>(buf + 2056) + 1);
+                    g.compute(1_us);
+                    g.mutex_unlock(buf + 2048);
+                }
+            },
+            static_cast<topo::KernelId>(i));
+    }
+    machine.run();
+    return finish(machine);
+}
+
 // ---------------------------------------------------------------------------
 // Sweep driver.
 // ---------------------------------------------------------------------------
@@ -988,6 +1053,12 @@ const std::vector<Scenario>& scenarios() {
          "two kernels keep the region write-shared",
          /*content_deterministic=*/true, /*expect_violation=*/false,
          &run_migrate_under_write_sharing},
+        {"migratory_race",
+         "false-shared increments on four kernels hand a migratory page over "
+         "while a thread migrates, a reader spins, and a mutex guards a "
+         "counter on the same page",
+         /*content_deterministic=*/true, /*expect_violation=*/false,
+         &run_migratory_race},
     };
     return list;
 }
@@ -1013,6 +1084,8 @@ SweepStats sweep(const Scenario& scenario, const SweepOptions& options) {
         const ScenarioResult again = scenario.run(cfg);
         ++stats.runs;
         stats.sim_time += first.vtime;
+        stats.migratory_grants += first.migratory_grants;
+        stats.migratory_reverts += first.migratory_reverts;
 
         if (first.replay_hash != again.replay_hash) {
             ++stats.replay_mismatches;

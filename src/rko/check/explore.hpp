@@ -40,6 +40,10 @@ struct ScenarioResult {
     std::uint64_t replay_hash = 0;
     Nanos vtime = 0;
     std::uint64_t messages = 0;
+    /// Machine-wide pages.migratory.{grants,reverts}: how often the
+    /// migratory-page paths (DESIGN.md §17) ran.
+    std::uint64_t migratory_grants = 0;
+    std::uint64_t migratory_reverts = 0;
     Report report; ///< invariant audit of the drained machine
 };
 
@@ -73,6 +77,8 @@ struct SweepStats {
     int replay_mismatches = 0;  ///< same seed, different replay hash
     int content_mismatches = 0; ///< deterministic scenario, hash varies by seed
     Nanos sim_time = 0;         ///< summed virtual end time (first run per seed)
+    std::uint64_t migratory_grants = 0;  ///< summed over first runs
+    std::uint64_t migratory_reverts = 0; ///< summed over first runs
     bool ok() const {
         return violations == 0 && replay_mismatches == 0 && content_mismatches == 0;
     }

@@ -207,6 +207,7 @@ void Migration::on_migrate(msg::Node& node, msg::MessagePtr m) {
     // now; fresh records get the same treatment for uniformity.
     t->last_fault_page = 0;
     t->fault_run = 0;
+    t->fault_window_end = 0;
     // Working-set migration (§15): restart the tracker seeded with the
     // shipped hot set, queue it for the post-resume pull round, and arm
     // the post-copy boost window so the tail outside the top-K streams.

@@ -48,6 +48,22 @@ bool strip_dead_holders(PageDirEntry& entry, const msg::Node& node) {
     return entry.sharers != 0;
 }
 
+/// Counts a page grant from `home` in flight at this kernel for its scope
+/// (ProcessSite::grants_in_flight).
+class GrantInFlight {
+public:
+    GrantInFlight(ProcessSite& site, topo::KernelId home)
+        : count_(site.grants_in_flight(home)) {
+        ++count_;
+    }
+    ~GrantInFlight() { --count_; }
+    GrantInFlight(const GrantInFlight&) = delete;
+    GrantInFlight& operator=(const GrantInFlight&) = delete;
+
+private:
+    std::uint16_t& count_;
+};
+
 /// Shared tail of commit_install/abandon_pending: applies `updated` (ok) or
 /// removes the requester from the holder set (!ok). Shard lock held.
 void apply_commit_locked(ProcessSite::DirShard& shard, std::uint64_t vpn,
@@ -67,6 +83,7 @@ void apply_commit_locked(ProcessSite::DirShard& shard, std::uint64_t vpn,
     }
     // The requester abandoned the install (racing munmap, or it died):
     // remove it from the holder set; an empty holder set retires the entry.
+    if (updated.reader == requester) updated.reader = -1;
     if (updated.state == PageDirEntry::State::kExclusive) {
         if (updated.owner == requester) {
             shard.entries.erase(it);
@@ -99,6 +116,8 @@ PageOwner::PageOwner(kernel::Kernel& k)
       workset_pushed_(k.metrics().counter("migration.workset.pushed")),
       workset_hit_(k.metrics().counter("migration.workset.hit")),
       workset_wasted_(k.metrics().counter("migration.workset.wasted")),
+      migratory_grants_(k.metrics().counter("pages.migratory.grants")),
+      migratory_reverts_(k.metrics().counter("pages.migratory.reverts")),
       remote_latency_(k.metrics().histogram("pages.remote_fault_ns")) {}
 
 topo::KernelId PageOwner::home_of(ProcessSite& site, mem::Vaddr page) const {
@@ -183,15 +202,16 @@ bool PageOwner::local_fetch(ProcessSite& site, mem::Vaddr page, bool downgrade,
     return true;
 }
 
-bool PageOwner::local_invalidate(ProcessSite& site, mem::Vaddr page, bool want_data,
-                                 std::byte* out, bool* data_included) {
+std::uint8_t PageOwner::local_invalidate(ProcessSite& site, mem::Vaddr page,
+                                         bool want_data, std::byte* out,
+                                         bool* data_included) {
     WriteGuard guard(site.space().mmap_lock());
     const mem::Pte* pte = site.space().page_table().find(page);
     RKO_TRACE("%lld invalidate k=%d page=%llx present=%d",
               static_cast<long long>(k_.engine().now()), k_.id(),
               static_cast<unsigned long long>(page),
               static_cast<int>(pte != nullptr && pte->present));
-    if (pte == nullptr || !pte->present) return false;
+    if (pte == nullptr || !pte->present) return 0;
     // INVARIANT: the PTE clear and the TLB-generation bump must land in the
     // same no-yield window — any sleep in between (the data copy, the frame
     // free's allocator time) would let a local task's soft-TLB serve a
@@ -206,7 +226,8 @@ bool PageOwner::local_invalidate(ProcessSite& site, mem::Vaddr page, bool want_d
     }
     k_.frames().free(old.paddr);
     sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
-    return true;
+    return old.dirty ? PageInvalidateResp::kHadPage | PageInvalidateResp::kDirty
+                     : PageInvalidateResp::kHadPage;
 }
 
 // ---------------------------------------------------------------------------
@@ -222,6 +243,8 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
     RKO_ASSERT(site.is_origin() || k_.home_map().sharded());
     home_msgs_.inc();
     const std::uint64_t vpn = mem::vpn_of(page);
+    const bool peek = (access & kAccessKernelPeek) != 0;
+    access &= ~kAccessKernelPeek;
     const bool want_write = (access & mem::kProtWrite) != 0;
     // Ablation switch: without read replication every fault transfers
     // exclusive ownership (the PTE itself is still mapped per `access`).
@@ -327,13 +350,21 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
         out.zero_fill = false;
         out.upgrade = false;
         out.data_included = false;
+        out.writable = false;
         // Affinity attribution default: the requester itself (upgrade /
         // zero-fill outcomes); the fetch/invalidate branches overwrite it
         // with whichever kernel actually supplied the bytes.
         out.source = static_cast<std::uint8_t>(requester);
         PageDirEntry updated = snapshot;
+        // Migratory page (DESIGN §17): a guest read of a page Exclusive at
+        // another kernel takes ownership, so the requester's store that
+        // follows needs no second transaction. Kernel peeks never do.
+        const bool migratory_grant =
+            !take_exclusive && !peek && snapshot.migratory &&
+            snapshot.state == PageDirEntry::State::kExclusive &&
+            snapshot.owner != requester;
 
-        if (!take_exclusive) {
+        if (!take_exclusive && !migratory_grant) {
             if (snapshot.holds(requester)) {
                 // The requester lost its mapping without the directory
                 // noticing an ownership change (racing install); tell it to
@@ -437,6 +468,9 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                     updated.state = PageDirEntry::State::kShared;
                     updated.sharers = topo::kbit(snapshot.owner) | topo::kbit(requester);
                     updated.owner = -1;
+                    // Detector input: if this reader upgrades next, kernels
+                    // are taking turns to read then write the page.
+                    if (!peek) updated.reader = static_cast<std::int8_t>(requester);
                 } else {
                     out.zero_fill = true;
                     out.source = static_cast<std::uint8_t>(requester);
@@ -446,7 +480,8 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                 }
             }
         } else {
-            // WRITE: invalidate every other copy CONCURRENTLY. Exactly one
+            // WRITE (or a migratory grant, which transfers ownership the
+            // same way): invalidate every other copy CONCURRENTLY. Exactly one
             // victim is asked for its bytes (`want_data`; all copies agree
             // in Shared state, and Exclusive has a single holder) — the
             // rest answer with a dataless two-byte reply — and all the
@@ -472,17 +507,23 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
             }
             const bool need_data = !requester_holds;
             bool have_data = false;
+            // An Exclusive owner that answers without its dirty bit never
+            // stored to the page since its grant (reversion, DESIGN §17).
+            const topo::KernelId owner =
+                snapshot.state == PageDirEntry::State::kExclusive ? snapshot.owner : -1;
+            bool owner_clean = false;
             // The origin's own copy drops inline (no message) and is the
             // cheapest byte source when one is needed.
             if ((victims & topo::kbit(k_.id())) != 0) {
                 invalidations_.inc();
                 bool included = false;
-                const bool had = local_invalidate(site, page, need_data,
-                                                  out.data.data(), &included);
-                if (had && included) {
+                const std::uint8_t had = local_invalidate(site, page, need_data,
+                                                          out.data.data(), &included);
+                if (had != 0 && included) {
                     out.source = static_cast<std::uint8_t>(k_.id());
                     have_data = true;
                 }
+                if (owner == k_.id()) owner_clean = had == PageInvalidateResp::kHadPage;
                 victims &= ~topo::kbit(k_.id());
             }
             const topo::KernelId data_source =
@@ -508,10 +549,13 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                     if (replies[i] == nullptr) continue; // victim died mid-scatter
                     const auto& inv =
                         replies[i]->payload_prefix_as<PageInvalidateResp>();
-                    if (inv.had_page && inv.data_included) {
+                    if (inv.had_page != 0 && inv.data_included) {
                         out.data = inv.data;
                         out.source = static_cast<std::uint8_t>(post_holder[i]);
                         have_data = true;
+                    }
+                    if (post_holder[i] == owner) {
+                        owner_clean = inv.had_page == PageInvalidateResp::kHadPage;
                     }
                 }
             }
@@ -528,6 +572,22 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
             updated.state = PageDirEntry::State::kExclusive;
             updated.owner = requester;
             updated.sharers = 0;
+            updated.reader = -1;
+            if (requester_holds && snapshot.state == PageDirEntry::State::kShared &&
+                snapshot.reader == requester) {
+                // The requester's own read downgraded the last writer and
+                // it now writes too: kernels take turns on this page.
+                updated.migratory = true;
+            } else if (snapshot.migratory && owner_clean) {
+                // The owner only read it since its grant (a spinning
+                // reader): replicate this page again.
+                updated.migratory = false;
+                migratory_reverts_.inc();
+            }
+            if (migratory_grant) {
+                out.writable = true;
+                migratory_grants_.inc();
+            }
         }
 
         // --- Park the post-transaction state; busy stays set until the
@@ -595,7 +655,7 @@ bool PageOwner::abandon_pending(ProcessSite& site, mem::Vaddr page,
 bool PageOwner::install_locally(ProcessSite& site, const mem::Vma& vma,
                                 mem::Vaddr page, std::uint32_t access,
                                 const PageFaultResp& resp) {
-    const bool want_write = (access & mem::kProtWrite) != 0;
+    const bool want_write = (access & mem::kProtWrite) != 0 || resp.writable;
     WriteGuard guard(site.space().mmap_lock());
 
     if (resp.upgrade) {
@@ -705,6 +765,7 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
     }
 
     const Nanos t0 = k_.engine().now();
+    const GrantInFlight in_flight(site, home);
     msg::RpcStatus rpc_status = msg::RpcStatus::kOk;
     msg::MessagePtr reply;
     if (window >= 2) {
@@ -748,10 +809,15 @@ std::uint32_t PageOwner::stride_window(const mem::Vma& vma, mem::Vaddr page,
     if (prefetch_window_ <= 1 || t == nullptr || (access & mem::kProtWrite) != 0) {
         return 0;
     }
-    if (t->last_fault_page + mem::kPageSize == page) {
+    // A stream continues at the next page, or inside or just past the last
+    // window: the window's granted pages never fault, so the next fault of
+    // a stream lands past its end (or on a page the home could not claim).
+    if (t->last_fault_page + mem::kPageSize == page ||
+        (page > t->last_fault_page && page <= t->fault_window_end)) {
         ++t->fault_run;
     } else {
         t->fault_run = 1;
+        t->fault_window_end = 0;
     }
     t->last_fault_page = page;
     if (t->fault_run < kPrefetchMinRun) return 0;
@@ -762,7 +828,9 @@ std::uint32_t PageOwner::stride_window(const mem::Vma& vma, mem::Vaddr page,
         std::min<std::uint64_t>(static_cast<std::uint64_t>(prefetch_window_),
                                 kMaxFaultAround),
         avail);
-    return cap >= 2 ? static_cast<std::uint32_t>(cap) : 0;
+    if (cap < 2) return 0;
+    t->fault_window_end = page + cap * mem::kPageSize;
+    return static_cast<std::uint32_t>(cap);
 }
 
 std::byte* PageOwner::ensure_readable(ProcessSite& site, mem::Vaddr page) {
@@ -786,11 +854,13 @@ std::byte* PageOwner::ensure_readable(ProcessSite& site, mem::Vaddr page) {
         // (recomputed per attempt: the home moves if its owner dies).
         const topo::KernelId home = home_of(site, page);
         if (home != k_.id()) {
+            const GrantInFlight in_flight(site, home);
             msg::RpcStatus st = msg::RpcStatus::kOk;
             auto reply = k_.node().rpc(
                 home,
                 msg::make_message(msg::MsgType::kPageFault, msg::MsgKind::kRequest,
-                                  PageFaultReq{site.pid(), page, mem::kProtRead,
+                                  PageFaultReq{site.pid(), page,
+                                               mem::kProtRead | kAccessKernelPeek,
                                                k_.id()}),
                 &st);
             if (reply == nullptr) continue; // home died: re-route next attempt
@@ -807,8 +877,8 @@ std::byte* PageOwner::ensure_readable(ProcessSite& site, mem::Vaddr page) {
             continue; // loop re-checks the PTE
         }
         PageFaultResp resp{};
-        if (origin_transaction(site, page, mem::kProtRead, k_.id(), resp) !=
-            FaultStatus::kOk) {
+        if (origin_transaction(site, page, mem::kProtRead | kAccessKernelPeek, k_.id(),
+                               resp) != FaultStatus::kOk) {
             return nullptr;
         }
         const bool installed = install_locally(site, vma, page, mem::kProtRead, resp);
@@ -1176,7 +1246,7 @@ std::uint32_t PageOwner::sequester_range(ProcessSite& site, mem::Vaddr start,
             if (replies[i] == nullptr) continue; // source died mid-scatter
             const auto& inv = replies[i]->payload_prefix_as<PageInvalidateResp>();
             SeqPage& p = pages[post_page[i]];
-            if (inv.had_page && inv.data_included) {
+            if (inv.had_page != 0 && inv.data_included) {
                 p.data = inv.data;
                 p.have_data = true;
             }
@@ -1333,7 +1403,7 @@ void PageOwner::on_home_rebuild(msg::Node& node, msg::MessagePtr m) {
     const auto& req = m->payload_as<HomeRebuildReq>();
     HomeRebuildResp resp{};
     if (!k_.has_site(req.pid) || !k_.home_map().sharded()) {
-        resp.ready = 1; // nothing here to census: trivially complete
+        resp.ready = HomeRebuildResp::kReady; // nothing here to census
     } else {
         ProcessSite& site = k_.site(req.pid);
         // Census: every present PTE in the requested (pid, shard) whose
@@ -1346,8 +1416,13 @@ void PageOwner::on_home_rebuild(msg::Node& node, msg::MessagePtr m) {
                                                    static_cast<int>(req.shard), before);
         const auto new_owner = k_.home_map().owner_of(site.pid(),
                                                       static_cast<int>(req.shard));
-        if (old_owner == req.dead && new_owner == m->hdr.src) {
-            resp.ready = 1;
+        const bool applied = old_owner == req.dead && new_owner == m->hdr.src;
+        if (applied && site.grants_in_flight(req.dead) != 0) {
+            // A grant the departed home sent is still being installed here:
+            // its PTE would be missing from the census, and the page lost.
+            resp.ready = HomeRebuildResp::kGrantsInFlight;
+        } else if (applied) {
+            resp.ready = HomeRebuildResp::kReady;
             std::vector<std::uint64_t> words;
             site.space().page_table().for_each_present(
                 0, std::numeric_limits<mem::Vaddr>::max(),
@@ -1407,6 +1482,11 @@ std::uint32_t PageOwner::rebuild_home_shard(ProcessSite& site, int shard,
             }
         };
         if (peer == k_.id()) {
+            // Our own installs of the departed home's grants land first.
+            // They finish without it, so the wait is bounded.
+            while (site.grants_in_flight(dead) != 0) {
+                k_.engine().current().sleep_for(1000);
+            }
             site.space().page_table().for_each_present(
                 0, std::numeric_limits<mem::Vaddr>::max(),
                 [&](mem::Vaddr va, mem::Pte& pte) {
@@ -1430,7 +1510,13 @@ std::uint32_t PageOwner::rebuild_home_shard(ProcessSite& site, int shard,
                 &st);
             if (reply == nullptr) break; // peer died mid-census: skip it
             const auto& resp = reply->payload_prefix_as<HomeRebuildResp>();
-            if (resp.ready == 0) {
+            if (resp.ready == HomeRebuildResp::kGrantsInFlight) {
+                // Not capped: the peer's installs finish without the
+                // departed home.
+                k_.engine().current().sleep_for(1000);
+                continue;
+            }
+            if (resp.ready != HomeRebuildResp::kReady) {
                 // The peer has not applied the membership event yet; give
                 // it a beat. A peer that still disagrees after the cap has
                 // a divergent map — home.map_divergence reports that.
@@ -1589,7 +1675,7 @@ std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) 
             if (replies[i] == nullptr) continue; // holder died mid-drain
             const auto& inv = replies[i]->payload_prefix_as<PageInvalidateResp>();
             EvictPage& p = pages[post_page[i]];
-            if (inv.had_page && inv.data_included) {
+            if (inv.had_page != 0 && inv.data_included) {
                 p.data = inv.data;
                 p.have_data = true;
             }
@@ -1755,11 +1841,11 @@ void PageOwner::push_prefetch_page(ProcessSite& site, mem::Vaddr page,
     const std::uint64_t vpn = mem::vpn_of(page);
     const ReadSharePlan plan = plan_read_share(site, vpn, k_.id(), requester);
 
-    // Prefetch is best-effort: a fetch source that died (elastic) or
-    // answers ok=false (a munmap replica sweep dropped its copy after our
-    // snapshot — the transient the read path tolerates, DESIGN §14) simply
-    // cancels this page's push — release the claimed busy bit and let the
-    // requester demand-fault it later.
+    // Prefetch is best-effort: a fetch source that died (elastic) or lost
+    // its copy (a munmap replica sweep dropped it after our snapshot — the
+    // transient the read path tolerates, DESIGN §14; a remote source says
+    // ok=false) simply cancels this page's push — release the claimed busy
+    // bit and let the requester demand-fault it later.
     PagePushMsg push{};
     push.pid = site.pid();
     push.va = page;
@@ -1767,7 +1853,10 @@ void PageOwner::push_prefetch_page(ProcessSite& site, mem::Vaddr page,
     push.zero_fill = false;
     push.source = static_cast<std::uint8_t>(plan.source);
     if (plan.source == k_.id()) {
-        RKO_ASSERT(local_fetch(site, page, plan.downgrade, push.data.data()));
+        if (!local_fetch(site, page, plan.downgrade, push.data.data())) {
+            release_claim(site, k_.node(), vpn);
+            return;
+        }
     } else {
         fetches_.inc();
         msg::RpcStatus st = msg::RpcStatus::kOk;
@@ -1921,15 +2010,19 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
     // share one generation bump and one shootdown (the local_*_range
     // shape) — this is what makes pushing 32 pages cheaper than 32 demand
     // faults. Protects and the bump share a no-yield window; the copy
-    // sleeps land after it closes (see local_invalidate).
+    // sleeps land after it closes (see local_invalidate). A local copy a
+    // munmap replica sweep dropped since the snapshot (the transient the
+    // read path tolerates) cancels that page's push.
     {
         WriteGuard guard(site.space().mmap_lock());
         std::uint32_t downgraded = 0;
         for (PushPage& p : work) {
             if (!p.local || !p.plan.downgrade) continue;
             const mem::Pte* pte = site.space().page_table().find(p.page);
-            RKO_ASSERT_MSG(pte != nullptr && pte->present,
-                           "workset push: directory says local copy, no PTE");
+            if (pte == nullptr || !pte->present) {
+                p.cancelled = true;
+                continue;
+            }
             if ((pte->prot & mem::kProtWrite) != 0) {
                 site.space().page_table().protect(p.page,
                                                   pte->prot & ~mem::kProtWrite);
@@ -1939,10 +2032,12 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
         if (downgraded != 0) site.space().bump_tlb_generation();
         Nanos copy_cost = 0;
         for (PushPage& p : work) {
-            if (!p.local) continue;
+            if (!p.local || p.cancelled) continue;
             const mem::Pte* pte = site.space().page_table().find(p.page);
-            RKO_ASSERT_MSG(pte != nullptr && pte->present,
-                           "workset push: directory says local copy, no PTE");
+            if (pte == nullptr || !pte->present) {
+                p.cancelled = true;
+                continue;
+            }
             std::memcpy(p.push.data.data(), k_.phys().frame_ptr(pte->paddr),
                         mem::kPageSize);
             copy_cost += k_.costs().page_copy;
@@ -1951,6 +2046,9 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
         if (downgraded != 0) {
             sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
         }
+    }
+    for (const PushPage& p : work) {
+        if (p.local && p.cancelled) release_claim(site, k_.node(), p.vpn);
     }
 
     // Remote byte sources: per-page fetches (rare — the home usually holds
@@ -2164,10 +2262,10 @@ void PageOwner::on_page_invalidate(msg::Node& node, msg::MessagePtr m) {
     const auto& req = m->payload_as<PageInvalidateReq>();
     PageInvalidateResp resp{};
     resp.data_included = false;
-    resp.had_page =
-        k_.has_site(req.pid) &&
-        local_invalidate(k_.site(req.pid), req.va, req.want_data, resp.data.data(),
-                         &resp.data_included);
+    resp.had_page = k_.has_site(req.pid)
+                        ? local_invalidate(k_.site(req.pid), req.va, req.want_data,
+                                           resp.data.data(), &resp.data_included)
+                        : 0;
     node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageInvalidate,
                                             msg::MsgKind::kReply, resp,
                                             wire_bytes(resp)));
@@ -2193,9 +2291,14 @@ void PageOwner::on_page_invalidate_range(msg::Node& node, msg::MessagePtr m) {
 
 bool PageOwner::install_pushed_page(const PagePushMsg& push,
                                     topo::KernelId from) {
+    // A push from a home already declared dead is dropped: the census that
+    // rebuilt its shard may not have seen this copy, and the home will
+    // never commit the transfer.
+    if (k_.node().peer_dead(from)) return false;
     bool installed = false;
     if (k_.has_site(push.pid)) {
         ProcessSite& site = k_.site(push.pid);
+        const GrantInFlight in_flight(site, from);
         // Replica-side VMA lookup: the window was clipped against the
         // master, but a racing munmap/mprotect may have landed here since —
         // abandoning rolls the origin's parked transaction back.

@@ -5,7 +5,9 @@
 // replicate (Shared); write faults invalidate every other copy and move
 // exclusive ownership to the writer. The result is sequential consistency
 // at page granularity across kernels, which is what the hardware gives a
-// thread group on one kernel.
+// thread group on one kernel. A page kernels take turns to read and then
+// write (migratory) changes owner on the read instead, so each handoff
+// costs one transaction (DESIGN.md §17).
 //
 // Transactions at the origin serialize per page with a busy bit (the shard
 // lock is never held across an await) and re-validate against the site's
@@ -183,6 +185,11 @@ public:
     /// install.
     std::uint64_t workset_hit() const { return workset_hit_.value; }
     std::uint64_t workset_wasted() const { return workset_wasted_.value; }
+    /// Guest read faults on migratory pages this (home) kernel served as
+    /// ownership transfers, and migratory pages it reverted to replication
+    /// because their owner never stored to them (DESIGN §17).
+    std::uint64_t migratory_grants() const { return migratory_grants_.value; }
+    std::uint64_t migratory_reverts() const { return migratory_reverts_.value; }
 
 private:
     /// The heart of the protocol; runs at the origin (task or kworker).
@@ -190,7 +197,9 @@ private:
     /// state parked in the shard's pending map; the requester must call
     /// commit_install (locally or via kPageInstalled) after installing its
     /// PTE. This three-phase shape makes directory state and requester PTEs
-    /// change atomically with respect to other transactions.
+    /// change atomically with respect to other transactions. `access` may
+    /// carry kAccessKernelPeek: a plain read share, outside the migratory
+    /// detector.
     FaultStatus origin_transaction(ProcessSite& site, mem::Vaddr page,
                                    std::uint32_t access, topo::KernelId requester,
                                    PageFaultResp& out);
@@ -215,8 +224,10 @@ private:
     // and directly when the origin itself is the holder.
     bool local_fetch(ProcessSite& site, mem::Vaddr page, bool downgrade,
                      std::byte* out);
-    bool local_invalidate(ProcessSite& site, mem::Vaddr page, bool want_data,
-                          std::byte* out, bool* data_included);
+    /// Drops this kernel's copy; returns PageInvalidateResp::had_page flags
+    /// (zero: no copy here).
+    std::uint8_t local_invalidate(ProcessSite& site, mem::Vaddr page, bool want_data,
+                                  std::byte* out, bool* data_included);
 
     // Batched local holder ops: N PTE changes share one TLB-generation bump
     // and one modeled shootdown instead of paying both per page. Return the
@@ -308,6 +319,8 @@ private:
     trace::Counter& workset_pushed_;
     trace::Counter& workset_hit_;
     trace::Counter& workset_wasted_;
+    trace::Counter& migratory_grants_;
+    trace::Counter& migratory_reverts_;
     base::Histogram& remote_latency_;
 };
 

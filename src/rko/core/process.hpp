@@ -28,6 +28,13 @@ namespace rko::core {
 struct PageDirEntry {
     enum class State : std::uint8_t { kExclusive, kShared };
     State state = State::kExclusive;
+    /// Kernels take turns to read then write this page, so a guest read
+    /// fault on it while Exclusive elsewhere takes ownership (DESIGN §17).
+    bool migratory = false;
+    /// The kernel whose guest read fault last downgraded an Exclusive owner
+    /// to Shared; -1 after every exclusive grant. If that kernel upgrades
+    /// next, the page is migratory.
+    std::int8_t reader = -1;
     topo::KernelId owner = -1;        ///< valid when kExclusive
     topo::KernelMask sharers = 0;     ///< bitmask of kernel ids when kShared
     bool busy = false;                ///< a transaction owns this entry
@@ -42,6 +49,8 @@ struct PageDirEntry {
         return state == State::kExclusive ? topo::kbit(owner) : sharers;
     }
 };
+static_assert(sizeof(PageDirEntry) == 24, "migratory fields must fill padding");
+static_assert(topo::kMaxKernels <= 127, "PageDirEntry::reader is an int8_t");
 
 /// Origin-side record of the distributed thread group (paper §IV-A).
 struct ThreadGroup {
@@ -136,6 +145,16 @@ public:
         }
     }
 
+    /// Page grants this kernel received from home `home` and has not yet
+    /// installed and confirmed: a fault RPC from send through confirm, or a
+    /// pushed page through its install. A census rebuild for a departed
+    /// home waits until the count drains (PageOwner::rebuild_home_shard):
+    /// the home may have sent a grant just before it left, and the page's
+    /// only copy is then this kernel's install in progress.
+    std::uint16_t& grants_in_flight(topo::KernelId home) {
+        return grants_in_flight_[static_cast<std::size_t>(home)];
+    }
+
     /// Origin-only master record.
     ThreadGroup& group() { return group_; }
 
@@ -149,6 +168,7 @@ private:
     ThreadGroup group_;
     std::map<Tid, task::Task*> local_tasks_;
     std::set<int> home_rebuilding_;
+    std::array<std::uint16_t, topo::kMaxKernels> grants_in_flight_{};
     /// The rebuild set is written by the reaper and read by fault
     /// transactions; the kRetry-until-clear protocol is monotonic, so a
     /// reader acting on one (lock-free) look is always safe.

@@ -61,12 +61,19 @@ struct VmaUpdateResp {
 
 // --- Page-ownership protocol (kPageFault / kPageFetch / kPageInvalidate) ---
 
-enum class FaultStatus : std::uint32_t { kOk = 0, kSegv, kRetry };
+enum class FaultStatus : std::uint8_t { kOk = 0, kSegv, kRetry };
+
+/// PageFaultReq::access flag above every mem::Prot bit: the fault is a
+/// kernel peek (the distributed futex reading a user word through
+/// PageOwner::ensure_readable), not a guest access. The home serves it as a
+/// plain read share: it never grants a migratory page and never feeds the
+/// migratory detector. Rides in `access` so the request keeps its size.
+constexpr std::uint32_t kAccessKernelPeek = 1u << 31;
 
 struct PageFaultReq {
     Pid pid;
     mem::Vaddr va;          ///< page-aligned
-    std::uint32_t access;   ///< mem::Prot bits
+    std::uint32_t access;   ///< mem::Prot bits, plus kAccessKernelPeek
     topo::KernelId requester;
 };
 
@@ -80,6 +87,11 @@ struct PageFaultResp {
     /// what was a padding byte, so the wire size (and thus every modeled copy
     /// cost) is unchanged.
     std::uint8_t source;
+    /// A read fault on a migratory page was granted Exclusive ownership: map
+    /// the page writable if the VMA allows it (DESIGN §17). Occupies a byte
+    /// freed by narrowing `status`, so the wire size is unchanged.
+    bool writable;
+    std::array<std::uint8_t, 2> reserved; ///< keeps `data` at offset 8
     std::array<std::byte, mem::kPageSize> data;
 };
 
@@ -105,7 +117,11 @@ struct PageInvalidateReq {
 };
 
 struct PageInvalidateResp {
-    bool had_page;
+    static constexpr std::uint8_t kHadPage = 1; ///< the holder had a copy
+    /// ...and stored to it since it was mapped (the PTE dirty bit) — the
+    /// migratory detector's reversion signal (DESIGN §17).
+    static constexpr std::uint8_t kDirty = 2;
+    std::uint8_t had_page; ///< kHadPage | kDirty; zero: no copy here
     bool data_included;
     std::array<std::byte, mem::kPageSize> data;
 };
@@ -497,8 +513,13 @@ struct HomeRebuildReq {
 /// wire to the entries actually carried (see wire_bytes).
 struct HomeRebuildResp {
     static constexpr std::uint32_t kMaxEntries = 256;
-    std::uint32_t ready;      ///< zero: peer has not applied the membership
-                              ///< event yet — retry after a beat
+    /// `ready` values. kNotApplied: the peer has not applied the membership
+    /// event yet. kGrantsInFlight: the peer is still installing a grant the
+    /// departed home sent. Either way, retry after a beat.
+    static constexpr std::uint32_t kNotApplied = 0;
+    static constexpr std::uint32_t kReady = 1;
+    static constexpr std::uint32_t kGrantsInFlight = 2;
+    std::uint32_t ready;
     std::uint32_t count;
     std::uint32_t has_more;   ///< nonzero: call again with resume_vpn=next_vpn
     std::uint64_t next_vpn;

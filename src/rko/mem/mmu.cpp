@@ -48,16 +48,25 @@ std::byte* Mmu::translate(Vaddr addr, std::uint32_t access) {
         ++hits_;
         return entry.host;
     }
+    // A hardware TLB sets the dirty bit on the first store without a walk
+    // the program can see: charge it as the hit it would have been.
+    if (entry.vpn == vpn && (entry.pte_prot & access) == access) {
+        mark_dirty(entry, addr);
+        ++hits_;
+        return entry.host;
+    }
 
     for (int attempt = 0; attempt < 64; ++attempt) {
         ++misses_;
         charge(costs_.tlb_fill);
         if (seen_generation_ != space_->tlb_generation()) flush_tlb();
-        const Pte* pte = space_->page_table().find(page_floor(addr));
+        Pte* pte = space_->page_table().find(page_floor(addr));
         if (pte != nullptr && pte->allows(access)) {
+            if ((access & kProtWrite) != 0) pte->dirty = true;
             entry.vpn = vpn;
             entry.host = phys_.frame_ptr(pte->paddr);
-            entry.prot = pte->prot;
+            entry.pte_prot = pte->prot;
+            entry.prot = pte->dirty ? pte->prot : (pte->prot & ~kProtWrite);
             return entry.host;
         }
         // Page fault: hand over to the kernel. Settle the local time bill
@@ -72,6 +81,17 @@ std::byte* Mmu::translate(Vaddr addr, std::uint32_t access) {
         if (seen_generation_ != space_->tlb_generation()) flush_tlb();
     }
     RKO_UNREACHABLE("fault handler made no progress after 64 retries");
+}
+
+void Mmu::mark_dirty(TlbEntry& entry, Vaddr addr) {
+    // Every path that narrows or replaces a PTE bumps the TLB generation,
+    // and translate() flushed on a bump, so the PTE still backs the entry.
+    Pte* pte = space_->page_table().find(page_floor(addr));
+    RKO_ASSERT_MSG(pte != nullptr && pte->allows(entry.pte_prot) &&
+                       phys_.frame_ptr(pte->paddr) == entry.host,
+                   "TLB entry outlived a PTE change without a shootdown");
+    pte->dirty = true;
+    entry.prot = entry.pte_prot;
 }
 
 void Mmu::read_bytes(Vaddr addr, std::byte* out, std::size_t n) {

@@ -93,15 +93,23 @@ public:
 private:
     static constexpr std::size_t kTlbEntries = 64;
 
+    /// A cached translation. It grants write only once the PTE is dirty,
+    /// so the first store through it reaches translate(), which sets the
+    /// dirty bit at the cost of a hit (see mark_dirty).
     struct TlbEntry {
         std::uint64_t vpn = ~0ULL;
         std::byte* host = nullptr;
-        std::uint32_t prot = kProtNone;
+        std::uint32_t prot = kProtNone;     ///< rights a hit may use
+        std::uint32_t pte_prot = kProtNone; ///< the PTE's rights at fill time
     };
 
     /// Translates one page for `access`, faulting as needed; returns the
     /// host pointer to the page base.
     std::byte* translate(Vaddr addr, std::uint32_t access);
+
+    /// The dirty-bit assist: a store through `entry`, whose PTE allows it
+    /// but is still clean, sets the PTE's dirty bit and widens the entry.
+    void mark_dirty(TlbEntry& entry, Vaddr addr);
 
     /// The inline soft-TLB hit for an `n`-byte access: the host page base
     /// when translate + read_bytes/write_bytes would take nothing but a TLB

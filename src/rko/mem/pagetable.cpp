@@ -35,6 +35,7 @@ void PageTable::map(Vaddr vaddr, Paddr paddr, std::uint32_t prot) {
     pte.paddr = paddr;
     pte.prot = prot;
     pte.present = true;
+    pte.dirty = false;
 }
 
 bool PageTable::protect(Vaddr vaddr, std::uint32_t prot) {

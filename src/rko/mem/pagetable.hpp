@@ -21,6 +21,10 @@ struct Pte {
     Paddr paddr = 0;
     std::uint32_t prot = kProtNone;
     bool present = false;
+    /// Stored to since the mapping was installed: map() clears it and the
+    /// soft MMU sets it on the first store through a translation. A hint
+    /// for the ownership protocol (migratory pages), never for correctness.
+    bool dirty = false;
 
     bool allows(std::uint32_t access) const {
         return present && (prot & access) == access;
@@ -37,7 +41,8 @@ public:
     Pte* find(Vaddr vaddr);
     const Pte* find(Vaddr vaddr) const;
 
-    /// Installs (or replaces) the mapping for the page containing `vaddr`.
+    /// Installs (or replaces) the mapping for the page containing `vaddr`,
+    /// clean.
     void map(Vaddr vaddr, Paddr paddr, std::uint32_t prot);
 
     /// Narrows/widens the permitted access of an existing mapping; returns

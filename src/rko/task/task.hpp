@@ -93,15 +93,17 @@ struct Task {
     std::array<std::uint32_t, topo::kMaxKernels> fault_from{};
 
     // --- fault-around prefetch (core/page_owner, DESIGN.md §10) ---
-    /// Stride detector state: the last page this task faulted on and how
-    /// many consecutive faults advanced by exactly one page. Migration
-    /// resets both on arrival (Migration::on_migrate) — deliberately, since
-    /// the fault stream now crosses a different fabric edge. The reset must
-    /// be explicit: a thread revisiting a kernel reactivates its *old* task
-    /// record there, and a stale run would fire a bogus multi-page
-    /// kPageFaultBatch on the first unrelated fault.
+    /// Stride detector state: the last page this task faulted on, how many
+    /// consecutive faults advanced by exactly one page or landed inside or
+    /// just past the last window, and the first page past that window (0:
+    /// none). Migration resets all three on arrival (Migration::on_migrate)
+    /// — deliberately, since the fault stream now crosses a different
+    /// fabric edge. The reset must be explicit: a thread revisiting a kernel
+    /// reactivates its *old* task record there, and a stale run would fire
+    /// a bogus multi-page kPageFaultBatch on the first unrelated fault.
     mem::Vaddr last_fault_page = 0;
     std::uint32_t fault_run = 0;
+    mem::Vaddr fault_window_end = 0;
 
     // --- working-set migration (core/migration + core/page_owner, §15) ---
     /// Top-K hot-page tracker feeding pre-copy migration: a fault install

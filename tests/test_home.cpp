@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "rko/api/machine.hpp"
+#include "rko/check/invariants.hpp"
 #include "rko/home/home.hpp"
 
 namespace rko::api {
@@ -354,6 +355,63 @@ TEST(Home, DrainingAShardOwnerPreservesDataAndRehomes) {
                   static_cast<std::uint32_t>(0x100 + p))
             << "page " << p << " lost its data across the drain";
     }
+}
+
+// A home that parts while a fault it admitted is still running finishes
+// that transaction after the new home's census began. Here the fault is
+// the page's first touch, and the parting home first pulls the VMA into
+// its replica, so the transaction outlives the part by a round trip. The
+// requester's install is then the only record of the page, and the census
+// must wait for it: otherwise the new home rebuilds no entry and the
+// requester keeps a PTE no directory names. Sweeps the drain across the
+// fault, one instant per 250 ns.
+TEST(Home, CensusWaitsForGrantsInFlightFromAPartingHome) {
+    constexpr int kPages = 16;
+    const auto run = [](Nanos drain_at, Nanos* fault_start) {
+        MachineConfig config = failover_config(8);
+        config.check = false; // audited below, per drain instant
+        Machine machine(config);
+        auto& process = machine.create_process(0);
+        // The first page kernel 2 homes.
+        Vaddr page = 0;
+        for (int p = 0; p < kPages && page == 0; ++p) {
+            const Vaddr va = mem::kMmapBase + static_cast<Vaddr>(p) * kPageSize;
+            if (home::home_of(machine.kernel(0).home_map(), process.pid(), 0,
+                              mem::vpn_of(va)) == 2) {
+                page = va;
+            }
+        }
+        ASSERT_NE(page, 0u);
+        auto& mapper = process.spawn([](Guest& g) { g.mmap(kPages * kPageSize); }, 0);
+        process.spawn(
+            [&](Guest& g) {
+                g.join(mapper);
+                g.compute(20_us);
+                g.flush_timing();
+                if (fault_start != nullptr) *fault_start = g.now();
+                g.write<std::uint64_t>(page, 0xB0B);
+            },
+            1);
+        process.spawn([](Guest& g) { g.compute(1_ms); }, 0); // keeps ticks alive
+        if (drain_at != 0) {
+            machine.run_until(drain_at);
+            machine.drain_kernel(2);
+        }
+        machine.run();
+        process.check_all_joined();
+        std::uint64_t seen = 0;
+        process.spawn([&](Guest& g) { seen = g.read<std::uint64_t>(page); }, 3);
+        machine.run();
+        process.check_all_joined();
+        EXPECT_EQ(seen, 0xB0Bu) << "drain at " << drain_at << " ns";
+        const check::Report report = check::run_all(machine);
+        EXPECT_TRUE(report.ok()) << "drain at " << drain_at << " ns\n"
+                                 << report.to_string();
+    };
+    Nanos start = 0;
+    run(0, &start);
+    ASSERT_GT(start, 0);
+    for (Nanos at = start; at <= start + 6_us; at += 250) run(at, nullptr);
 }
 
 } // namespace

@@ -490,6 +490,55 @@ TEST(Mmu, InlineTlbHitMatchesByteCopyPath) {
     EXPECT_EQ(typed.faults, 11u); // pages 0-7, both halves of 8|9, page 10
 }
 
+// The PTE dirty bit (the migratory-page reversion signal): a fresh
+// mapping is clean, reads leave it clean, and the first store sets it. The
+// store that sets it is charged exactly like a store through a dirty
+// translation: one soft-TLB hit, no walk.
+TEST(Mmu, DirtyBitSetOnFirstStoreOnly) {
+    Engine engine;
+    Actor actor(engine, "t", [&](Actor& self) {
+        MmuFixture f;
+        f.attach_demand_zero();
+        (void)f.mmu.read<int>(kMmapBase); // read fault maps the page RW, clean
+        (void)f.mmu.read<int>(kMmapBase + kPageSize);
+        const Pte* pte = f.space.page_table().find(kMmapBase);
+        ASSERT_TRUE(pte != nullptr && pte->present);
+        ASSERT_TRUE(pte->allows(kProtWrite));
+        for (int i = 0; i < 8; ++i) (void)f.mmu.read<int>(kMmapBase + 64);
+        EXPECT_FALSE(pte->dirty);
+
+        // Times one store, from a settled clock to a settled clock.
+        const auto store_cost = [&](Vaddr addr) {
+            f.mmu.flush_charges();
+            const Nanos t0 = self.now();
+            const auto hits = f.mmu.tlb_hits();
+            const auto misses = f.mmu.tlb_misses();
+            f.mmu.write<int>(addr, 7);
+            f.mmu.flush_charges();
+            EXPECT_EQ(f.mmu.tlb_hits(), hits + 1);
+            EXPECT_EQ(f.mmu.tlb_misses(), misses);
+            return self.now() - t0;
+        };
+        const Nanos first = store_cost(kMmapBase);
+        EXPECT_TRUE(pte->dirty);
+        const Nanos second = store_cost(kMmapBase + 8);
+        EXPECT_EQ(first, second);
+        EXPECT_EQ(first, f.costs.mem_access);
+        // The other page was only read: still clean.
+        EXPECT_FALSE(f.space.page_table().find(kMmapBase + kPageSize)->dirty);
+
+        // Remapping the page (a fresh grant) starts it clean again.
+        f.space.page_table().map(kMmapBase, pte->paddr, kProtRead | kProtWrite);
+        f.space.bump_tlb_generation();
+        EXPECT_FALSE(pte->dirty);
+        f.mmu.write<int>(kMmapBase, 8);
+        EXPECT_TRUE(pte->dirty);
+    });
+    actor.start();
+    engine.run();
+    EXPECT_TRUE(actor.finished());
+}
+
 TEST(Mmu, BulkCopyThroughPages) {
     in_sim([](Actor&) {
         MmuFixture f;

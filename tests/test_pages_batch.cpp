@@ -385,6 +385,8 @@ struct StreamRun {
     std::uint64_t batch_faults = 0;
     std::uint64_t pushes = 0;
     std::uint64_t issued = 0, hit = 0, wasted = 0;
+    /// Page faults the reader's kernel took during the stream.
+    std::uint64_t demand_faults = 0;
     /// Stream pages whose directory entry ended non-busy and held by
     /// exactly kernels 0 and 1.
     int shared_by_both = 0;
@@ -402,10 +404,15 @@ StreamRun stream_pages(int pages, int window, Reader reader = Reader::kRemote,
     StreamRun out;
     Thread& writer = map_and_fill(process, reader, pages,
                                   [](int i) { return static_cast<std::uint64_t>(i); });
+    const auto reader_faults = [&machine, reader] {
+        const core::PageOwner& owner = machine.kernel(reader_kernel(reader)).pages();
+        return owner.local_faults() + owner.remote_faults();
+    };
     process.spawn(
         [&, pages](Guest& g) {
             g.join(writer);
             const Vaddr buf = mem::kMmapBase;
+            const std::uint64_t faults0 = reader_faults();
             out.move_time = timed(g, [&] {
                 std::uint64_t sum = 0;
                 for (int i = 0; i < pages; ++i) {
@@ -415,6 +422,7 @@ StreamRun stream_pages(int pages, int window, Reader reader = Reader::kRemote,
                 EXPECT_EQ(sum, static_cast<std::uint64_t>(pages) *
                                    static_cast<std::uint64_t>(pages - 1) / 2);
             });
+            out.demand_faults = reader_faults() - faults0;
         },
         reader_kernel(reader));
     out.vtime = machine.run();
@@ -474,6 +482,20 @@ TEST(Prefetch, BatchesAndBeatsDemandFaulting) {
     // Page bytes move once either way; the extra dataless header exchanges
     // (a demand fault racing its own in-flight push) must stay small.
     EXPECT_LT(pf.bytes, demand.bytes + demand.bytes / 8);
+}
+
+TEST(Prefetch, StreamContinuesPastEachWindow) {
+    RKO_SKIP_IF_SHARDED();
+    // After a window granted at page P the stream's next fault lands at
+    // P+8, past the window. That continues the run, so every window after
+    // the first starts at once. The home reader installs each window before
+    // its fault returns: 64 pages take about one fault per window (21 when
+    // the run restarted after every window). The remote reader also faults
+    // on pages whose push is still in flight behind the reply (41 before).
+    const StreamRun home = stream_pages(64, 8, Reader::kHome);
+    EXPECT_LE(home.demand_faults, 10u);
+    const StreamRun remote = stream_pages(64, 8, Reader::kRemote);
+    EXPECT_LE(remote.demand_faults, 30u);
 }
 
 TEST(Prefetch, HomeReaderBatchesRemoteOwnedPages) {

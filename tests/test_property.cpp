@@ -367,6 +367,7 @@ INSTANTIATE_TEST_SUITE_P(
                     FuzzParam{18, 8, 2, 6, false},
                     // sharded homes + working-set push: a munmap replica
                     // sweep can drop a push source's copy mid-push
+                    FuzzParam{12, 8, 2, 8, true, 4, 32},
                     FuzzParam{13, 8, 4, 8, true, 4, 32},
                     FuzzParam{15, 16, 8, 16, true, 4, 32}),
     [](const testing::TestParamInfo<FuzzParam>& info) {

@@ -98,6 +98,11 @@ int main(int argc, char** argv) {
                     static_cast<double>(stats.sim_time) / 1e6, stats.violations,
                     stats.replay_mismatches, stats.content_mismatches,
                     stats.ok() ? "OK" : "FAIL");
+        if (stats.migratory_grants != 0 || stats.migratory_reverts != 0) {
+            std::printf("%-24s migratory grants/run=%.2f reverts/run=%.2f\n", "",
+                        static_cast<double>(stats.migratory_grants) / stats.runs,
+                        static_cast<double>(stats.migratory_reverts) / stats.runs);
+        }
         std::fflush(stdout);
         all_ok = all_ok && stats.ok();
     }
