@@ -26,15 +26,16 @@ a few idiom rules:
   unnamed-guard    a guard temporary — sim::LockGuard(l); / ReadGuard(l);
                    — unlocks at the semicolon, leaving the "critical
                    section" unprotected; name the guard
-  serial-fanout    a .rpc(/.rpc_all( inside a loop over a holder mask in
-                   src/rko/core/ — per-victim round trips serialize what
-                   the fabric can do concurrently; batch the posts into
-                   one rpc_scatter (or a ranged invalidate) instead
-  per-waiter-rpc   a .rpc(/.rpc_all( inside a loop over futex waiters or
-                   convoy queues in src/rko/core/ — wake paths must not
-                   pay one round trip per waiter; coalesce the grants
-                   into kFutexGrantBatch posts over one rpc_scatter
-                   (oneway .send( per waiter is fine)
+  serial-fanout    a .rpc(/.rpc_all( inside any loop in src/rko/core/ —
+                   per-item round trips (per holder, per page, per waiter)
+                   serialize what the fabric can do concurrently; batch
+                   the posts into one rpc_scatter (or a ranged
+                   invalidate, or kFutexGrantBatch grants) instead. A
+                   oneway .send( per item is fine. Loops are tracked
+                   brace- and paren-aware: braced bodies, single-statement
+                   bodies, and do-while tails. An intentionally serial
+                   call (a retry that must see its previous answer) takes
+                   an allow on the .rpc( line
   hard-coded-origin  comparing an origin to the literal kernel 0 (or
                    passing 0 as an ensure_site origin) in src/ — since
                    sharded homes (rko/home), directory state lives at
@@ -127,19 +128,9 @@ AWAIT = re.compile(r"(\.rpc\(|\brpc_all\(|\.rpc_all\(|sleep_for\(|"
 LOCK_ACQUIRE = re.compile(r"([A-Za-z_][\w.\->\[\]]*lock)\s*\.\s*lock\s*\(\s*\)")
 LOCK_RELEASE = re.compile(r"([A-Za-z_][\w.\->\[\]]*lock)\s*\.\s*unlock\s*\(\s*\)")
 
-# A loop header that walks a holder mask (the two idioms used by the
-# ownership protocol: clear-lowest-set-bit iteration, or any loop seeded
-# from holder_mask()). An .rpc( issued inside one is a serial fan-out.
-SERIAL_FANOUT_LOOP = re.compile(
-    r"\b(for|while)\s*\(.*(mask\s*&=\s*mask\s*-\s*1|holder_mask\s*\(\s*\))")
-SERIAL_FANOUT_RPC = re.compile(r"\.rpc(_all)?\s*\(")
-
-# A loop header that walks futex waiters (Waiter entries, waiter vectors,
-# or a convoy queue). An .rpc( inside one is a per-waiter round trip in a
-# wake path — the batched-grant protocol exists precisely to avoid that.
-# Oneway .send( posts are allowed (no round trip to serialize on).
-PER_WAITER_LOOP = re.compile(
-    r"\b(for|while)\s*\(.*(\bWaiter\b|\bwaiters\b|\bwoken\b|\.queue\b)")
+# What the serial-fanout loop tracker reads: loop keywords, RPC calls, and
+# the punctuation that opens and closes headers, bodies and statements.
+LOOP_TOKENS = re.compile(r"\b(?:for|while|do)\b|\.rpc(?:_all)?\s*\(|[(){};]")
 
 # Suppression comment: allow(rule) plus a mandatory ": reason" tail.
 # Reasons keep suppressions honest — a year later nobody remembers why a
@@ -157,6 +148,63 @@ def in_base_layer(path):
 
 def in_core_layer(path):
     return f"src{os.sep}rko{os.sep}core{os.sep}" in path
+
+
+class LoopTracker:
+    """Follows loop nesting through a file's code for serial-fanout. A loop
+    keyword opens a header (none for `do`); once its parentheses close, the
+    body is either a braced block, tracked until its brace closes, or a
+    single statement ending at the next `;` at the header's paren level
+    (which also ends a do-while's `while (...);` tail)."""
+
+    def __init__(self):
+        self.depth = 0      # brace depth
+        self.parens = 0     # paren depth
+        self.loops = []     # (body brace depth, header line) of braced bodies
+        self.pending = None  # [header line, paren level, "open"|"header"|"body"]
+
+    def feed(self, lineno, code):
+        """Consumes one line of stripped code; returns the header line of
+        the innermost enclosing loop for each RPC call on it."""
+        hits = []
+        for m in LOOP_TOKENS.finditer(code):
+            tok = m.group(0)
+            pending = self.pending
+            if tok in ("for", "while"):
+                self.pending = [lineno, self.parens, "open"]
+            elif tok == "do":
+                self.pending = [lineno, self.parens, "body"]
+            elif tok.startswith(".rpc"):
+                if pending is not None and pending[2] == "body":
+                    hits.append(pending[0])
+                elif self.loops:
+                    hits.append(self.loops[-1][1])
+                self.parens += 1
+            elif tok == "(":
+                if pending is not None and pending[2] == "open" and \
+                        self.parens == pending[1]:
+                    pending[2] = "header"
+                self.parens += 1
+            elif tok == ")":
+                self.parens -= 1
+                if pending is not None and pending[2] == "header" and \
+                        self.parens == pending[1]:
+                    pending[2] = "body"
+            elif tok == "{":
+                self.depth += 1
+                if pending is not None and pending[2] == "body" and \
+                        self.parens == pending[1]:
+                    self.loops.append((self.depth, pending[0]))
+                    self.pending = None
+            elif tok == "}":
+                self.depth -= 1
+                while self.loops and self.loops[-1][0] > self.depth:
+                    self.loops.pop()
+            elif tok == ";":
+                if pending is not None and pending[2] == "body" and \
+                        self.parens == pending[1]:
+                    self.pending = None
+        return hits
 
 
 def strip_lines(lines):
@@ -269,14 +317,10 @@ def lint_lines(path, lines, findings, warnings):
     # branch — so the entry is parked on `suspended` and restored when the
     # branch's block closes (the fall-through path is still holding).
     track_awaits = not in_sim_layer(path) and path.endswith(".cpp")
-    track_fanout = in_core_layer(path)
+    loops = LoopTracker() if in_core_layer(path) else None
     depth = 0
     held = {}       # lock expr -> (acquire line, acquire depth)
     suspended = []  # (restore when depth <= this, expr, acquire line, depth)
-    fanout_loops = []  # (body depth, header line) of open holder-mask loops
-    pending_fanout = None  # header seen, body brace not yet
-    waiter_loops = []  # (body depth, header line) of open waiter loops
-    pending_waiter = None
     for lineno, (raw, (code, comment)) in enumerate(zip(lines, stripped), 1):
         allowance, has_reason = parse_allow(comment)
         if allowance is not None and not has_reason:
@@ -295,31 +339,14 @@ def lint_lines(path, lines, findings, warnings):
             findings.append((path, lineno, "unnamed-guard",
                              "guard temporary unlocks at the ';' — name it "
                              "(e.g. `sim::LockGuard guard(lock);`)"))
-        if track_fanout:
-            if (fanout_loops and SERIAL_FANOUT_RPC.search(code) and
-                    allowance != "serial-fanout"):
-                body_depth, header_line = fanout_loops[-1]
-                findings.append((path, lineno, "serial-fanout",
-                                 f"RPC inside a holder-mask loop (opened at "
-                                 f"line {header_line}): per-victim round "
-                                 f"trips serialize — batch the posts into "
-                                 f"one rpc_scatter"))
-                fanout_loops.clear()  # one report per loop nest
-            if (SERIAL_FANOUT_LOOP.search(code) and
-                    allowance != "serial-fanout"):
-                pending_fanout = lineno
-            if (waiter_loops and SERIAL_FANOUT_RPC.search(code) and
-                    allowance != "per-waiter-rpc"):
-                body_depth, header_line = waiter_loops[-1]
-                findings.append((path, lineno, "per-waiter-rpc",
-                                 f"RPC inside a waiter loop (opened at line "
-                                 f"{header_line}): wake paths must not pay "
-                                 f"one round trip per waiter — coalesce "
-                                 f"grants into one rpc_scatter batch"))
-                waiter_loops.clear()  # one report per loop nest
-            if (PER_WAITER_LOOP.search(code) and
-                    allowance != "per-waiter-rpc"):
-                pending_waiter = lineno
+        if loops is not None:
+            for header_line in loops.feed(lineno, code):
+                if allowance != "serial-fanout":
+                    findings.append((path, lineno, "serial-fanout",
+                                     f"RPC inside a loop (opened at line "
+                                     f"{header_line}): per-item round trips "
+                                     f"serialize — batch the posts into one "
+                                     f"rpc_scatter"))
         if track_awaits:
             if raw.startswith("}"):
                 held.clear()  # end of a top-level function body
@@ -341,23 +368,13 @@ def lint_lines(path, lines, findings, warnings):
                 suspended.clear()
             for m in LOCK_ACQUIRE.finditer(code):
                 held.setdefault(m.group(1), (lineno, depth))
-        # Shared brace-depth bookkeeping (fanout scopes + await CFG).
-        if track_fanout or track_awaits:
+        # Brace-depth bookkeeping for the await CFG.
+        if track_awaits:
             for ch in code:
                 if ch == "{":
                     depth += 1
-                    if pending_fanout is not None:
-                        fanout_loops.append((depth, pending_fanout))
-                        pending_fanout = None
-                    if pending_waiter is not None:
-                        waiter_loops.append((depth, pending_waiter))
-                        pending_waiter = None
                 elif ch == "}":
                     depth -= 1
-                    while fanout_loops and fanout_loops[-1][0] > depth:
-                        fanout_loops.pop()
-                    while waiter_loops and waiter_loops[-1][0] > depth:
-                        waiter_loops.pop()
                     while suspended and suspended[-1][0] >= depth:
                         _, expr, acq_line, acq_depth = suspended.pop()
                         held.setdefault(expr, (acq_line, acq_depth))
@@ -526,7 +543,47 @@ SELF_TEST_CASES = [
          }
      }
      """,
-     ["per-waiter-rpc"]),
+     ["serial-fanout"]),
+    ("per-item rpc in a range-for, braced or not",
+     "src/rko/core/o2.cpp",
+     """void push_all() {
+         for (const Page& p : work) {
+             const auto reply = node.rpc(p.source, fetch(p));
+             use(reply);
+         }
+         for (const Page& p : work) node.rpc_all(p.source, fetch(p));
+     }
+     """,
+     ["serial-fanout", "serial-fanout"]),
+    ("multi-line header, do-while, and nested loops",
+     "src/rko/core/o3.cpp",
+     """void f() {
+         for (mask = e.sharers; mask != 0;
+              mask &= mask - 1) {
+             if (ok) {
+                 node.rpc(lowest(mask), m);
+             }
+         }
+         do {
+             node.rpc(peer, m);
+         } while (again);
+         while (retry) { for (int i = 0; i < n; ++i) touch(i); node.rpc(peer, m); }
+     }
+     """,
+     ["serial-fanout", "serial-fanout", "serial-fanout"]),
+    ("rpc after a loop, after a do-while tail, or allowed, is clean",
+     "src/rko/core/o4.cpp",
+     """void f() {
+         for (int i = 0; i < n; ++i) posts.push_back(item(i));
+         node.rpc_scatter(std::move(posts));
+         do { touch(); } while (again);
+         node.rpc(peer, m);
+         while (retry) {
+             node.rpc(peer, m); // rko-lint: allow(serial-fanout): retry needs the answer
+         }
+     }
+     """,
+     []),
     ("oneway send per waiter and batched scatter are clean",
      "src/rko/core/p.cpp",
      """void wake_all() {

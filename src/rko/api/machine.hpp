@@ -74,8 +74,8 @@ struct MachineConfig {
     /// checkpoint piggybacks up to this many of its hottest page numbers;
     /// the destination pulls them from their homes in one scatter round
     /// before resuming, and a short post-copy boost widens fault-around
-    /// for the tail. 0 disables: the tracker never ships, no
-    /// kWorksetPull/kWorksetPush messages exist on the wire, and runs are
+    /// for the tail. 0 disables: the tracker never ships, no kWorksetPull
+    /// rounds or workset pushes exist on the wire, and runs are
     /// bit-identical to the pre-workset protocol. Defaults to the
     /// RKO_WORKSET_PUSH environment variable when set.
     int workset_push = core::workset_push_from_env();

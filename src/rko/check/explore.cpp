@@ -585,6 +585,86 @@ ScenarioResult run_home_prefetch_race(const ExploreConfig& cfg) {
     return finish(machine);
 }
 
+/// The page-push pipeline (DESIGN.md §10, §15) under 4 sharded homes:
+/// most pages are homed away from the origin, which wrote them all, so a
+/// home's capture mixes local copies with one scatter of remote fetches.
+/// A reader on kernel 1 streams a 24-page region with prefetch_window=8,
+/// migrates to kernel 3 with workset_push=8, and streams it again: the
+/// arrival's kWorksetPull rounds and the post-copy boosted batches push the
+/// region back. A writer on kernel 2 re-dirties the middle of the region
+/// during the first pass, so streaming pushes race write upgrades. Once the
+/// second pass is under way an unmapper on the origin cycles the 6-page
+/// tail and refills each fresh mapping, so boosted pushes of the tail race
+/// revokes fanned out to every home (some land after the VMA vanished and
+/// must be dropped, their busy bits still released). The reader may
+/// legally segfault; audits + reproducibility only.
+ScenarioResult run_push_race_sharded(const ExploreConfig& cfg) {
+    constexpr int kPages = 24;
+    constexpr int kTail = 6;
+    MachineConfig mc = base_config(cfg);
+    mc.home_shards = 4; // force sharding on regardless of RKO_HOME_SHARDS
+    mc.prefetch_window = 8;
+    mc.workset_push = 8; // force pre-copy on regardless of RKO_WORKSET_PUSH
+    Machine machine(mc);
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    int reached = -1; // the reader's furthest step over both passes
+    auto& init = process.spawn(
+        [&](Guest& g) {
+            buf = g.mmap(kPages * kPageSize);
+            for (int p = 0; p < kPages; ++p) {
+                g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize,
+                                       static_cast<std::uint64_t>(0x100 + p));
+            }
+        },
+        0);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            for (int pass = 0; pass < 2; ++pass) {
+                if (pass == 1) g.migrate(3);
+                for (int p = 0; p < kPages; ++p) {
+                    reached = std::max(reached, pass * kPages + p);
+                    (void)g.read<std::uint64_t>(
+                        buf + static_cast<Vaddr>(p) * kPageSize);
+                    g.compute(200_ns);
+                }
+            }
+        },
+        1);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            for (int i = 0; i < 12; ++i) {
+                g.write<std::uint64_t>(
+                    buf + static_cast<Vaddr>(8 + i % 8) * kPageSize,
+                    static_cast<std::uint64_t>(0x200 + i));
+                g.compute(500_ns);
+            }
+        },
+        2);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            for (int i = 0; i < 1000 && reached < kPages + kPages / 4; ++i) {
+                g.compute(1_us);
+            }
+            for (int c = 0; c < 3; ++c) {
+                g.compute(3_us);
+                g.munmap(buf + (kPages - kTail) * kPageSize, kTail * kPageSize);
+                g.compute(1_us);
+                const Vaddr tail = g.mmap(kTail * kPageSize);
+                for (int p = 0; p < kTail; ++p) {
+                    g.write<std::uint64_t>(tail + static_cast<Vaddr>(p) * kPageSize,
+                                           static_cast<std::uint64_t>(0x300 + p));
+                }
+            }
+        },
+        0);
+    machine.run();
+    return finish(machine);
+}
+
 // ---------------------------------------------------------------------------
 // Elastic-membership storms (§11): kernels fail-stop, hot-join, and drain
 // mid-run while the load balancer is moving the very threads affected.
@@ -1028,6 +1108,11 @@ const std::vector<Scenario>& scenarios() {
          "munmap of the tail",
          /*content_deterministic=*/false, /*expect_violation=*/false,
          &run_home_prefetch_race},
+        {"push_race_sharded",
+         "pushed windows, boosted batches and pull rounds race write "
+         "upgrades and munmap of the tail under 4 sharded homes",
+         /*content_deterministic=*/false, /*expect_violation=*/false,
+         &run_push_race_sharded},
         {"kill_storm",
          "two kernels fail-stop mid-run; leases expire and the survivors "
          "re-home their state",

@@ -545,7 +545,7 @@ int DFutex::convoy_wait(task::Task& t, ProcessSite& site, mem::Vaddr uaddr,
     aggregated_waits_.inc();
     FutexWaitResp resp{};
     for (int attempt = 0;; ++attempt) {
-        auto reply = k_.node().rpc(
+        auto reply = k_.node().rpc( // rko-lint: allow(serial-fanout): re-registers only after the origin refused the last attempt
             site.origin(),
             msg::make_message(
                 msg::MsgType::kFutexWait, msg::MsgKind::kRequest,

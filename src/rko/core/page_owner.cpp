@@ -170,11 +170,6 @@ void PageOwner::install() {
         [this](msg::Node& node, msg::MessagePtr m) {
             on_workset_pull(node, std::move(m));
         });
-    k_.node().register_handler(
-        msg::MsgType::kWorksetPush, msg::HandlerClass::kLeaf,
-        [this](msg::Node& node, msg::MessagePtr m) {
-            on_workset_push(node, std::move(m));
-        });
 }
 
 // ---------------------------------------------------------------------------
@@ -399,7 +394,7 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                         }
                         fetches_.inc();
                         msg::RpcStatus st = msg::RpcStatus::kOk;
-                        auto reply = k_.node().rpc(
+                        auto reply = k_.node().rpc( // rko-lint: allow(serial-fanout): one sharer supplies the bytes; the next is asked only if it failed
                             source,
                             msg::make_message(msg::MsgType::kPageFetch,
                                               msg::MsgKind::kRequest,
@@ -445,7 +440,7 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                 } else if (!k_.node().peer_dead(snapshot.owner)) {
                     fetches_.inc();
                     msg::RpcStatus st = msg::RpcStatus::kOk;
-                    auto reply = k_.node().rpc(
+                    auto reply = k_.node().rpc( // rko-lint: allow(serial-fanout): the one owner fetch of this attempt
                         snapshot.owner,
                         msg::make_message(msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
                                           PageFetchReq{site.pid(), page, true}),
@@ -856,7 +851,7 @@ std::byte* PageOwner::ensure_readable(ProcessSite& site, mem::Vaddr page) {
         if (home != k_.id()) {
             const GrantInFlight in_flight(site, home);
             msg::RpcStatus st = msg::RpcStatus::kOk;
-            auto reply = k_.node().rpc(
+            auto reply = k_.node().rpc( // rko-lint: allow(serial-fanout): each retry re-routes on the last answer
                 home,
                 msg::make_message(msg::MsgType::kPageFault, msg::MsgKind::kRequest,
                                   PageFaultReq{site.pid(), page,
@@ -1043,7 +1038,26 @@ ReadSharePlan plan_read_share(ProcessSite& site, std::uint64_t vpn, topo::Kernel
     return plan;
 }
 
+/// The pages a fault-around window offers after its faulting page `first`:
+/// first+1 up to first+min(window, cap)-1.
+std::vector<mem::Vaddr> window_pages(mem::Vaddr first, std::uint32_t window,
+                                     std::uint32_t cap) {
+    std::vector<mem::Vaddr> pages;
+    for (std::uint32_t i = 1; i < std::min(window, cap); ++i) {
+        pages.push_back(first + static_cast<mem::Vaddr>(i) * mem::kPageSize);
+    }
+    return pages;
+}
+
 } // namespace
+
+/// One claimed page in the push pipeline: its read-share plan and, once
+/// captured, the kPagePush carrying its bytes.
+struct PageOwner::PushPage {
+    ReadSharePlan plan;
+    bool cancelled = false;
+    PagePushMsg push{};
+};
 
 std::uint32_t PageOwner::scatter_ranged(
     ProcessSite& site,
@@ -1501,7 +1515,7 @@ std::uint32_t PageOwner::rebuild_home_shard(ProcessSite& site, int shard,
         int not_ready = 0;
         for (;;) {
             msg::RpcStatus st = msg::RpcStatus::kOk;
-            auto reply = k_.node().rpc(
+            auto reply = k_.node().rpc( // rko-lint: allow(serial-fanout): each census chunk resumes at the cursor the last reply returned
                 peer,
                 msg::make_message(msg::MsgType::kHomeRebuild, msg::MsgKind::kRequest,
                                   HomeRebuildReq{site.pid(), dead,
@@ -1748,7 +1762,7 @@ std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) 
 }
 
 // ---------------------------------------------------------------------------
-// Batched local holder ops & fault-around prefetch.
+// Batched local holder ops & the page-push pipeline.
 // ---------------------------------------------------------------------------
 
 std::uint32_t PageOwner::local_drop_range(ProcessSite& site,
@@ -1794,30 +1808,29 @@ std::uint32_t PageOwner::local_downgrade_range(
     return touched;
 }
 
-std::vector<mem::Vaddr> PageOwner::claim_prefetch_pages(ProcessSite& site,
-                                                        mem::Vaddr first,
-                                                        std::uint32_t window,
-                                                        topo::KernelId requester,
-                                                        std::uint32_t hard_cap) {
-    std::vector<mem::Vaddr> grants;
-    const std::uint32_t cap = std::min(window, hard_cap);
-    // Re-clip against the MASTER VMA — the requester clipped against its
-    // replica, which may be stale.
-    mem::Vaddr limit;
-    {
-        ReadGuard guard(site.space().mmap_lock());
-        const mem::Vma* vma = site.space().vmas().find(first);
-        if (vma == nullptr || (vma->prot & mem::kProtRead) == 0) return grants;
-        limit = vma->end;
-    }
-    for (std::uint32_t i = 1; i < cap; ++i) {
-        const mem::Vaddr page = first + static_cast<mem::Vaddr>(i) * mem::kPageSize;
-        if (page >= limit) break;
-        const std::uint64_t vpn = mem::vpn_of(page);
-        // Sharded homes: a window's pages hash to different shards — only
-        // the ones homed HERE can be claimed; the rest demand-fault at
-        // their own homes.
+std::vector<mem::Vaddr> PageOwner::claim_push_pages(ProcessSite& site,
+                                                    const std::vector<mem::Vaddr>& pages,
+                                                    topo::KernelId requester) {
+    std::vector<mem::Vaddr> claimed;
+    // Validate every page against this kernel's VMA tree (the master at the
+    // origin): the requester's replica may be stale. The last readable VMA
+    // found stays cached until a destructive VMA op bumps the epoch, so a
+    // window costs one lookup.
+    mem::Vma cached;
+    std::uint64_t cached_epoch = 0;
+    for (const mem::Vaddr page : pages) {
+        if (!cached.contains(page) || site.vma_epoch != cached_epoch) {
+            ReadGuard guard(site.space().mmap_lock());
+            const mem::Vma* vma = site.space().vmas().find(page);
+            if (vma == nullptr || (vma->prot & mem::kProtRead) == 0) continue;
+            cached = *vma;
+            cached_epoch = site.vma_epoch;
+        }
+        // Sharded homes: a list's pages hash to different shards. Only the
+        // ones homed HERE can be claimed; the rest demand-fault at their own
+        // homes.
         if (k_.home_map().sharded() && home_of(site, page) != k_.id()) continue;
+        const std::uint64_t vpn = mem::vpn_of(page);
         auto& shard = site.dir_shard(vpn);
         // Try-claim only: a page that is absent (never touched — zero-fill
         // is the requester's own cheap path), busy (live transaction), or
@@ -1831,274 +1844,144 @@ std::vector<mem::Vaddr> PageOwner::claim_prefetch_pages(ProcessSite& site,
         }
         it->second.busy = true;
         shard.lock.unlock();
-        grants.push_back(page);
+        claimed.push_back(page);
     }
-    return grants;
+    return claimed;
 }
 
-void PageOwner::push_prefetch_page(ProcessSite& site, mem::Vaddr page,
-                                   topo::KernelId requester) {
-    const std::uint64_t vpn = mem::vpn_of(page);
-    const ReadSharePlan plan = plan_read_share(site, vpn, k_.id(), requester);
-
-    // Prefetch is best-effort: a fetch source that died (elastic) or lost
-    // its copy (a munmap replica sweep dropped it after our snapshot — the
-    // transient the read path tolerates, DESIGN §14; a remote source says
-    // ok=false) simply cancels this page's push — release the claimed busy
-    // bit and let the requester demand-fault it later.
-    PagePushMsg push{};
-    push.pid = site.pid();
-    push.va = page;
-    push.data_included = true;
-    push.zero_fill = false;
-    push.source = static_cast<std::uint8_t>(plan.source);
-    if (plan.source == k_.id()) {
-        if (!local_fetch(site, page, plan.downgrade, push.data.data())) {
-            release_claim(site, k_.node(), vpn);
-            return;
-        }
-    } else {
-        fetches_.inc();
-        msg::RpcStatus st = msg::RpcStatus::kOk;
-        auto reply = k_.node().rpc(
-            plan.source,
-            msg::make_message(msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
-                              PageFetchReq{site.pid(), page, plan.downgrade}),
-            &st);
-        if (reply == nullptr || !reply->payload_prefix_as<PageFetchResp>().ok) {
-            release_claim(site, k_.node(), vpn);
-            return;
-        }
-        push.data = reply->payload_prefix_as<PageFetchResp>().data;
-    }
-    if (k_.node().peer_dead(requester)) {
-        // The requester died while we were fetching: nobody will ever
-        // confirm the push — do not park a pending that cannot commit.
-        release_claim(site, k_.node(), vpn);
-        return;
-    }
-
-    // The requester's kPageInstalled (sent by its on_page_push, success or
-    // not) commits or rolls back the parked state and releases the busy
-    // bit — the standard three-phase shape.
-    park_pending(site, vpn, plan.updated, requester);
-    prefetch_issued_.inc();
-    k_.node().send(requester,
-                   msg::make_message_prefix(msg::MsgType::kPagePush,
-                                            msg::MsgKind::kOneway, push,
-                                            wire_bytes(push)));
-}
-
-void PageOwner::home_fault_around(ProcessSite& site, const mem::Vma& vma,
-                                  mem::Vaddr page, std::uint32_t window) {
-    struct Fetch {
-        mem::Vaddr page;
-        ReadSharePlan plan;
-    };
-    std::vector<Fetch> fetches;
-    std::vector<msg::Node::ScatterItem> posts;
-    for (const mem::Vaddr claimed : claim_prefetch_pages(site, page, window, k_.id())) {
-        const ReadSharePlan plan =
-            plan_read_share(site, mem::vpn_of(claimed), k_.id(), k_.id());
-        // The claim skipped pages the home holds: every source is remote.
-        RKO_ASSERT(plan.source != k_.id());
-        fetches_.inc();
-        posts.push_back({plan.source,
-                         msg::make_message(msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
-                                           PageFetchReq{site.pid(), claimed,
-                                                        plan.downgrade})});
-        fetches.push_back({claimed, plan});
-    }
-    if (posts.empty()) return;
-    // One round trip for the whole window: every holder serves its pages
-    // concurrently.
-    const auto replies = k_.node().rpc_scatter(std::move(posts));
-    for (std::size_t i = 0; i < fetches.size(); ++i) {
-        const Fetch& f = fetches[i];
-        const std::uint64_t vpn = mem::vpn_of(f.page);
-        // A dead source (null reply) or a copy a munmap replica sweep
-        // dropped since the snapshot (ok=false) cancels this page, as on
-        // the push paths.
-        if (replies[i] == nullptr || !replies[i]->payload_prefix_as<PageFetchResp>().ok) {
-            release_claim(site, k_.node(), vpn);
-            continue;
-        }
-        prefetch_issued_.inc();
-        PageFaultResp resp{};
-        resp.status = FaultStatus::kOk;
-        resp.data_included = true;
-        resp.source = static_cast<std::uint8_t>(f.plan.source);
-        resp.data = replies[i]->payload_prefix_as<PageFetchResp>().data;
-        // A racing munmap/mprotect waits on this busy bit, then treats the
-        // home as a holder, so installing against the faulting VMA is safe.
-        park_pending(site, vpn, f.plan.updated, k_.id());
-        const bool installed = install_locally(site, vma, f.page, mem::kProtRead, resp);
-        commit_install(site, f.page, k_.id(), installed);
-        (installed ? prefetch_hit_ : prefetch_wasted_).inc();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Working-set migration push (home side, DESIGN.md §15).
-// ---------------------------------------------------------------------------
-
-std::vector<mem::Vaddr> PageOwner::claim_workset_pages(ProcessSite& site,
-                                                       const std::uint64_t* vpns,
-                                                       std::uint32_t count,
-                                                       topo::KernelId requester) {
-    std::vector<mem::Vaddr> grants;
-    for (std::uint32_t i = 0; i < count && i < task::kMaxWorkset; ++i) {
-        const std::uint64_t vpn = vpns[i];
-        const mem::Vaddr page = static_cast<mem::Vaddr>(vpn) << mem::kPageShift;
-        // Per-page VMA validation — an explicit hot-page list has no single
-        // clipping range like a fault-around window does.
-        {
-            ReadGuard guard(site.space().mmap_lock());
-            const mem::Vma* vma = site.space().vmas().find(page);
-            if (vma == nullptr || (vma->prot & mem::kProtRead) == 0) continue;
-        }
-        // Sharded homes: only pages homed HERE can be claimed; a stale
-        // route (home moved since the list shipped) demand-faults later.
-        if (k_.home_map().sharded() && home_of(site, page) != k_.id()) continue;
-        auto& shard = site.dir_shard(vpn);
-        // Try-claim only (the prefetch deadlock discipline): a page that is
-        // absent (never touched — the requester zero-fills cheaply), busy
-        // (live transaction), or already held by the requester is skipped,
-        // never waited for.
-        shard.lock.lock();
-        auto it = shard.entries.find(vpn);
-        if (it == shard.entries.end() || it->second.busy ||
-            it->second.holds(requester)) {
-            shard.lock.unlock();
-            continue;
-        }
-        it->second.busy = true;
-        shard.lock.unlock();
-        grants.push_back(page);
-    }
-    return grants;
-}
-
-std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
-                                            const std::vector<mem::Vaddr>& pages,
-                                            topo::KernelId requester) {
-    if (pages.empty()) return 0;
-    struct PushPage {
-        mem::Vaddr page = 0;
-        std::uint64_t vpn = 0;
-        ReadSharePlan plan;
-        bool local = false; ///< bytes come from this kernel's own copy
-        bool cancelled = false;
-        PagePushMsg push{};
-    };
-    std::vector<PushPage> work(pages.size());
-    for (std::size_t i = 0; i < pages.size(); ++i) {
+std::vector<PageOwner::PushPage> PageOwner::capture_pages(
+    ProcessSite& site, const std::vector<mem::Vaddr>& claimed,
+    topo::KernelId requester) {
+    std::vector<PushPage> work(claimed.size());
+    bool any_local = false;
+    for (std::size_t i = 0; i < claimed.size(); ++i) {
         PushPage& p = work[i];
-        p.page = pages[i];
-        p.vpn = mem::vpn_of(p.page);
-        p.plan = plan_read_share(site, p.vpn, k_.id(), requester);
-        p.local = p.plan.source == k_.id();
+        p.plan = plan_read_share(site, mem::vpn_of(claimed[i]), k_.id(), requester);
         p.push.pid = site.pid();
-        p.push.va = p.page;
+        p.push.va = claimed[i];
         p.push.data_included = true;
-        p.push.zero_fill = false;
         p.push.source = static_cast<std::uint8_t>(p.plan.source);
+        any_local = any_local || p.plan.source == k_.id();
     }
 
-    // Batched local capture. Where the per-page paths pay one modeled
-    // shootdown PER downgraded page, the whole workset's home-held pages
-    // share one generation bump and one shootdown (the local_*_range
-    // shape) — this is what makes pushing 32 pages cheaper than 32 demand
-    // faults. Protects and the bump share a no-yield window; the copy
-    // sleeps land after it closes (see local_invalidate). A local copy a
-    // munmap replica sweep dropped since the snapshot (the transient the
-    // read path tolerates) cancels that page's push.
-    {
+    // Local sources in one batch: every downgrade shares one TLB-generation
+    // bump and one modeled shootdown, and the copy charges are summed. Each
+    // page is downgraded before its bytes are captured, and the protects and
+    // the bump share a no-yield window; the sleeps land after it closes (see
+    // local_invalidate).
+    if (any_local) {
         WriteGuard guard(site.space().mmap_lock());
         std::uint32_t downgraded = 0;
-        for (PushPage& p : work) {
-            if (!p.local || !p.plan.downgrade) continue;
-            const mem::Pte* pte = site.space().page_table().find(p.page);
-            if (pte == nullptr || !pte->present) {
-                p.cancelled = true;
-                continue;
-            }
-            if ((pte->prot & mem::kProtWrite) != 0) {
-                site.space().page_table().protect(p.page,
-                                                  pte->prot & ~mem::kProtWrite);
-                ++downgraded;
-            }
-        }
-        if (downgraded != 0) site.space().bump_tlb_generation();
         Nanos copy_cost = 0;
         for (PushPage& p : work) {
-            if (!p.local || p.cancelled) continue;
-            const mem::Pte* pte = site.space().page_table().find(p.page);
+            if (p.plan.source != k_.id()) continue;
+            const mem::Pte* pte = site.space().page_table().find(p.push.va);
             if (pte == nullptr || !pte->present) {
                 p.cancelled = true;
                 continue;
+            }
+            if (p.plan.downgrade && (pte->prot & mem::kProtWrite) != 0) {
+                site.space().page_table().protect(p.push.va,
+                                                  pte->prot & ~mem::kProtWrite);
+                ++downgraded;
             }
             std::memcpy(p.push.data.data(), k_.phys().frame_ptr(pte->paddr),
                         mem::kPageSize);
             copy_cost += k_.costs().page_copy;
         }
+        if (downgraded != 0) site.space().bump_tlb_generation();
         if (copy_cost != 0) sim::current_actor().sleep_for(copy_cost);
-        if (downgraded != 0) {
-            sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
-        }
-    }
-    for (const PushPage& p : work) {
-        if (p.local && p.cancelled) release_claim(site, k_.node(), p.vpn);
+        if (downgraded != 0) sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
     }
 
-    // Remote byte sources: per-page fetches (rare — the home usually holds
-    // what it serves). A source that died (elastic) or lost its copy to a
-    // munmap replica sweep since the snapshot (ok=false) cancels that
-    // page's push; the requester demand-faults it later.
+    // Remote sources in one round trip: every holder serves its pages
+    // concurrently.
+    std::vector<msg::Node::ScatterItem> posts;
+    std::vector<PushPage*> fetched;
     for (PushPage& p : work) {
-        if (p.local || p.cancelled) continue;
+        if (p.plan.source == k_.id()) continue;
         fetches_.inc();
-        msg::RpcStatus st = msg::RpcStatus::kOk;
-        auto reply = k_.node().rpc(
-            p.plan.source,
-            msg::make_message(msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
-                              PageFetchReq{site.pid(), p.page, p.plan.downgrade}),
-            &st);
-        if (reply == nullptr || !reply->payload_prefix_as<PageFetchResp>().ok) {
-            release_claim(site, k_.node(), p.vpn);
-            p.cancelled = true;
-            continue;
+        posts.push_back({p.plan.source,
+                         msg::make_message(msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
+                                           PageFetchReq{site.pid(), p.push.va,
+                                                        p.plan.downgrade})});
+        fetched.push_back(&p);
+    }
+    if (!posts.empty()) {
+        const auto replies = k_.node().rpc_scatter(std::move(posts));
+        for (std::size_t i = 0; i < fetched.size(); ++i) {
+            if (replies[i] == nullptr ||
+                !replies[i]->payload_prefix_as<PageFetchResp>().ok) {
+                fetched[i]->cancelled = true;
+                continue;
+            }
+            fetched[i]->push.data = replies[i]->payload_prefix_as<PageFetchResp>().data;
         }
-        p.push.data = reply->payload_prefix_as<PageFetchResp>().data;
     }
 
+    // The one cancel policy: a source that lost its copy (a munmap replica
+    // sweep dropped it after the snapshot — the transient the read path
+    // tolerates, DESIGN §14; a remote source says ok=false) or died
+    // (elastic: a null reply) cancels its page. The claim is released and
+    // the requester demand-faults the page later.
+    for (const PushPage& p : work) {
+        if (p.cancelled) release_claim(site, k_.node(), mem::vpn_of(p.push.va));
+    }
+    std::erase_if(work, [](const PushPage& p) { return p.cancelled; });
+    return work;
+}
+
+std::uint32_t PageOwner::push_pages(ProcessSite& site, std::vector<PushPage> captured,
+                                    topo::KernelId requester, bool workset) {
     // Elastic: a requester that died while we captured will never confirm —
-    // release every claim instead of parking pendings nobody commits, and
-    // let the kWorksetPush sends below never happen (they would dead-letter
-    // with kPeerDead anyway).
+    // release every claim instead of parking pendings nobody commits.
     if (k_.node().peer_dead(requester)) {
-        for (PushPage& p : work) {
-            if (!p.cancelled) release_claim(site, k_.node(), p.vpn);
+        for (const PushPage& p : captured) {
+            release_claim(site, k_.node(), mem::vpn_of(p.push.va));
         }
         return 0;
     }
-
-    // Park pendings and ship. The destination's confirm (kPageInstalled
-    // from on_workset_push, success or not) commits or rolls each one back
-    // and releases the busy bit — the standard three-phase shape.
-    std::uint32_t pushed = 0;
-    for (PushPage& p : work) {
-        if (p.cancelled) continue;
-        park_pending(site, p.vpn, p.plan.updated, requester);
-        workset_pushed_.inc();
+    // The requester's kPageInstalled (sent by its on_page_push, success or
+    // not) commits or rolls back each parked state and releases the busy
+    // bit — the standard three-phase shape.
+    for (PushPage& p : captured) {
+        park_pending(site, mem::vpn_of(p.push.va), p.plan.updated, requester);
+        (workset ? workset_pushed_ : prefetch_issued_).inc();
+        p.push.workset = workset;
         k_.node().send(requester,
-                       msg::make_message_prefix(msg::MsgType::kWorksetPush,
+                       msg::make_message_prefix(msg::MsgType::kPagePush,
                                                 msg::MsgKind::kOneway, p.push,
                                                 wire_bytes(p.push)));
-        ++pushed;
     }
-    return pushed;
+    return static_cast<std::uint32_t>(captured.size());
 }
+
+void PageOwner::home_fault_around(ProcessSite& site, const mem::Vma& vma,
+                                  mem::Vaddr page, std::uint32_t window) {
+    const std::vector<mem::Vaddr> claimed =
+        claim_push_pages(site, window_pages(page, window, kMaxFaultAround), k_.id());
+    for (const PushPage& p : capture_pages(site, claimed, k_.id())) {
+        // The claim skipped pages the home holds: every source is remote.
+        RKO_ASSERT(p.plan.source != k_.id());
+        prefetch_issued_.inc();
+        PageFaultResp resp{};
+        resp.status = FaultStatus::kOk;
+        resp.data_included = true;
+        resp.source = p.push.source;
+        resp.data = p.push.data;
+        // A racing munmap/mprotect waits on this busy bit, then treats the
+        // home as a holder, so installing against the faulting VMA is safe.
+        park_pending(site, mem::vpn_of(p.push.va), p.plan.updated, k_.id());
+        const bool installed =
+            install_locally(site, vma, p.push.va, mem::kProtRead, resp);
+        commit_install(site, p.push.va, k_.id(), installed);
+        (installed ? prefetch_hit_ : prefetch_wasted_).inc();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Working-set migration pull (destination side, DESIGN.md §15).
+// ---------------------------------------------------------------------------
 
 void PageOwner::workset_prefault(ProcessSite& site, task::Task& t) {
     const std::uint32_t count =
@@ -2155,28 +2038,38 @@ void PageOwner::workset_prefault(ProcessSite& site, task::Task& t) {
 // Message handlers.
 // ---------------------------------------------------------------------------
 
+ProcessSite* PageOwner::serve_fault(Pid pid, mem::Vaddr va, std::uint32_t access,
+                                    topo::KernelId requester, PageFaultResp& out) {
+    if (!k_.has_site(pid) || k_.node().peer_dead(requester)) {
+        // A fault from an already-declared-dead requester must not park a
+        // pending install nobody will ever confirm; the reply dead-letters.
+        out.status = FaultStatus::kSegv;
+        return nullptr;
+    }
+    ProcessSite& site = k_.site(pid);
+    if (k_.home_map().sharded() && home_of(site, va) != k_.id()) {
+        // Stale routing: the requester aimed at a home that has since moved
+        // (membership change in flight). Back off and re-route.
+        out.status = FaultStatus::kRetry;
+        return nullptr;
+    }
+    if (origin_transaction(site, va, access, requester, out) != FaultStatus::kOk) {
+        return nullptr;
+    }
+    if (k_.node().peer_dead(requester)) {
+        // The requester died while we worked: its kPageInstalled will never
+        // arrive — roll the parked install back now (idempotent versus the
+        // reaper's own sweep).
+        abandon_pending(site, va, requester);
+        return nullptr;
+    }
+    return &site;
+}
+
 void PageOwner::on_page_fault(msg::Node& node, msg::MessagePtr m) {
     const auto& req = m->payload_as<PageFaultReq>();
     PageFaultResp resp{};
-    if (!k_.has_site(req.pid) || k_.node().peer_dead(req.requester)) {
-        // A fault from an already-declared-dead requester must not park a
-        // pending install nobody will ever confirm; the reply dead-letters.
-        resp.status = FaultStatus::kSegv;
-    } else if (k_.home_map().sharded() &&
-               home_of(k_.site(req.pid), req.va) != k_.id()) {
-        // Stale routing: the requester aimed at a home that has since moved
-        // (membership change in flight). Back off and re-route.
-        resp.status = FaultStatus::kRetry;
-    } else {
-        ProcessSite& site = k_.site(req.pid);
-        origin_transaction(site, req.va, req.access, req.requester, resp);
-        if (resp.status == FaultStatus::kOk && k_.node().peer_dead(req.requester)) {
-            // The requester died while we worked: its kPageInstalled will
-            // never arrive — roll the parked install back now (idempotent
-            // versus the reaper's own sweep).
-            abandon_pending(site, req.va, req.requester);
-        }
-    }
+    serve_fault(req.pid, req.va, req.access, req.requester, resp);
     // Dataless outcomes (SEGV, retry, zero-fill, upgrade) ship 8 bytes, not
     // 8 + 4 KiB — the wire carries only what the requester will read.
     node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageFault,
@@ -2187,45 +2080,32 @@ void PageOwner::on_page_fault(msg::Node& node, msg::MessagePtr m) {
 void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
     const auto& req = m->payload_as<PageFaultBatchReq>();
     PageFaultBatchResp resp{};
-    std::vector<mem::Vaddr> grants;
     const bool workset = req.workset != 0;
-    if (!k_.has_site(req.pid) || k_.node().peer_dead(req.requester)) {
-        resp.first.status = FaultStatus::kSegv;
-    } else if (k_.home_map().sharded() &&
-               home_of(k_.site(req.pid), req.va) != k_.id()) {
-        resp.first.status = FaultStatus::kRetry;
-    } else {
-        ProcessSite& site = k_.site(req.pid);
-        origin_transaction(site, req.va, req.access, req.requester, resp.first);
-        if (resp.first.status == FaultStatus::kOk) {
-            if (k_.node().peer_dead(req.requester)) {
-                abandon_pending(site, req.va, req.requester);
-            } else {
-                grants = claim_prefetch_pages(
-                    site, req.va, req.window, req.requester,
-                    workset ? kMaxWorksetAround : kMaxFaultAround);
-            }
-        }
+    ProcessSite* site = serve_fault(req.pid, req.va, req.access, req.requester, resp.first);
+    std::vector<mem::Vaddr> claimed;
+    if (site != nullptr) {
+        claimed = claim_push_pages(
+            *site,
+            window_pages(req.va, req.window, workset ? kMaxWorksetAround : kMaxFaultAround),
+            req.requester);
     }
-    resp.extra_granted = static_cast<std::uint32_t>(grants.size());
-    if (workset && !grants.empty()) {
-        // Boosted batch (§15): push FIRST, reply last — the inverse of the
-        // streaming order below. The channel is FIFO, so every pushed page
-        // is already installed when the demand reply unblocks the guest; it
-        // resumes into a warm window instead of re-faulting page by page
-        // into busy directory entries while the pushes are still in flight.
-        push_workset_pages(k_.site(req.pid), grants, req.requester);
-    }
+    resp.extra_granted = static_cast<std::uint32_t>(claimed.size());
+    const auto push = [&] {
+        if (claimed.empty()) return;
+        push_pages(*site, capture_pages(*site, claimed, req.requester), req.requester,
+                   workset);
+    };
+    // Boosted batch (§15): push FIRST, reply last. The channel is FIFO, so
+    // every pushed page is already installed when the demand reply unblocks
+    // the guest; it resumes into a warm window instead of re-faulting page
+    // by page into busy directory entries while the pushes are in flight.
+    if (workset) push();
     node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageFaultBatch,
                                             msg::MsgKind::kReply, resp,
                                             wire_bytes(resp)));
-    if (!workset) {
-        // Reply went first: the requester installs the demand page while
-        // the pushes are still being generated behind it.
-        for (const mem::Vaddr page : grants) {
-            push_prefetch_page(k_.site(req.pid), page, req.requester);
-        }
-    }
+    // Streaming batch: reply first, so the requester installs the demand
+    // page while the pushes are still being generated behind it.
+    if (!workset) push();
 }
 
 void PageOwner::on_page_fetch(msg::Node& node, msg::MessagePtr m) {
@@ -2289,66 +2169,51 @@ void PageOwner::on_page_invalidate_range(msg::Node& node, msg::MessagePtr m) {
                                      msg::MsgKind::kReply, resp));
 }
 
-bool PageOwner::install_pushed_page(const PagePushMsg& push,
-                                    topo::KernelId from) {
-    // A push from a home already declared dead is dropped: the census that
-    // rebuilt its shard may not have seen this copy, and the home will
-    // never commit the transfer.
-    if (k_.node().peer_dead(from)) return false;
-    bool installed = false;
-    if (k_.has_site(push.pid)) {
-        ProcessSite& site = k_.site(push.pid);
-        const GrantInFlight in_flight(site, from);
-        // Replica-side VMA lookup: the window was clipped against the
-        // master, but a racing munmap/mprotect may have landed here since —
-        // abandoning rolls the origin's parked transaction back.
-        mem::Vma vma;
-        bool found = false;
-        {
-            ReadGuard guard(site.space().mmap_lock());
-            const mem::Vma* v = site.space().vmas().find(push.va);
-            if (v != nullptr && (v->prot & mem::kProtRead) != 0) {
-                vma = *v;
-                found = true;
-            }
-        }
-        if (found) {
-            PageFaultResp resp{};
-            resp.status = FaultStatus::kOk;
-            resp.data_included = push.data_included;
-            resp.zero_fill = push.zero_fill;
-            resp.upgrade = false;
-            resp.source = push.source;
-            if (push.data_included) resp.data = push.data;
-            installed = install_locally(site, vma, push.va, mem::kProtRead, resp);
-        }
-    }
-    // ALWAYS confirm — success or not — or the home's busy bit leaks and
-    // every later fault on the page hangs.
-    k_.node().send(from,
-                   msg::make_message(msg::MsgType::kPageInstalled, msg::MsgKind::kOneway,
-                                     PageInstalledMsg{push.pid, push.va, k_.id(),
-                                                      installed}));
-    return installed;
-}
-
 void PageOwner::on_page_push(msg::Node& node, msg::MessagePtr m) {
     (void)node;
     const auto& push = m->payload_prefix_as<PagePushMsg>();
-    if (install_pushed_page(push, m->hdr.src)) {
-        prefetch_hit_.inc();
-    } else {
-        prefetch_wasted_.inc();
+    const topo::KernelId from = m->hdr.src;
+    bool installed = false;
+    // A push from a home already declared dead is dropped: the census that
+    // rebuilt its shard may not have seen this copy, and the home will
+    // never commit the transfer.
+    if (!k_.node().peer_dead(from)) {
+        if (k_.has_site(push.pid)) {
+            ProcessSite& site = k_.site(push.pid);
+            const GrantInFlight in_flight(site, from);
+            // Replica-side VMA lookup: the list was validated against the
+            // home's tree, but a racing munmap/mprotect may have landed here
+            // since — abandoning rolls the home's parked transaction back.
+            mem::Vma vma;
+            bool found = false;
+            {
+                ReadGuard guard(site.space().mmap_lock());
+                const mem::Vma* v = site.space().vmas().find(push.va);
+                if (v != nullptr && (v->prot & mem::kProtRead) != 0) {
+                    vma = *v;
+                    found = true;
+                }
+            }
+            if (found) {
+                PageFaultResp resp{};
+                resp.status = FaultStatus::kOk;
+                resp.data_included = push.data_included;
+                resp.source = push.source;
+                if (push.data_included) resp.data = push.data;
+                installed = install_locally(site, vma, push.va, mem::kProtRead, resp);
+            }
+        }
+        // ALWAYS confirm — success or not — or the home's busy bit leaks and
+        // every later fault on the page hangs.
+        k_.node().send(from, msg::make_message(msg::MsgType::kPageInstalled,
+                                               msg::MsgKind::kOneway,
+                                               PageInstalledMsg{push.pid, push.va,
+                                                                k_.id(), installed}));
     }
-}
-
-void PageOwner::on_workset_push(msg::Node& node, msg::MessagePtr m) {
-    (void)node;
-    const auto& push = m->payload_prefix_as<PagePushMsg>();
-    if (install_pushed_page(push, m->hdr.src)) {
-        workset_hit_.inc();
+    if (push.workset) {
+        (installed ? workset_hit_ : workset_wasted_).inc();
     } else {
-        workset_wasted_.inc();
+        (installed ? prefetch_hit_ : prefetch_wasted_).inc();
     }
 }
 
@@ -2358,13 +2223,17 @@ void PageOwner::on_workset_pull(msg::Node& node, msg::MessagePtr m) {
     if (k_.has_site(req.pid) && !k_.node().peer_dead(req.requester) &&
         workset_push_ > 0) {
         ProcessSite& site = k_.site(req.pid);
-        const auto grants =
-            claim_workset_pages(site, req.vpn.data(), req.count, req.requester);
-        resp.granted = push_workset_pages(site, grants, req.requester);
+        std::vector<mem::Vaddr> pages;
+        for (std::uint32_t i = 0; i < req.count && i < task::kMaxWorkset; ++i) {
+            pages.push_back(static_cast<mem::Vaddr>(req.vpn[i]) << mem::kPageShift);
+        }
+        const auto claimed = claim_push_pages(site, pages, req.requester);
+        resp.granted = push_pages(site, capture_pages(site, claimed, req.requester),
+                                  req.requester, /*workset=*/true);
     }
     // Reply AFTER the pushes: the channel is FIFO, so by the time the
-    // puller's scatter completes every granted kWorksetPush has already
-    // been dispatched and installed — the pull round is a barrier.
+    // puller's scatter completes every granted push has already been
+    // dispatched and installed — the pull round is a barrier.
     node.reply(*m, msg::make_message(msg::MsgType::kWorksetPull,
                                      msg::MsgKind::kReply, resp));
 }

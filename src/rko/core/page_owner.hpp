@@ -53,7 +53,7 @@ public:
 
     /// Registers kPageFault / kPageFaultBatch / kHomeRangeOp / kWorksetPull
     /// (blocking), kPageFetch / kPageInvalidate / kPageInvalidateRange /
-    /// kPagePush / kHomeRebuild / kWorksetPush (leaf).
+    /// kPagePush / kHomeRebuild (leaf).
     void install();
 
     /// Protocol ablation: when false, read faults also take exclusive
@@ -71,7 +71,7 @@ public:
     /// Working-set migration (DESIGN.md §15): how many hot pages a
     /// migration pre-copies (top-K of the task tracker, <= kMaxWorkset).
     /// <= 0 disables the whole feature — no workset tail on kMigrate, no
-    /// kWorksetPull/kWorksetPush traffic, no post-copy boost — and runs
+    /// kWorksetPull rounds or workset pushes, no post-copy boost — and runs
     /// are bit-identical to the plain demand-fault protocol.
     void set_workset_push(int k) { workset_push_ = k; }
     int workset_push() const { return workset_push_; }
@@ -251,39 +251,40 @@ private:
     std::uint32_t stride_window(const mem::Vma& vma, mem::Vaddr page,
                                 std::uint32_t access, task::Task* t);
 
-    // Fault-around prefetch (home side). claim_prefetch_pages try-claims
-    // the busy bits of up to window-1 pages after `first` (skipping absent,
-    // busy, or already-requester-held entries; clipped to the home's VMA);
-    // push_prefetch_page then runs one claimed page's read-replication
-    // transaction and ships the bytes as an unsolicited kPagePush.
-    std::vector<mem::Vaddr> claim_prefetch_pages(ProcessSite& site, mem::Vaddr first,
-                                                 std::uint32_t window,
-                                                 topo::KernelId requester,
-                                                 std::uint32_t cap = kMaxFaultAround);
-    void push_prefetch_page(ProcessSite& site, mem::Vaddr page,
-                            topo::KernelId requester);
+    // The page-push pipeline (home side, DESIGN.md §10). Fault-around
+    // windows, post-migration boosted batches and kWorksetPull rounds all
+    // run it: claim_push_pages try-claims a page list for `requester`
+    // (skipping absent, busy and requester-held entries; never waiting);
+    // capture_pages plans each claimed page's read share and copies its
+    // bytes — local copies in one batch under one shootdown, remote ones in
+    // one rpc_scatter of kPageFetch — releasing the claim of any page whose
+    // source died or lost its copy; push_pages parks each captured page's
+    // pending state and ships it as kPagePush, which the requester's
+    // kPageInstalled confirm commits.
+    struct PushPage;
+    std::vector<mem::Vaddr> claim_push_pages(ProcessSite& site,
+                                             const std::vector<mem::Vaddr>& pages,
+                                             topo::KernelId requester);
+    std::vector<PushPage> capture_pages(ProcessSite& site,
+                                        const std::vector<mem::Vaddr>& claimed,
+                                        topo::KernelId requester);
+    std::uint32_t push_pages(ProcessSite& site, std::vector<PushPage> captured,
+                             topo::KernelId requester, bool workset);
 
-    /// Fault-around for a read fault taken AT the home: claims the rest of
-    /// the window for this kernel, fetches every claimed page from its
-    /// holder in one rpc_scatter of kPageFetch, and installs and commits
-    /// each one locally.
+    /// Fault-around for a read fault taken AT the home: claims and captures
+    /// the rest of the window for this kernel (every source is remote, so
+    /// the capture is one rpc_scatter), then installs and commits each page
+    /// locally.
     void home_fault_around(ProcessSite& site, const mem::Vma& vma, mem::Vaddr page,
                            std::uint32_t window);
 
-    // Working-set push (home side, DESIGN.md §15). claim_workset_pages
-    // try-claims an explicit VPN list (same skip rules as the prefetch
-    // claim); push_workset_pages then runs every claimed page's
-    // read-replication transaction with the LOCAL byte captures batched —
-    // all home-held downgrades share one generation bump and one modeled
-    // shootdown — and ships each page as kWorksetPush. Pushes park the
-    // ordinary pending state; the destination's confirms commit them.
-    std::vector<mem::Vaddr> claim_workset_pages(ProcessSite& site,
-                                                const std::uint64_t* vpns,
-                                                std::uint32_t count,
-                                                topo::KernelId requester);
-    std::uint32_t push_workset_pages(ProcessSite& site,
-                                     const std::vector<mem::Vaddr>& pages,
-                                     topo::KernelId requester);
+    /// Admission shared by kPageFault and kPageFaultBatch: SEGV for an
+    /// unknown process or an already-dead requester, kRetry for a stale
+    /// sharded route, else the demand transaction, rolled back if the
+    /// requester died meanwhile. Returns the site only when the transaction
+    /// parked an install a live requester will confirm.
+    ProcessSite* serve_fault(Pid pid, mem::Vaddr va, std::uint32_t access,
+                             topo::KernelId requester, PageFaultResp& out);
 
     void on_page_fault(msg::Node& node, msg::MessagePtr m);
     void on_home_range_op(msg::Node& node, msg::MessagePtr m);
@@ -295,11 +296,6 @@ private:
     void on_page_installed(msg::Node& node, msg::MessagePtr m);
     void on_page_push(msg::Node& node, msg::MessagePtr m);
     void on_workset_pull(msg::Node& node, msg::MessagePtr m);
-    void on_workset_push(msg::Node& node, msg::MessagePtr m);
-
-    /// Shared tail of on_page_push / on_workset_push: install the pushed
-    /// page and ALWAYS confirm. Returns whether the install stuck.
-    bool install_pushed_page(const PagePushMsg& push, topo::KernelId from);
 
     kernel::Kernel& k_;
     bool read_replication_ = true;

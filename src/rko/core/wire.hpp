@@ -189,7 +189,8 @@ struct PageFaultBatchResp {
     PageFaultResp first;
 };
 
-/// Origin -> requester: one prefetched page. The requester installs it
+/// Home -> requester: one pushed page (a fault-around window page, or a
+/// working-set page after a migration). The requester installs it
 /// read-only and confirms with kPageInstalled (the normal third leg), so
 /// the directory commits or rolls back the parked transaction exactly as
 /// for a demand fault.
@@ -197,7 +198,7 @@ struct PagePushMsg {
     Pid pid;
     mem::Vaddr va;
     bool data_included;
-    bool zero_fill; ///< reserved; pushes always carry bytes today
+    bool workset; ///< counted as migration.workset.*, else pages.prefetch.*
     std::uint8_t source; ///< kernel that supplied the bytes (affinity)
     std::array<std::byte, mem::kPageSize> data;
 };
@@ -216,6 +217,8 @@ static_assert(offsetof(PageFetchResp, data) == 1,
               "dataless PageFetchResp wire size");
 static_assert(offsetof(PageInvalidateResp, data) == 2,
               "dataless PageInvalidateResp wire size");
+static_assert(offsetof(PagePushMsg, data) == 19,
+              "PagePushMsg header wire size");
 
 inline std::size_t wire_bytes(const PageFaultResp& r) {
     return offsetof(PageFaultResp, data) + (r.data_included ? mem::kPageSize : 0);
@@ -360,9 +363,9 @@ struct MigrateResp {
 /// Destination -> home (kWorksetPull, blocking): after a migrated thread
 /// resumes, it asks each home for the shipped hot pages that home serves.
 /// The home try-claims what it can (absent/busy/already-held pages are
-/// skipped, never waited on — the prefetch deadlock discipline), replies
-/// with the granted count, then pushes each page as kWorksetPush. Truncated
-/// on the wire to the VPNs actually carried.
+/// skipped, never waited on — the prefetch deadlock discipline), pushes
+/// each granted page as kPagePush, then replies with the granted count.
+/// Truncated on the wire to the VPNs actually carried.
 struct WorksetPullReq {
     Pid pid;
     topo::KernelId requester;

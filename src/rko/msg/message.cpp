@@ -37,7 +37,6 @@ const char* msg_type_name(MsgType type) {
     case MsgType::kHomeRangeOp: return "home_range_op";
     case MsgType::kHomeRebuild: return "home_rebuild";
     case MsgType::kWorksetPull: return "workset_pull";
-    case MsgType::kWorksetPush: return "workset_push";
     case MsgType::kCount: break;
     }
     return "unknown";

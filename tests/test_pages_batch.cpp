@@ -340,15 +340,36 @@ TEST(ParallelFanout, WriteFaultLatencyNearFlatInSharers) {
 namespace {
 /// Where a stream's pages are written and read back. The process's origin,
 /// kernel 0, is the home of every page (unsharded) and maps the region in
-/// both placements.
+/// every placement.
 enum class Reader {
     kRemote, ///< written on kernel 0, read on kernel 1: the home pushes windows
     kHome,   ///< written on kernel 1, read on kernel 0: the home fetches its own
+    kThird,  ///< written on kernel 2, read on kernel 1: the home pushes bytes
+             ///< it must first fetch from kernel 2
 };
-constexpr std::array<Reader, 2> kReaders{Reader::kRemote, Reader::kHome};
-const char* name(Reader r) { return r == Reader::kRemote ? "remote reader" : "home reader"; }
-topo::KernelId writer_kernel(Reader r) { return r == Reader::kRemote ? 0 : 1; }
-topo::KernelId reader_kernel(Reader r) { return r == Reader::kRemote ? 1 : 0; }
+constexpr std::array<Reader, 3> kReaders{Reader::kRemote, Reader::kHome, Reader::kThird};
+const char* name(Reader r) {
+    switch (r) {
+    case Reader::kRemote: return "remote reader";
+    case Reader::kHome: return "home reader";
+    case Reader::kThird: return "third-party source";
+    }
+    return "?";
+}
+topo::KernelId writer_kernel(Reader r) {
+    return r == Reader::kRemote ? 0 : r == Reader::kHome ? 1 : 2;
+}
+topo::KernelId reader_kernel(Reader r) { return r == Reader::kHome ? 0 : 1; }
+
+/// The machine a placement runs on. The third-party placement needs a third
+/// kernel and pins every page's home to kernel 0, so its sources stay
+/// remote from the home under any RKO_HOME_SHARDS.
+api::MachineConfig stream_config(Reader r) {
+    if (r != Reader::kThird) return smp::popcorn_config(4, 2);
+    auto config = smp::popcorn_config(6, 3);
+    config.home_shards = 1;
+    return config;
+}
 
 /// Maps `pages` pages at mem::kMmapBase on kernel 0 and stores value(i) in
 /// page i from the placement's writer kernel. Returns the thread a reader
@@ -387,6 +408,8 @@ struct StreamRun {
     std::uint64_t issued = 0, hit = 0, wasted = 0;
     /// Page faults the reader's kernel took during the stream.
     std::uint64_t demand_faults = 0;
+    /// rpc_scatter rounds kernel 0 (the home) posted during the stream.
+    std::uint64_t home_scatters = 0;
     /// Stream pages whose directory entry ended non-busy and held by
     /// exactly kernels 0 and 1.
     int shared_by_both = 0;
@@ -396,7 +419,7 @@ struct StreamRun {
 /// counters are machine-wide sums.
 StreamRun stream_pages(int pages, int window, Reader reader = Reader::kRemote,
                        std::uint64_t seed = 1) {
-    auto config = smp::popcorn_config(4, 2);
+    auto config = stream_config(reader);
     config.prefetch_window = window;
     config.seed = seed;
     Machine machine(config);
@@ -413,6 +436,7 @@ StreamRun stream_pages(int pages, int window, Reader reader = Reader::kRemote,
             g.join(writer);
             const Vaddr buf = mem::kMmapBase;
             const std::uint64_t faults0 = reader_faults();
+            const std::uint64_t scatters0 = machine.kernel(0).node().scatter_batches();
             out.move_time = timed(g, [&] {
                 std::uint64_t sum = 0;
                 for (int i = 0; i < pages; ++i) {
@@ -423,6 +447,7 @@ StreamRun stream_pages(int pages, int window, Reader reader = Reader::kRemote,
                                    static_cast<std::uint64_t>(pages - 1) / 2);
             });
             out.demand_faults = reader_faults() - faults0;
+            out.home_scatters = machine.kernel(0).node().scatter_batches() - scatters0;
         },
         reader_kernel(reader));
     out.vtime = machine.run();
@@ -514,6 +539,21 @@ TEST(Prefetch, HomeReaderBatchesRemoteOwnedPages) {
     EXPECT_LE(pf.bytes, demand.bytes);
     EXPECT_EQ(pf.shared_by_both, 64);
     EXPECT_EQ(demand.shared_by_both, 64);
+}
+
+TEST(Prefetch, PushFetchesRemoteSourcesInOneScatter) {
+    // Kernel 2 owns every page Exclusive while kernel 1 streams them, so
+    // the home holds none of the bytes it pushes: each window's pages are
+    // fetched from kernel 2 in one scatter round, not one kPageFetch round
+    // trip per page.
+    const StreamRun demand = stream_pages(64, 1, Reader::kThird);
+    const StreamRun pf = stream_pages(64, 8, Reader::kThird);
+    EXPECT_EQ(demand.issued, 0u);
+    EXPECT_GT(pf.issued, 0u);
+    EXPECT_EQ(pf.issued, pf.hit + pf.wasted);
+    EXPECT_GT(pf.home_scatters, 0u) << "the home fetched its pushes page by page";
+    EXPECT_LT(pf.move_time, demand.move_time)
+        << "prefetch did not speed up a stream from a third-party source";
 }
 
 TEST(Prefetch, HomeStreakOnSingleKernelProcessCostsNothing) {
@@ -663,7 +703,7 @@ TEST(Prefetch, SurvivesMunmapRace) {
     // quiesce. The home reader's own windows race the unmap the same way.
     for (const Reader reader : kReaders) {
         for (const std::uint64_t seed : {3ULL, 9ULL, 31ULL}) {
-            auto config = smp::popcorn_config(4, 2);
+            auto config = stream_config(reader);
             config.prefetch_window = 8;
             config.seed = seed;
             config.shuffle_ties = true;
