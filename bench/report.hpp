@@ -6,6 +6,8 @@
 //   {
 //     "bench": "bench_migration",
 //     "schema": "rko-metrics-v1",
+//     "machines": [{"nkernels": 4, "home_shards": 1, "workset_push": 0,
+//                   "prefetch_window": 1}, ...],
 //     "metrics": {
 //       "phase.checkpoint_ns": {"type": "histogram", "count": ..., "mean": ...,
 //                               "min": ..., "max": ..., "p50": ..., "p90": ...,
@@ -29,8 +31,7 @@
 #include <utility>
 
 #include "harness.hpp"
-#include "rko/core/workset.hpp"
-#include "rko/home/home.hpp"
+#include "rko/api/machine.hpp"
 #include "rko/sim/engine.hpp"
 #include "rko/trace/json.hpp"
 #include "rko/trace/metrics.hpp"
@@ -93,14 +94,21 @@ public:
         w.begin_object();
         w.kv("bench", bench_);
         w.kv("schema", "rko-metrics-v1");
-        // Run metadata: the machine-wide home-shard default this bench ran
-        // under (RKO_HOME_SHARDS; sections that sweep shard counts override
-        // per-machine and say so in their metric names). Comparing JSONs
-        // from different shard settings is comparing different machines.
-        w.kv("home_shards", home::shards_from_env());
-        // Same for the working-set pre-copy budget (RKO_WORKSET_PUSH):
-        // workset-on and workset-off runs are different machines.
-        w.kv("workset_push", core::workset_push_from_env());
+        // Run metadata: every distinct machine the bench built, with the
+        // config fields that make two runs different machines. Sections
+        // set some per machine (bench_pagefault (e) a prefetch window, (f)
+        // a shard count), so the environment alone does not say.
+        w.key("machines");
+        w.begin_array();
+        for (const api::ConfigStamp& c : api::Machine::process_configs()) {
+            w.begin_object();
+            w.kv("nkernels", c.nkernels);
+            w.kv("home_shards", c.home_shards);
+            w.kv("workset_push", c.workset_push);
+            w.kv("prefetch_window", c.prefetch_window);
+            w.end_object();
+        }
+        w.end_array();
         w.key("metrics");
         metrics_.write_json(w);
         w.end_object();

@@ -25,9 +25,10 @@ if [ "$missing" -ne 0 ]; then
   exit 1
 fi
 
-# The machine-wide home-shard default (rko/home). Each bench JSON records
-# it as its top-level "home_shards" key, so merged results from different
-# shard settings are distinguishable after the fact.
+# The machine-wide home-shard default (rko/home). Each bench JSON lists the
+# machines the bench actually built in its top-level "machines" key
+# (nkernels, home_shards, workset_push, prefetch_window), so merged results
+# from different settings are distinguishable after the fact.
 echo "RKO_HOME_SHARDS=${RKO_HOME_SHARDS:-1}"
 
 # Extra flags (e.g. --quick for a smoke run) are passed through to every

@@ -31,7 +31,8 @@
 #                zeroed eagerly again: 20-40x) without flaking on noise.
 #                The simulated event count (sim.events) measures host cost
 #                deterministically, so it gets the default 10% gate on the
-#                two benches whose balancer runs the futex census. Last, the
+#                page-fault bench and on the two benches whose balancer runs
+#                the futex census. Last, the
 #                repository benchmark's smoke test (perfbench/smoke_test.py)
 #                builds perfbench into .bench_build and runs every workload
 #                at tiny size, traced and untraced, checking correctness and
@@ -136,7 +137,7 @@ for b in bench_pagefault bench_rebalance bench_mmap_scale; do
       "build/bench_out/${b}_quick.json" --key host.cpu_ms --threshold 1.0 \
     || fail bench "scripts/bench_compare.py bench/baselines/${b}_quick.json build/bench_out/${b}_quick.json --key host.cpu_ms --threshold 1.0"
 done
-for b in bench_rebalance bench_futex; do
+for b in bench_pagefault bench_rebalance bench_futex; do
   scripts/bench_compare.py "bench/baselines/${b}_quick.json" \
       "build/bench_out/${b}_quick.json" --key sim.events \
     || fail bench "scripts/bench_compare.py bench/baselines/${b}_quick.json build/bench_out/${b}_quick.json --key sim.events"

@@ -1,5 +1,6 @@
 #include "rko/api/machine.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -14,12 +15,27 @@
 
 namespace rko::api {
 
+namespace {
+
+std::vector<ConfigStamp>& built_configs() {
+    static std::vector<ConfigStamp> configs;
+    return configs;
+}
+
+} // namespace
+
+const std::vector<ConfigStamp>& Machine::process_configs() { return built_configs(); }
+
 Machine::Machine(MachineConfig config)
     : config_(config),
       topo_(config.ncores, config.nkernels),
       phys_(config.nkernels, config.frames_per_kernel) {
     RKO_ASSERT_MSG(config.nkernels <= topo::kMaxKernels,
                    "holder masks are topo::KernelMask bits wide");
+    const ConfigStamp stamp{config_.nkernels, config_.home_shards, config_.workset_push,
+                            config_.prefetch_window};
+    auto& built = built_configs();
+    if (std::find(built.begin(), built.end(), stamp) == built.end()) built.push_back(stamp);
     // Each machine gets a clean race-detector slate: one process often runs
     // many machines (tests, explore sweeps) and findings must not leak
     // between them.

@@ -102,6 +102,17 @@ struct MachineConfig {
     elastic::ElasticConfig elastic;
 };
 
+/// The MachineConfig fields that tell benchmark machines apart. Every
+/// Machine records its own (Machine::process_configs), so bench JSON states
+/// the machines a run actually built, not the environment defaults.
+struct ConfigStamp {
+    int nkernels = 0;
+    int home_shards = 0;
+    int workset_push = 0;
+    int prefetch_window = 0;
+    bool operator==(const ConfigStamp&) const = default;
+};
+
 class Machine {
 public:
     explicit Machine(MachineConfig config);
@@ -110,6 +121,9 @@ public:
     ~Machine();
 
     const MachineConfig& config() const { return config_; }
+    /// The distinct ConfigStamps of every Machine this process has built,
+    /// destroyed ones included, in the order first seen.
+    static const std::vector<ConfigStamp>& process_configs();
     sim::Engine& engine() { return engine_; }
     const topo::Topology& topology() const { return topo_; }
     const topo::CostModel& costs() const { return config_.costs; }

@@ -48,6 +48,32 @@ bool strip_dead_holders(PageDirEntry& entry, const msg::Node& node) {
     return entry.sharers != 0;
 }
 
+/// A kPageFetch for `req`'s page list, truncated to the pages it carries.
+msg::MessagePtr fetch_request(const PageFetchReq& req) {
+    return msg::make_message_prefix(msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
+                                    req, wire_bytes(req));
+}
+
+/// A one-page kPageFetch.
+msg::MessagePtr fetch_request(Pid pid, mem::Vaddr page, bool downgrade) {
+    PageFetchReq req{};
+    req.pid = pid;
+    req.count = 1;
+    req.downgrade = downgrade ? 1u : 0u;
+    req.va[0] = page;
+    return fetch_request(req);
+}
+
+/// Attributes an installed guest fault to the kernel that supplied its
+/// bytes (Task::fault_from, the balancer's affinity input). The same signal
+/// marks the page hot for a later pre-copy migration (§15).
+void attribute_fault(task::Task* t, mem::Vaddr page, std::uint8_t source) {
+    if (t == nullptr) return;
+    const auto src = static_cast<std::size_t>(source);
+    if (src < t->fault_from.size()) ++t->fault_from[src];
+    t->workset_touch(mem::vpn_of(page));
+}
+
 /// Counts a page grant from `home` in flight at this kernel for its scope
 /// (ProcessSite::grants_in_flight).
 class GrantInFlight {
@@ -176,25 +202,29 @@ void PageOwner::install() {
 // Local holder operations (this kernel gives up or shares its copy).
 // ---------------------------------------------------------------------------
 
-bool PageOwner::local_fetch(ProcessSite& site, mem::Vaddr page, bool downgrade,
-                            std::byte* out) {
+void PageOwner::serve_fetch(ProcessSite& site, std::span<FetchPart> parts) {
     WriteGuard guard(site.space().mmap_lock());
-    const mem::Pte* pte = site.space().page_table().find(page);
-    if (pte == nullptr || !pte->present) return false;
-    // Downgrade BEFORE capturing the bytes: a local writer slipping one
-    // more store in after the copy would diverge from the shipped data.
-    // The protect+bump pair must not be separated by a yield (stale-TLB
-    // hazard, see local_invalidate).
+    // Each page is downgraded BEFORE its bytes are captured: a local writer
+    // slipping one more store in after the copy would diverge from the
+    // shipped data. The protects and the generation bump share a no-yield
+    // window, and the sleeps land after it closes (stale-TLB hazard, see
+    // local_invalidate).
     bool downgraded = false;
-    if (downgrade && (pte->prot & mem::kProtWrite) != 0) {
-        site.space().page_table().protect(page, pte->prot & ~mem::kProtWrite);
-        site.space().bump_tlb_generation();
-        downgraded = true;
+    Nanos copy_cost = 0;
+    for (FetchPart& part : parts) {
+        const mem::Pte* pte = site.space().page_table().find(part.va);
+        part.ok = pte != nullptr && pte->present;
+        if (!part.ok) continue;
+        if (part.downgrade && (pte->prot & mem::kProtWrite) != 0) {
+            site.space().page_table().protect(part.va, pte->prot & ~mem::kProtWrite);
+            downgraded = true;
+        }
+        std::memcpy(part.out, k_.phys().frame_ptr(pte->paddr), mem::kPageSize);
+        copy_cost += k_.costs().page_copy;
     }
-    std::memcpy(out, k_.phys().frame_ptr(pte->paddr), mem::kPageSize);
-    sim::current_actor().sleep_for(k_.costs().page_copy);
+    if (downgraded) site.space().bump_tlb_generation();
+    if (copy_cost != 0) sim::current_actor().sleep_for(copy_cost);
     if (downgraded) sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
-    return true;
 }
 
 std::uint8_t PageOwner::local_invalidate(ProcessSite& site, mem::Vaddr page,
@@ -375,8 +405,9 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                 // Our own copy can be gone despite the directory listing us:
                 // a munmap's replica sweep drops PTEs without waiting on the
                 // busy bit. Fall through to the remote sharers if so.
-                if (snapshot.holds(k_.id()) &&
-                    local_fetch(site, page, false, out.data.data())) {
+                FetchPart own{page, false, out.data.data()};
+                if (snapshot.holds(k_.id())) serve_fetch(site, std::span(&own, 1));
+                if (own.ok) {
                     out.source = static_cast<std::uint8_t>(k_.id());
                     have_data = true;
                 } else {
@@ -395,11 +426,7 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                         fetches_.inc();
                         msg::RpcStatus st = msg::RpcStatus::kOk;
                         auto reply = k_.node().rpc( // rko-lint: allow(serial-fanout): one sharer supplies the bytes; the next is asked only if it failed
-                            source,
-                            msg::make_message(msg::MsgType::kPageFetch,
-                                              msg::MsgKind::kRequest,
-                                              PageFetchReq{site.pid(), page, false}),
-                            &st);
+                            source, fetch_request(site.pid(), page, false), &st);
                         if (reply == nullptr) {
                             live &= ~topo::kbit(source);
                             continue;
@@ -436,15 +463,14 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                     // Our exclusive copy can be gone despite the directory:
                     // munmap's replica sweep is not gated on the busy bit.
                     // Zero-fill like a dead owner if so.
-                    have_data = local_fetch(site, page, true, out.data.data());
+                    FetchPart own{page, true, out.data.data()};
+                    serve_fetch(site, std::span(&own, 1));
+                    have_data = own.ok;
                 } else if (!k_.node().peer_dead(snapshot.owner)) {
                     fetches_.inc();
                     msg::RpcStatus st = msg::RpcStatus::kOk;
                     auto reply = k_.node().rpc( // rko-lint: allow(serial-fanout): the one owner fetch of this attempt
-                        snapshot.owner,
-                        msg::make_message(msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
-                                          PageFetchReq{site.pid(), page, true}),
-                        &st);
+                        snapshot.owner, fetch_request(site.pid(), page, true), &st);
                     if (reply != nullptr) {
                         const auto& fetched = reply->payload_prefix_as<PageFetchResp>();
                         // ok=false: the owner dropped the page between our
@@ -695,15 +721,6 @@ bool PageOwner::install_locally(ProcessSite& site, const mem::Vma& vma,
 mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
                                          mem::Vaddr page, std::uint32_t access,
                                          task::Task* t) {
-    const auto attribute = [t, page](const PageFaultResp& r) {
-        if (t == nullptr) return;
-        const auto src = static_cast<std::size_t>(r.source);
-        if (src < t->fault_from.size()) ++t->fault_from[src];
-        // Same signal feeds the working-set tracker: every installed fault
-        // marks its page hot for a later pre-copy migration (§15).
-        t->workset_touch(mem::vpn_of(page));
-    };
-    PageFaultResp resp{};
     // Route by the page's HOME — the origin when unsharded (bit-identical
     // to the pre-home protocol), else the home map's owner of its shard.
     const topo::KernelId home = home_of(site, page);
@@ -718,17 +735,8 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
         const bool peers = !site.is_origin() ||
                            (site.group().replica_mask & ~topo::kbit(k_.id())) != 0;
         const std::uint32_t window = peers ? stride_window(vma, page, access, t) : 0;
-        const FaultStatus status =
-            origin_transaction(site, page, access, k_.id(), resp);
-        if (status == FaultStatus::kSegv) return mem::Mmu::FaultResult::kSegv;
-        if (status == FaultStatus::kRetry) return mem::Mmu::FaultResult::kFixed;
-        const bool installed = install_locally(site, vma, page, access, resp);
-        commit_install(site, page, k_.id(), installed);
-        if (installed) {
-            attribute(resp);
-            if (window >= 2) home_fault_around(site, vma, page, window);
-        }
-        return mem::Mmu::FaultResult::kFixed;
+        if (window >= 2) return home_window(site, vma, page, access, window, t);
+        return home_fault(site, vma, page, access, t);
     }
 
     remote_faults_.inc();
@@ -790,7 +798,7 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
     if (fault_resp.status == FaultStatus::kSegv) return mem::Mmu::FaultResult::kSegv;
     if (fault_resp.status == FaultStatus::kRetry) return mem::Mmu::FaultResult::kFixed;
     const bool installed = install_locally(site, vma, page, access, fault_resp);
-    if (installed) attribute(fault_resp);
+    if (installed) attribute_fault(t, page, fault_resp.source);
     // Third leg: let the directory commit (or roll back) and release busy.
     k_.node().send(home,
                    msg::make_message(msg::MsgType::kPageInstalled, msg::MsgKind::kOneway,
@@ -1810,7 +1818,8 @@ std::uint32_t PageOwner::local_downgrade_range(
 
 std::vector<mem::Vaddr> PageOwner::claim_push_pages(ProcessSite& site,
                                                     const std::vector<mem::Vaddr>& pages,
-                                                    topo::KernelId requester) {
+                                                    topo::KernelId requester,
+                                                    bool demand_first) {
     std::vector<mem::Vaddr> claimed;
     // Validate every page against this kernel's VMA tree (the master at the
     // origin): the requester's replica may be stale. The last readable VMA
@@ -1818,18 +1827,18 @@ std::vector<mem::Vaddr> PageOwner::claim_push_pages(ProcessSite& site,
     // window costs one lookup.
     mem::Vma cached;
     std::uint64_t cached_epoch = 0;
-    for (const mem::Vaddr page : pages) {
+    const auto try_claim = [&](mem::Vaddr page, bool demand) {
         if (!cached.contains(page) || site.vma_epoch != cached_epoch) {
             ReadGuard guard(site.space().mmap_lock());
             const mem::Vma* vma = site.space().vmas().find(page);
-            if (vma == nullptr || (vma->prot & mem::kProtRead) == 0) continue;
+            if (vma == nullptr || (vma->prot & mem::kProtRead) == 0) return false;
             cached = *vma;
             cached_epoch = site.vma_epoch;
         }
         // Sharded homes: a list's pages hash to different shards. Only the
         // ones homed HERE can be claimed; the rest demand-fault at their own
         // homes.
-        if (k_.home_map().sharded() && home_of(site, page) != k_.id()) continue;
+        if (k_.home_map().sharded() && home_of(site, page) != k_.id()) return false;
         const std::uint64_t vpn = mem::vpn_of(page);
         auto& shard = site.dir_shard(vpn);
         // Try-claim only: a page that is absent (never touched — zero-fill
@@ -1838,13 +1847,21 @@ std::vector<mem::Vaddr> PageOwner::claim_push_pages(ProcessSite& site,
         shard.lock.lock();
         auto it = shard.entries.find(vpn);
         if (it == shard.entries.end() || it->second.busy ||
-            it->second.holds(requester)) {
+            it->second.holds(requester) || (demand && it->second.migratory)) {
             shard.lock.unlock();
-            continue;
+            return false;
         }
         it->second.busy = true;
         shard.lock.unlock();
-        claimed.push_back(page);
+        return true;
+    };
+    for (const mem::Vaddr page : pages) {
+        const bool demand = demand_first && page == pages.front();
+        if (try_claim(page, demand)) {
+            claimed.push_back(page);
+        } else if (demand) {
+            break; // nothing claimed: the fault runs its own transaction first
+        }
     }
     return claimed;
 }
@@ -1852,8 +1869,20 @@ std::vector<mem::Vaddr> PageOwner::claim_push_pages(ProcessSite& site,
 std::vector<PageOwner::PushPage> PageOwner::capture_pages(
     ProcessSite& site, const std::vector<mem::Vaddr>& claimed,
     topo::KernelId requester) {
+    RKO_ASSERT_MSG(claimed.size() <= PageFetchReq::kMaxPages,
+                   "a capture's pages must fit one kPageFetch per holder");
     std::vector<PushPage> work(claimed.size());
-    bool any_local = false;
+    // Local sources go to this kernel's holder batch; remote ones to one
+    // kPageFetch per source kernel, so each holder serves its whole list
+    // under one shootdown and every holder works concurrently.
+    std::vector<FetchPart> local;
+    std::vector<PushPage*> local_pages;
+    struct SourceFetch {
+        topo::KernelId source;
+        PageFetchReq req;
+        std::vector<PushPage*> pages;
+    };
+    std::vector<SourceFetch> remote;
     for (std::size_t i = 0; i < claimed.size(); ++i) {
         PushPage& p = work[i];
         p.plan = plan_read_share(site, mem::vpn_of(claimed[i]), k_.id(), requester);
@@ -1861,61 +1890,47 @@ std::vector<PageOwner::PushPage> PageOwner::capture_pages(
         p.push.va = claimed[i];
         p.push.data_included = true;
         p.push.source = static_cast<std::uint8_t>(p.plan.source);
-        any_local = any_local || p.plan.source == k_.id();
-    }
-
-    // Local sources in one batch: every downgrade shares one TLB-generation
-    // bump and one modeled shootdown, and the copy charges are summed. Each
-    // page is downgraded before its bytes are captured, and the protects and
-    // the bump share a no-yield window; the sleeps land after it closes (see
-    // local_invalidate).
-    if (any_local) {
-        WriteGuard guard(site.space().mmap_lock());
-        std::uint32_t downgraded = 0;
-        Nanos copy_cost = 0;
-        for (PushPage& p : work) {
-            if (p.plan.source != k_.id()) continue;
-            const mem::Pte* pte = site.space().page_table().find(p.push.va);
-            if (pte == nullptr || !pte->present) {
-                p.cancelled = true;
-                continue;
-            }
-            if (p.plan.downgrade && (pte->prot & mem::kProtWrite) != 0) {
-                site.space().page_table().protect(p.push.va,
-                                                  pte->prot & ~mem::kProtWrite);
-                ++downgraded;
-            }
-            std::memcpy(p.push.data.data(), k_.phys().frame_ptr(pte->paddr),
-                        mem::kPageSize);
-            copy_cost += k_.costs().page_copy;
+        if (p.plan.source == k_.id()) {
+            local.push_back({p.push.va, p.plan.downgrade, p.push.data.data()});
+            local_pages.push_back(&p);
+            continue;
         }
-        if (downgraded != 0) site.space().bump_tlb_generation();
-        if (copy_cost != 0) sim::current_actor().sleep_for(copy_cost);
-        if (downgraded != 0) sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
+        fetches_.inc();
+        auto it = std::find_if(remote.begin(), remote.end(), [&p](const SourceFetch& f) {
+            return f.source == p.plan.source;
+        });
+        if (it == remote.end()) {
+            it = remote.insert(remote.end(), SourceFetch{p.plan.source, PageFetchReq{}, {}});
+            it->req.pid = site.pid();
+        }
+        if (p.plan.downgrade) it->req.downgrade |= 1u << it->req.count;
+        it->req.va[it->req.count++] = p.push.va;
+        it->pages.push_back(&p);
     }
 
-    // Remote sources in one round trip: every holder serves its pages
-    // concurrently.
-    std::vector<msg::Node::ScatterItem> posts;
-    std::vector<PushPage*> fetched;
-    for (PushPage& p : work) {
-        if (p.plan.source == k_.id()) continue;
-        fetches_.inc();
-        posts.push_back({p.plan.source,
-                         msg::make_message(msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
-                                           PageFetchReq{site.pid(), p.push.va,
-                                                        p.plan.downgrade})});
-        fetched.push_back(&p);
+    if (!local.empty()) {
+        serve_fetch(site, local);
+        for (std::size_t i = 0; i < local.size(); ++i) {
+            local_pages[i]->cancelled = !local[i].ok;
+        }
     }
-    if (!posts.empty()) {
+    if (!remote.empty()) {
+        std::vector<msg::Node::ScatterItem> posts;
+        for (const SourceFetch& f : remote) {
+            posts.push_back({f.source, fetch_request(f.req), f.req.count});
+        }
+        // One result slot per page, in post order.
         const auto replies = k_.node().rpc_scatter(std::move(posts));
-        for (std::size_t i = 0; i < fetched.size(); ++i) {
-            if (replies[i] == nullptr ||
-                !replies[i]->payload_prefix_as<PageFetchResp>().ok) {
-                fetched[i]->cancelled = true;
-                continue;
+        std::size_t part = 0;
+        for (const SourceFetch& f : remote) {
+            for (PushPage* p : f.pages) {
+                const msg::MessagePtr& reply = replies[part++];
+                if (reply == nullptr || !reply->payload_prefix_as<PageFetchResp>().ok) {
+                    p->cancelled = true;
+                    continue;
+                }
+                p->push.data = reply->payload_prefix_as<PageFetchResp>().data;
             }
-            fetched[i]->push.data = replies[i]->payload_prefix_as<PageFetchResp>().data;
         }
     }
 
@@ -1956,27 +1971,78 @@ std::uint32_t PageOwner::push_pages(ProcessSite& site, std::vector<PushPage> cap
     return static_cast<std::uint32_t>(captured.size());
 }
 
-void PageOwner::home_fault_around(ProcessSite& site, const mem::Vma& vma,
-                                  mem::Vaddr page, std::uint32_t window) {
-    const std::vector<mem::Vaddr> claimed =
-        claim_push_pages(site, window_pages(page, window, kMaxFaultAround), k_.id());
+mem::Mmu::FaultResult PageOwner::home_fault(ProcessSite& site, const mem::Vma& vma,
+                                            mem::Vaddr page, std::uint32_t access,
+                                            task::Task* t, bool* installed) {
+    PageFaultResp resp{};
+    const FaultStatus status = origin_transaction(site, page, access, k_.id(), resp);
+    if (status == FaultStatus::kSegv) return mem::Mmu::FaultResult::kSegv;
+    if (status == FaultStatus::kRetry) return mem::Mmu::FaultResult::kFixed;
+    const bool ok = install_locally(site, vma, page, access, resp);
+    commit_install(site, page, k_.id(), ok);
+    if (ok) attribute_fault(t, page, resp.source);
+    if (installed != nullptr) *installed = ok;
+    return mem::Mmu::FaultResult::kFixed;
+}
+
+mem::Mmu::FaultResult PageOwner::home_window(ProcessSite& site, const mem::Vma& vma,
+                                             mem::Vaddr page, std::uint32_t access,
+                                             std::uint32_t window, task::Task* t) {
+    const std::vector<mem::Vaddr> rest = window_pages(page, window, kMaxFaultAround);
+    // The faulting page leads the claim only where its transaction would
+    // plan a plain read share: the claim takes nothing when the page is
+    // absent (zero-fill), busy, already held here or migratory, and without
+    // read replication every read takes ownership.
+    std::vector<mem::Vaddr> claimed;
+    if (read_replication_) {
+        std::vector<mem::Vaddr> pages{page};
+        pages.insert(pages.end(), rest.begin(), rest.end());
+        claimed = claim_push_pages(site, pages, k_.id(), /*demand_first=*/true);
+    }
+    // With demand_first the faulting page leads the claim, or nothing is
+    // claimed.
+    const bool folded = !claimed.empty();
+    if (!folded) {
+        // The page demand-faults, then the rest of the window follows once
+        // it has committed.
+        bool installed = false;
+        const mem::Mmu::FaultResult result =
+            home_fault(site, vma, page, access, t, &installed);
+        if (!installed) return result;
+        claimed = claim_push_pages(site, rest, k_.id());
+    }
+    bool demand_done = !folded;
     for (const PushPage& p : capture_pages(site, claimed, k_.id())) {
         // The claim skipped pages the home holds: every source is remote.
         RKO_ASSERT(p.plan.source != k_.id());
-        prefetch_issued_.inc();
+        const bool demand = p.push.va == page;
         PageFaultResp resp{};
         resp.status = FaultStatus::kOk;
         resp.data_included = true;
         resp.source = p.push.source;
         resp.data = p.push.data;
+        PageDirEntry updated = p.plan.updated;
+        // Detector input, as the transaction records it: if the home
+        // upgrades this page next, kernels take turns on it (§17).
+        if (demand && p.plan.downgrade) updated.reader = static_cast<std::int8_t>(k_.id());
         // A racing munmap/mprotect waits on this busy bit, then treats the
         // home as a holder, so installing against the faulting VMA is safe.
-        park_pending(site, mem::vpn_of(p.push.va), p.plan.updated, k_.id());
-        const bool installed =
-            install_locally(site, vma, p.push.va, mem::kProtRead, resp);
+        park_pending(site, mem::vpn_of(p.push.va), updated, k_.id());
+        const bool installed = install_locally(site, vma, p.push.va,
+                                               demand ? access : mem::kProtRead, resp);
         commit_install(site, p.push.va, k_.id(), installed);
+        if (demand) {
+            demand_done = true;
+            if (installed) attribute_fault(t, page, resp.source);
+            continue;
+        }
+        prefetch_issued_.inc();
         (installed ? prefetch_hit_ : prefetch_wasted_).inc();
     }
+    // A folded page whose capture was cancelled (its source died or lost
+    // the copy) runs its own transaction; the window stays installed.
+    if (!demand_done) return home_fault(site, vma, page, access, t);
+    return mem::Mmu::FaultResult::kFixed;
 }
 
 // ---------------------------------------------------------------------------
@@ -2109,13 +2175,25 @@ void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
 }
 
 void PageOwner::on_page_fetch(msg::Node& node, msg::MessagePtr m) {
-    const auto& req = m->payload_as<PageFetchReq>();
-    PageFetchResp resp{};
-    resp.ok = k_.has_site(req.pid) &&
-              local_fetch(k_.site(req.pid), req.va, req.downgrade, resp.data.data());
-    node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageFetch,
-                                            msg::MsgKind::kReply, resp,
-                                            wire_bytes(resp)));
+    const auto& req = m->payload_prefix_as<PageFetchReq>();
+    RKO_ASSERT(req.count >= 1 && req.count <= PageFetchReq::kMaxPages);
+    // Each page's bytes land straight in its own reply's payload.
+    std::array<msg::MessagePtr, PageFetchReq::kMaxPages> replies;
+    std::array<FetchPart, PageFetchReq::kMaxPages> parts;
+    for (std::uint32_t i = 0; i < req.count; ++i) {
+        replies[i] = msg::make_message(msg::MsgType::kPageFetch, msg::MsgKind::kReply);
+        parts[i] = {req.va[i], ((req.downgrade >> i) & 1u) != 0,
+                    replies[i]->emplace_payload<PageFetchResp>().data.data()};
+    }
+    if (k_.has_site(req.pid)) {
+        serve_fetch(k_.site(req.pid), std::span(parts.data(), req.count));
+    }
+    for (std::uint32_t i = 0; i < req.count; ++i) {
+        auto& resp = replies[i]->payload_as<PageFetchResp>();
+        resp.ok = parts[i].ok;
+        replies[i]->truncate_payload(wire_bytes(resp));
+        node.reply_part(*m, i, std::move(replies[i]));
+    }
 }
 
 void PageOwner::on_page_installed(msg::Node& node, msg::MessagePtr m) {

@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rko/base/stats.hpp"
@@ -222,8 +223,20 @@ private:
 
     // Local holder ops, used both by leaf handlers (for remote requests)
     // and directly when the origin itself is the holder.
-    bool local_fetch(ProcessSite& site, mem::Vaddr page, bool downgrade,
-                     std::byte* out);
+
+    /// One page of a holder-side fetch (serve_fetch).
+    struct FetchPart {
+        mem::Vaddr va = 0;
+        bool downgrade = false;   ///< strip the write bit before the copy
+        std::byte* out = nullptr; ///< receives the page bytes
+        bool ok = false;          ///< set by serve_fetch: the page was present
+    };
+    /// The holder batch: copies out every present page of `parts` under one
+    /// mmap_lock hold. Downgrades share one TLB-generation bump and one
+    /// modeled shootdown, and the copy charges are summed. Serves
+    /// kPageFetch, the push pipeline's local sources and the transaction's
+    /// own copy.
+    void serve_fetch(ProcessSite& site, std::span<FetchPart> parts);
     /// Drops this kernel's copy; returns PageInvalidateResp::had_page flags
     /// (zero: no copy here).
     std::uint8_t local_invalidate(ProcessSite& site, mem::Vaddr page, bool want_data,
@@ -256,27 +269,42 @@ private:
     // run it: claim_push_pages try-claims a page list for `requester`
     // (skipping absent, busy and requester-held entries; never waiting);
     // capture_pages plans each claimed page's read share and copies its
-    // bytes — local copies in one batch under one shootdown, remote ones in
-    // one rpc_scatter of kPageFetch — releasing the claim of any page whose
-    // source died or lost its copy; push_pages parks each captured page's
-    // pending state and ships it as kPagePush, which the requester's
-    // kPageInstalled confirm commits.
+    // bytes — local copies in one holder batch, remote ones with one
+    // kPageFetch per source kernel, all in one rpc_scatter — releasing the
+    // claim of any page whose source died or lost its copy; push_pages
+    // parks each captured page's pending state and ships it as kPagePush,
+    // which the requester's kPageInstalled confirm commits.
+    // `demand_first`: pages.front() is a guest read fault's own page, also
+    // skipped when migratory (its read is an ownership grant, §17); when it
+    // cannot be claimed, nothing is.
     struct PushPage;
     std::vector<mem::Vaddr> claim_push_pages(ProcessSite& site,
                                              const std::vector<mem::Vaddr>& pages,
-                                             topo::KernelId requester);
+                                             topo::KernelId requester,
+                                             bool demand_first = false);
     std::vector<PushPage> capture_pages(ProcessSite& site,
                                         const std::vector<mem::Vaddr>& claimed,
                                         topo::KernelId requester);
     std::uint32_t push_pages(ProcessSite& site, std::vector<PushPage> captured,
                              topo::KernelId requester, bool workset);
 
-    /// Fault-around for a read fault taken AT the home: claims and captures
-    /// the rest of the window for this kernel (every source is remote, so
-    /// the capture is one rpc_scatter), then installs and commits each page
-    /// locally.
-    void home_fault_around(ProcessSite& site, const mem::Vma& vma, mem::Vaddr page,
-                           std::uint32_t window);
+    /// A fault taken AT the page's home: the transaction with this kernel
+    /// as requester, then the local install and commit. `installed`, when
+    /// given, reports whether the page was mapped.
+    mem::Mmu::FaultResult home_fault(ProcessSite& site, const mem::Vma& vma,
+                                     mem::Vaddr page, std::uint32_t access,
+                                     task::Task* t, bool* installed = nullptr);
+
+    /// A read streak AT the home: claims `page` with the rest of its window
+    /// for this kernel, captures them (every source is remote, so one
+    /// rpc_scatter with one kPageFetch per holder), then installs and
+    /// commits each page locally. The faulting page leads the claim only
+    /// where its transaction would plan a plain read share; otherwise it
+    /// demand-faults first (home_fault) and the rest of the window follows,
+    /// and a folded page whose capture was cancelled demand-faults last.
+    mem::Mmu::FaultResult home_window(ProcessSite& site, const mem::Vma& vma,
+                                      mem::Vaddr page, std::uint32_t access,
+                                      std::uint32_t window, task::Task* t);
 
     /// Admission shared by kPageFault and kPageFaultBatch: SEGV for an
     /// unknown process or an already-dead requester, kRetry for a stale
@@ -319,5 +347,11 @@ private:
     trace::Counter& migratory_reverts_;
     base::Histogram& remote_latency_;
 };
+
+// A capture (a boosted window, or a kWorksetPull round) fits one
+// kPageFetch per holder.
+static_assert(PageFetchReq::kMaxPages == PageOwner::kMaxWorksetAround &&
+                  PageFetchReq::kMaxPages >= task::kMaxWorkset,
+              "one kPageFetch carries a whole capture's pages from one holder");
 
 } // namespace rko::core

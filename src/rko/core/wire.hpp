@@ -99,11 +99,24 @@ static_assert(sizeof(PageFaultResp) == 8 + mem::kPageSize,
               "PageFaultResp must keep its pre-`source` wire size: copy costs "
               "are charged per byte and golden baselines depend on them");
 
+/// Home -> holder: copy out a page list. The holder serves the whole list
+/// under one mmap_lock hold and one shootdown, and answers each page with
+/// its own reply part (msg::Node::reply_part) carrying one PageFetchResp,
+/// in list order. Truncated on the wire to the addresses actually carried
+/// (see wire_bytes), so a one-page fetch is 24 bytes.
 struct PageFetchReq {
+    /// PageOwner::kMaxWorksetAround: a boosted window's pages all fit one
+    /// request to their holder.
+    static constexpr std::uint32_t kMaxPages = 32;
     Pid pid;
-    mem::Vaddr va;
-    bool downgrade; ///< holder drops write permission (Exclusive -> Shared)
+    std::uint32_t count;
+    /// Bit i: the holder drops write permission on va[i] (Exclusive ->
+    /// Shared) before copying it.
+    std::uint32_t downgrade;
+    std::array<mem::Vaddr, kMaxPages> va;
 };
+static_assert(PageFetchReq::kMaxPages <= 8 * sizeof(PageFetchReq::downgrade),
+              "the downgrade bitmask must cover every page of a fetch");
 
 struct PageFetchResp {
     bool ok;
@@ -215,6 +228,8 @@ static_assert(offsetof(PageFaultResp, data) == 8,
               "dataless PageFaultResp wire size");
 static_assert(offsetof(PageFetchResp, data) == 1,
               "dataless PageFetchResp wire size");
+static_assert(offsetof(PageFetchReq, va) + sizeof(mem::Vaddr) == 24,
+              "a one-page PageFetchReq keeps the single-page wire size");
 static_assert(offsetof(PageInvalidateResp, data) == 2,
               "dataless PageInvalidateResp wire size");
 static_assert(offsetof(PagePushMsg, data) == 19,
@@ -222,6 +237,10 @@ static_assert(offsetof(PagePushMsg, data) == 19,
 
 inline std::size_t wire_bytes(const PageFaultResp& r) {
     return offsetof(PageFaultResp, data) + (r.data_included ? mem::kPageSize : 0);
+}
+inline std::size_t wire_bytes(const PageFetchReq& r) {
+    return offsetof(PageFetchReq, va) +
+           static_cast<std::size_t>(r.count) * sizeof(mem::Vaddr);
 }
 inline std::size_t wire_bytes(const PageFetchResp& r) {
     return offsetof(PageFetchResp, data) + (r.ok ? mem::kPageSize : 0);

@@ -37,7 +37,7 @@ enum class MsgType : std::uint16_t {
     kVmaUpdate,         ///< apply a VMA change to a replica (nb)
     // Address space: page-ownership layer (core/page_owner)
     kPageFault,         ///< remote fault: request access from directory (blk)
-    kPageFetch,         ///< directory -> owner: send current bytes (nb)
+    kPageFetch,         ///< directory -> holder: a page list's bytes, a reply each (leaf)
     kPageInvalidate,    ///< directory -> holder: drop your copy (nb)
     kPageInstalled,     ///< requester -> directory: install done, commit (nb)
     // Distributed futex (core/dfutex)
@@ -139,6 +139,26 @@ struct Message {
         RKO_ASSERT_MSG(hdr.payload_size > 0 && hdr.payload_size <= sizeof(T),
                        "payload prefix size out of range");
         return *reinterpret_cast<const T*>(payload.data());
+    }
+
+    /// Starts a T in place in the slot, for a sender that fills a
+    /// page-sized payload directly instead of copying a stack temporary in.
+    /// Charges sizeof(T) until truncate_payload cuts it to the bytes the
+    /// receiver reads (see set_payload_prefix).
+    template <typename T>
+    T& emplace_payload() {
+        static_assert(std::is_trivially_copyable_v<T>, "payloads must be PODs");
+        static_assert(sizeof(T) <= kMaxPayload, "payload too large for a slot");
+        hdr.payload_size = static_cast<std::uint32_t>(sizeof(T));
+        return *reinterpret_cast<T*>(payload.data());
+    }
+
+    /// Cuts the charged payload to its first `bytes` (set_payload_prefix
+    /// for an emplaced payload).
+    void truncate_payload(std::size_t bytes) {
+        RKO_ASSERT_MSG(bytes > 0 && bytes <= hdr.payload_size,
+                       "a payload can only be truncated");
+        hdr.payload_size = static_cast<std::uint32_t>(bytes);
     }
 
     template <typename T>

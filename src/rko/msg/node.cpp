@@ -190,55 +190,72 @@ std::vector<MessagePtr> Node::rpc_all(const std::vector<KernelId>& dsts,
     return rpc_scatter(std::move(items));
 }
 
-std::vector<MessagePtr> Node::rpc_scatter(std::vector<ScatterItem> items) {
+std::vector<MessagePtr> Node::rpc_scatter(std::vector<ScatterItem> items,
+                                          RpcStatus* status) {
     sim::Actor& self = engine_.current();
     RKO_ASSERT_MSG(&self != dispatcher_.get(), "dispatcher must never block on rpc");
     RKO_ASSERT_MSG(!is_leaf_worker(&self), "leaf handlers must never rpc");
     if (dead_) throw LocalNodeDead{};
-    std::vector<MessagePtr> replies(items.size());
+    std::size_t parts = 0;
+    for (const ScatterItem& item : items) {
+        RKO_ASSERT_MSG(item.replies >= 1, "a scatter item expects at least one reply");
+        parts += item.replies;
+    }
+    std::vector<MessagePtr> replies(parts);
+    if (status != nullptr) *status = RpcStatus::kOk;
     if (items.empty()) return replies;
 
     PendingReply slot;
     slot.waiter = &self;
-    slot.outstanding = static_cast<int>(items.size());
+    slot.outstanding = static_cast<int>(parts);
     slot.sink = &replies;
 
     ++scatter_batches_;
     scatter_posts_ += items.size();
     scatter_fanout_.add(static_cast<Nanos>(items.size()));
-    for (std::size_t i = 0; i < items.size(); ++i) {
+    std::size_t first_part = 0;
+    for (ScatterItem& item : items) {
+        const std::size_t base = first_part;
+        first_part += item.replies;
         // Channel::send yields (publish cost, backpressure), so the node
         // can be killed mid-loop. set_dead already failed every ticket
         // posted so far; a ticket emplaced after that sweep would be
         // orphaned — its send drops silently and no reply or failure ever
         // decrements outstanding — so stop posting and unwind instead.
         if (dead_) throw LocalNodeDead{};
-        if (dead_peers_.count(items[i].dst) != 0) {
-            // Known-dead destination: its reply slot stays null.
-            --slot.outstanding;
-            ++rpc_failures_;
+        if (dead_peers_.count(item.dst) != 0) {
+            // Known-dead destination: all its reply slots stay null.
+            slot.outstanding -= static_cast<int>(item.replies);
+            rpc_failures_ += item.replies;
             slot.status = RpcStatus::kPeerDead;
             continue;
         }
-        MessagePtr request = std::move(items[i].request);
-        request->hdr.kind = MsgKind::kRequest;
-        request->hdr.ticket = next_ticket_++;
-        pending_.emplace(request->hdr.ticket, &slot);
-        ticket_index_.emplace(request->hdr.ticket, i);
-        ticket_dst_.emplace(request->hdr.ticket, items[i].dst);
-        send(items[i].dst, std::move(request));
+        item.request->hdr.kind = MsgKind::kRequest;
+        item.request->hdr.ticket = next_ticket_;
+        for (std::uint32_t part = 0; part < item.replies; ++part) {
+            const std::uint64_t ticket = next_ticket_++;
+            pending_.emplace(ticket, &slot);
+            ticket_index_.emplace(ticket, base + part);
+            ticket_dst_.emplace(ticket, item.dst);
+        }
+        send(item.dst, std::move(item.request));
     }
     const Nanos wait_start = engine_.now();
     while (slot.outstanding > 0) self.park();
     if (dead_) throw LocalNodeDead{};
     scatter_wait_.add(engine_.now() - wait_start);
+    if (status != nullptr) *status = slot.status;
     return replies;
 }
 
 void Node::reply(const Message& request, MessagePtr response) {
+    reply_part(request, 0, std::move(response));
+}
+
+void Node::reply_part(const Message& request, std::uint32_t part, MessagePtr response) {
     RKO_ASSERT(request.hdr.kind == MsgKind::kRequest);
     response->hdr.kind = MsgKind::kReply;
-    response->hdr.ticket = request.hdr.ticket;
+    response->hdr.ticket = request.hdr.ticket + part;
     send(request.hdr.src, std::move(response));
 }
 

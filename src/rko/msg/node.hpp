@@ -102,8 +102,12 @@ public:
     MessagePtr rpc_timed(KernelId dst, MessagePtr request, Nanos timeout,
                          RpcStatus* status = nullptr);
 
-    /// Sends `response` as the reply to `request`.
+    /// Sends `response` as the reply to `request` (its part 0).
     void reply(const Message& request, MessagePtr response);
+    /// Sends `response` as part `part` of a multi-part reply to `request`
+    /// (a scatter item posted with ScatterItem::replies > part). Each part
+    /// is one message; the parts fill consecutive result slots.
+    void reply_part(const Message& request, std::uint32_t part, MessagePtr response);
 
     /// Sends `request` to every kernel in `dsts` and parks until all
     /// replies arrive; returns them in dst order. The request is copied per
@@ -122,12 +126,20 @@ public:
     struct ScatterItem {
         KernelId dst;
         MessagePtr request;
+        /// Reply messages the destination sends for this request
+        /// (reply_part 0 .. replies-1). The item reserves that many
+        /// consecutive tickets; the request carries the first.
+        std::uint32_t replies = 1;
     };
-    /// Posts to destinations already declared dead are not sent and their
-    /// reply slots stay null; a destination dying mid-wait also nulls its
-    /// slot (fail_pending). Callers that can race peer death must
-    /// .filter/skip null entries; with no dead peers every entry is set.
-    std::vector<MessagePtr> rpc_scatter(std::vector<ScatterItem> items);
+    /// The result has one slot per reply part, items in post order and
+    /// each item's parts in part order. Posts to destinations already
+    /// declared dead are not sent and all their parts stay null; a
+    /// destination dying mid-wait nulls the parts that have not arrived
+    /// (fail_pending). Callers that can race peer death must skip null
+    /// entries; with no dead peers every entry is set. `status`, when
+    /// given, is kPeerDead if any part failed, else kOk.
+    std::vector<MessagePtr> rpc_scatter(std::vector<ScatterItem> items,
+                                        RpcStatus* status = nullptr);
 
     // --- Elastic membership hooks (rko/elastic) ---
 
@@ -182,7 +194,6 @@ private:
         MessagePtr reply;
         int outstanding = 1; ///< for rpc_all fan-in
         std::vector<MessagePtr>* sink = nullptr;
-        std::size_t sink_index = 0;
         RpcStatus status = RpcStatus::kOk; ///< sticky: any failed ticket
     };
 
@@ -232,7 +243,7 @@ private:
 
     std::uint64_t next_ticket_ = 1;
     std::unordered_map<std::uint64_t, PendingReply*> pending_;
-    std::unordered_map<std::uint64_t, std::size_t> ticket_index_; // rpc_all fan-in order
+    std::unordered_map<std::uint64_t, std::size_t> ticket_index_; // scatter result slot
     std::unordered_map<std::uint64_t, KernelId> ticket_dst_;      // for fail_pending
     std::unordered_set<std::uint64_t> cancelled_; // timed-out tickets: drop late replies
     std::unordered_set<KernelId> dead_peers_;

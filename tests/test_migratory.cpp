@@ -188,6 +188,119 @@ TEST(Pages, SpinningReadersRevertMigratory) {
     EXPECT_FALSE(entry.migratory);
 }
 
+// A guest read of a migratory page stays an ownership grant when it is a
+// streaking read fault at the home, whose window folds its faulting page
+// into a read share everywhere else (DESIGN §10).
+TEST(Pages, MigratoryPageInHomeStreakIsGranted) {
+    constexpr int kPages = 32;
+    // With a window of 8 the stream's faults from the third on land at
+    // pages 2, 10, 18 and 26, each opening a window.
+    constexpr int kHot = 10;
+    auto config = four_kernels();
+    config.prefetch_window = 8;
+    Machine machine(config);
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    const auto at = [&buf](int i) { return buf + static_cast<Vaddr>(i) * kPageSize; };
+    auto& init = process.spawn([&](Guest& g) { buf = g.mmap(kPages * kPageSize); }, 0);
+    // Kernel 1 writes every page, so each is Exclusive there.
+    auto& fill = process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            for (int i = 0; i < kPages; ++i) {
+                g.write<std::uint64_t>(at(i), 0x100U + static_cast<std::uint64_t>(i));
+            }
+        },
+        1);
+    // Kernels 0 and 1 take turns to read then write the hot page: it turns
+    // migratory and ends Exclusive, and dirty, at kernel 1.
+    auto& turn0 = process.spawn(
+        [&](Guest& g) {
+            g.join(fill);
+            g.write<std::uint64_t>(at(kHot), g.read<std::uint64_t>(at(kHot)) + 1);
+        },
+        0);
+    auto& turn1 = process.spawn(
+        [&](Guest& g) {
+            g.join(turn0);
+            g.write<std::uint64_t>(at(kHot), g.read<std::uint64_t>(at(kHot)) + 1);
+        },
+        1);
+    PageCounters before;
+    process.spawn(
+        [&](Guest& g) {
+            g.join(turn1);
+            before = page_counters(machine);
+            for (int i = 0; i < kPages; ++i) {
+                const std::uint64_t want =
+                    0x100U + static_cast<std::uint64_t>(i) + (i == kHot ? 2 : 0);
+                EXPECT_EQ(g.read<std::uint64_t>(at(i)), want) << "page " << i;
+            }
+        },
+        0);
+    machine.run();
+    process.check_all_joined();
+    EXPECT_TRUE(check::run_all(machine).ok());
+
+    const PageCounters after = page_counters(machine);
+    EXPECT_GT(before.grants, 0u) << "the turns never made the page migratory";
+    EXPECT_EQ(after.grants - before.grants, 1u)
+        << "the streak read the migratory page as a replica";
+    // The home took the page over and maps it writable.
+    core::ProcessSite& home = machine.kernel(0).site(process.pid());
+    const std::uint64_t vpn = mem::vpn_of(at(kHot));
+    const core::PageDirEntry& entry = home.dir_shard(vpn).entries.at(vpn);
+    EXPECT_EQ(entry.state, core::PageDirEntry::State::kExclusive);
+    EXPECT_EQ(entry.owner, 0);
+    EXPECT_TRUE(entry.migratory);
+    const mem::Pte* pte = home.space().page_table().find(at(kHot));
+    ASSERT_NE(pte, nullptr);
+    EXPECT_TRUE(pte->present);
+    EXPECT_NE(pte->prot & mem::kProtWrite, 0u);
+}
+
+// A streaking home read folds its faulting page into the window's fetch.
+// Like the demand transaction it replaces, it records the home as the
+// page's reader when it downgrades the last writer, so the home's next
+// store makes the page migratory. A window page granted ahead of its fault
+// records nothing.
+TEST(Pages, FoldedHomeReadFeedsMigratoryDetector) {
+    constexpr int kPages = 16;
+    constexpr int kFolded = 10; // a streak fault (see above)
+    constexpr int kWindowPage = 11;
+    auto config = four_kernels();
+    config.prefetch_window = 8;
+    Machine machine(config);
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    const auto at = [&buf](int i) { return buf + static_cast<Vaddr>(i) * kPageSize; };
+    auto& init = process.spawn([&](Guest& g) { buf = g.mmap(kPages * kPageSize); }, 0);
+    auto& fill = process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            for (int i = 0; i < kPages; ++i) g.write<std::uint64_t>(at(i), 1);
+        },
+        1);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(fill);
+            for (int i = 0; i < kPages; ++i) EXPECT_EQ(g.read<std::uint64_t>(at(i)), 1u);
+            g.write<std::uint64_t>(at(kFolded), 2);
+            g.write<std::uint64_t>(at(kWindowPage), 2);
+        },
+        0);
+    machine.run();
+    process.check_all_joined();
+    EXPECT_TRUE(check::run_all(machine).ok());
+    core::ProcessSite& home = machine.kernel(0).site(process.pid());
+    const auto entry = [&](int i) {
+        const std::uint64_t vpn = mem::vpn_of(at(i));
+        return home.dir_shard(vpn).entries.at(vpn);
+    };
+    EXPECT_TRUE(entry(kFolded).migratory);
+    EXPECT_FALSE(entry(kWindowPage).migratory);
+}
+
 // The futex path peeks at lock words from the origin (ensure_readable).
 // A peek that fed the detector would turn every contended lock word
 // migratory; the peek is a plain read share, so a cross-kernel mutex

@@ -506,6 +506,66 @@ TEST(Node, RpcScatterEmptyReturnsImmediately) {
     h.finish();
 }
 
+/// A request for `parts` reply parts; part i answers value * 10 + i.
+struct PartsPayload {
+    int value = 0;
+    std::uint32_t parts = 1;
+};
+
+/// Inline kPing handler answering every part of a PartsPayload request.
+void answer_parts(Node& node, MessagePtr m) {
+    const auto req = m->payload_as<PartsPayload>();
+    for (std::uint32_t i = 0; i < req.parts; ++i) {
+        node.reply_part(*m, i,
+                        make_message(MsgType::kPing, MsgKind::kReply,
+                                     PingPayload{req.value * 10 + static_cast<int>(i)}));
+    }
+}
+
+Node::ScatterItem parts_item(KernelId dst, int value, std::uint32_t parts) {
+    return {dst,
+            make_message(MsgType::kPing, MsgKind::kRequest, PartsPayload{value, parts}),
+            parts};
+}
+
+std::vector<int> part_values(const std::vector<MessagePtr>& replies) {
+    std::vector<int> values;
+    for (const auto& r : replies) {
+        values.push_back(r == nullptr ? -1 : r->payload_as<PingPayload>().value);
+    }
+    return values;
+}
+
+TEST(Node, RpcScatterMultiPartRepliesFillConsecutiveSlots) {
+    // Multi-part items, single-reply items and a repeated destination in one
+    // scatter: every part lands in its own slot, items in post order and
+    // each item's parts in part order.
+    Harness h(3);
+    for (KernelId k = 1; k < 3; ++k) {
+        h.fabric->node(k).register_handler(MsgType::kPing, HandlerClass::kInline,
+                                           answer_parts);
+    }
+    h.start();
+    std::vector<int> answers;
+    Actor app(h.engine, "app", [&](Actor&) {
+        std::vector<Node::ScatterItem> items;
+        items.push_back(parts_item(2, 1, 3));
+        items.push_back(parts_item(1, 2, 1));
+        items.push_back(parts_item(2, 3, 2));
+        items.push_back(parts_item(1, 4, 4));
+        RpcStatus status = RpcStatus::kPeerDead;
+        answers = part_values(h.fabric->node(0).rpc_scatter(std::move(items), &status));
+        EXPECT_EQ(status, RpcStatus::kOk);
+    });
+    app.start();
+    h.engine.run_until(10_ms);
+    EXPECT_EQ(answers, (std::vector<int>{10, 11, 12, 20, 30, 31, 40, 41, 42, 43}));
+    EXPECT_EQ(h.fabric->node(0).scatter_batches(), 1u);
+    EXPECT_EQ(h.fabric->node(0).scatter_posts(), 4u);
+    EXPECT_EQ(h.fabric->node(0).pending_replies(), 0u);
+    h.finish();
+}
+
 TEST(Node, RpcAllCountsAsOneScatterBatch) {
     // rpc_all delegates to rpc_scatter: N posts, one park, one batch.
     Harness h(4);
@@ -694,6 +754,108 @@ TEST(NodeElastic, ScatterToDeadPeerLeavesNullSlotOthersComplete) {
     app.start();
     h.engine.run_until(10_ms);
     EXPECT_EQ(answers, (std::vector<int>{1, -1, 3}));
+    h.finish();
+}
+
+TEST(NodeElastic, MultiPartScatterToDeadPeerNullsEveryPart) {
+    Harness h(3);
+    for (KernelId k = 1; k < 3; ++k) {
+        h.fabric->node(k).register_handler(MsgType::kPing, HandlerClass::kInline,
+                                           answer_parts);
+    }
+    h.start();
+    std::vector<int> answers;
+    RpcStatus status = RpcStatus::kOk;
+    Actor app(h.engine, "app", [&](Actor&) {
+        h.fabric->node(0).set_peer_dead(2);
+        std::vector<Node::ScatterItem> items;
+        items.push_back(parts_item(1, 1, 2));
+        items.push_back(parts_item(2, 2, 3));
+        items.push_back(parts_item(1, 3, 1));
+        answers = part_values(h.fabric->node(0).rpc_scatter(std::move(items), &status));
+    });
+    app.start();
+    h.engine.run_until(10_ms);
+    EXPECT_EQ(answers, (std::vector<int>{10, 11, -1, -1, -1, 30}));
+    EXPECT_EQ(status, RpcStatus::kPeerDead);
+    EXPECT_EQ(h.fabric->node(0).rpc_failures(), 3u); // one per part
+    EXPECT_EQ(h.fabric->node(0).pending_replies(), 0u);
+    h.finish();
+}
+
+/// Blocking kVmaOp handler: sends parts 0..`sent`-1 of a PartsPayload
+/// request, then stalls for 500 us before the rest.
+void answer_parts_slowly(sim::Engine& engine, Node& node, const MessagePtr& m,
+                         std::uint32_t sent) {
+    const auto req = m->payload_as<PartsPayload>();
+    for (std::uint32_t i = 0; i < req.parts; ++i) {
+        if (i == sent) engine.current().sleep_for(500_us);
+        node.reply_part(*m, i,
+                        make_message(MsgType::kVmaOp, MsgKind::kReply,
+                                     PingPayload{req.value * 10 + static_cast<int>(i)}));
+    }
+}
+
+TEST(NodeElastic, PeerDeathMidReplyNullsTheMissingParts) {
+    // The destination answers 2 of 5 parts, then dies: the arrived parts
+    // stay, the other 3 are nulled and the waiter unparks.
+    Harness h(2);
+    h.fabric->node(1).register_handler(
+        MsgType::kVmaOp, HandlerClass::kBlocking,
+        [&](Node& node, MessagePtr m) { answer_parts_slowly(h.engine, node, m, 2); });
+    h.start();
+    std::vector<int> answers;
+    RpcStatus status = RpcStatus::kOk;
+    Nanos returned_at = -1;
+    Actor app(h.engine, "app", [&](Actor& self) {
+        std::vector<Node::ScatterItem> items;
+        items.push_back({1,
+                         make_message(MsgType::kVmaOp, MsgKind::kRequest,
+                                      PartsPayload{7, 5}),
+                         5});
+        answers = part_values(h.fabric->node(0).rpc_scatter(std::move(items), &status));
+        returned_at = self.now();
+    });
+    app.start();
+    Actor killer(h.engine, "killer", [&](Actor&) {
+        h.fabric->node(1).set_dead();
+        h.fabric->node(0).set_peer_dead(1);
+    });
+    killer.start(200_us);
+    h.engine.run_until(5_ms);
+    EXPECT_EQ(answers, (std::vector<int>{70, 71, -1, -1, -1}));
+    EXPECT_EQ(status, RpcStatus::kPeerDead);
+    EXPECT_EQ(returned_at, 200_us);
+    EXPECT_EQ(h.fabric->node(0).rpc_failures(), 3u);
+    EXPECT_EQ(h.fabric->node(0).pending_replies(), 0u);
+    h.finish();
+}
+
+TEST(NodeElastic, CallerKilledMidMultiPartWaitThrowsLocalNodeDead) {
+    Harness h(2);
+    h.fabric->node(1).register_handler(
+        MsgType::kVmaOp, HandlerClass::kBlocking,
+        [&](Node& node, MessagePtr m) { answer_parts_slowly(h.engine, node, m, 1); });
+    h.start();
+    bool unwound = false;
+    Actor app(h.engine, "app", [&](Actor&) {
+        std::vector<Node::ScatterItem> items;
+        items.push_back({1,
+                         make_message(MsgType::kVmaOp, MsgKind::kRequest,
+                                      PartsPayload{7, 3}),
+                         3});
+        try {
+            h.fabric->node(0).rpc_scatter(std::move(items));
+        } catch (const LocalNodeDead&) {
+            unwound = true;
+        }
+    });
+    app.start();
+    Actor killer(h.engine, "killer", [&](Actor&) { h.fabric->node(0).set_dead(); });
+    killer.start(200_us);
+    h.engine.run_until(5_ms);
+    EXPECT_TRUE(unwound);
+    EXPECT_EQ(h.fabric->node(0).pending_replies(), 0u);
     h.finish();
 }
 

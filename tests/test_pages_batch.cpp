@@ -86,6 +86,18 @@ TEST(WireSize, RangedRequestScalesWithCount) {
     EXPECT_LT(core::wire_bytes(req), sizeof(req)); // never the full array
 }
 
+TEST(WireSize, PageFetchRequestScalesWithCount) {
+    // A one-page fetch keeps the single-page request's 24 bytes; a list
+    // adds one address per page, never the full array.
+    core::PageFetchReq req{};
+    req.count = 1;
+    EXPECT_EQ(core::wire_bytes(req), 24u);
+    req.count = 8;
+    EXPECT_EQ(core::wire_bytes(req), 24u + 7 * sizeof(mem::Vaddr));
+    req.count = core::PageFetchReq::kMaxPages;
+    EXPECT_EQ(core::wire_bytes(req), sizeof(req));
+}
+
 TEST(WireSize, DatalessUpgradeCostsHeadersNotPages) {
     // k1 is already a sharer, so its write upgrade moves no page bytes:
     // the invalidation to k0 and the fault reply are both dataless. The
@@ -410,6 +422,10 @@ struct StreamRun {
     std::uint64_t demand_faults = 0;
     /// rpc_scatter rounds kernel 0 (the home) posted during the stream.
     std::uint64_t home_scatters = 0;
+    /// kPageFetch requests the writer kernel served during the stream, and
+    /// how often its TLB generation moved meanwhile (once per shootdown).
+    std::uint64_t holder_fetches = 0;
+    std::uint64_t holder_tlb_bumps = 0;
     /// Stream pages whose directory entry ended non-busy and held by
     /// exactly kernels 0 and 1.
     int shared_by_both = 0;
@@ -431,12 +447,21 @@ StreamRun stream_pages(int pages, int window, Reader reader = Reader::kRemote,
         const core::PageOwner& owner = machine.kernel(reader_kernel(reader)).pages();
         return owner.local_faults() + owner.remote_faults();
     };
+    kernel::Kernel& holder = machine.kernel(writer_kernel(reader));
+    const auto holder_fetches = [&holder] {
+        return holder.node().dispatched(msg::MsgType::kPageFetch);
+    };
+    const auto holder_tlb = [&holder, &process] {
+        return holder.site(process.pid()).space().tlb_generation();
+    };
     process.spawn(
         [&, pages](Guest& g) {
             g.join(writer);
             const Vaddr buf = mem::kMmapBase;
             const std::uint64_t faults0 = reader_faults();
             const std::uint64_t scatters0 = machine.kernel(0).node().scatter_batches();
+            const std::uint64_t fetches0 = holder_fetches();
+            const std::uint64_t tlb0 = holder_tlb();
             out.move_time = timed(g, [&] {
                 std::uint64_t sum = 0;
                 for (int i = 0; i < pages; ++i) {
@@ -448,6 +473,8 @@ StreamRun stream_pages(int pages, int window, Reader reader = Reader::kRemote,
             });
             out.demand_faults = reader_faults() - faults0;
             out.home_scatters = machine.kernel(0).node().scatter_batches() - scatters0;
+            out.holder_fetches = holder_fetches() - fetches0;
+            out.holder_tlb_bumps = holder_tlb() - tlb0;
         },
         reader_kernel(reader));
     out.vtime = machine.run();
@@ -541,6 +568,24 @@ TEST(Prefetch, HomeReaderBatchesRemoteOwnedPages) {
     EXPECT_EQ(demand.shared_by_both, 64);
 }
 
+TEST(Prefetch, HomeWindowIsOneFetchPerHolder) {
+    RKO_SKIP_IF_SHARDED(); // kernel 0 must home every page
+    // Kernel 1 owns all 64 pages Exclusive while the home streams them with
+    // a window of 8. Each home fault costs kernel 1 exactly one kPageFetch:
+    // a streaking fault folds its own page into its window's request, so
+    // it sends no separate single-page fetch, and kernel 1 serves the
+    // whole list under one shootdown. One fetch and one shootdown per page
+    // would be 64 of each.
+    const StreamRun run = stream_pages(64, 8, Reader::kHome);
+    EXPECT_LE(run.demand_faults, 10u);
+    EXPECT_EQ(run.holder_fetches, run.demand_faults);
+    EXPECT_EQ(run.holder_tlb_bumps, run.holder_fetches);
+    EXPECT_EQ(run.shared_by_both, 64);
+    // Every page the home did not fault on was granted ahead of its fault.
+    EXPECT_EQ(run.issued, run.hit);
+    EXPECT_EQ(run.issued, 64u - run.demand_faults);
+}
+
 TEST(Prefetch, PushFetchesRemoteSourcesInOneScatter) {
     // Kernel 2 owns every page Exclusive while kernel 1 streams them, so
     // the home holds none of the bytes it pushes: each window's pages are
@@ -632,10 +677,13 @@ TEST(Prefetch, HomeWindowSurvivesSourceDeath) {
         EXPECT_TRUE(report.ok()) << "kill at " << kill_at << " ns\n" << report.to_string();
         return stream_start;
     };
-    // Kill at 5 us steps through the first two windows of the stream.
+    // Kill at 1 us steps through the first window, whose fetch kernel 1
+    // answers in eight reply parts, so some kills land between the parts
+    // of one reply; then at 5 us steps through the next windows.
     const Nanos start = run(0);
     ASSERT_GT(start, 0);
-    for (Nanos offset = 5_us; offset <= 100_us; offset += 5_us) run(start + offset);
+    for (Nanos offset = 1_us; offset <= 40_us; offset += 1_us) run(start + offset);
+    for (Nanos offset = 45_us; offset <= 100_us; offset += 5_us) run(start + offset);
 }
 
 TEST(Prefetch, SameSeedRunsAreBitIdentical) {
