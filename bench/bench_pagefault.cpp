@@ -307,8 +307,8 @@ int main(int argc, char** argv) {
         // stride is detected after 3 faults; from then on every round trip
         // moves up to 8 pages. Two placements around the home (kernel 0,
         // the origin, which maps the region):
-        //   remote — written on kernel 0, read on kernel 1: one
-        //            kPageFaultBatch reply + up to 7 pushes per window;
+        //   remote — written on kernel 0, read on kernel 1: one windowed
+        //            kPageFault reply + up to 7 pushes per window;
         //   home   — written on kernel 1, read on kernel 0: the home fetches
         //            up to 7 pages per window in one kPageFetch scatter.
         struct StreamStats {

@@ -17,8 +17,12 @@
 #                installed)
 #   5. asan/tsan: scripts/check.sh (ASan+UBSan tree, then TSan tree)
 #   6. explore:  400-seed schedule-exploration sweep over every scenario
-#                with invariant audits armed (RKO_CHECK=1); failures print
-#                the offending seed and its repro line
+#                with invariant audits armed (RKO_CHECK=1), then a 50-seed
+#                sweep with sharded homes and working-set push on
+#                (RKO_HOME_SHARDS=4 RKO_WORKSET_PUSH=32) — the only sweep
+#                whose faults meet shard rebuilds and moving homes (the
+#                kRetry paths); failures print the offending seed and its
+#                repro line
 #   7. bench:    quick page-fault + rebalance + futex + migration +
 #                mmap-scale + apps benches vs the committed baselines —
 #                virtual time is exactly reproducible, so any >10% drift in
@@ -39,7 +43,8 @@
 #                the metric names against BENCHMARK.json — a library change
 #                that breaks the benchmark fails here
 #
-# Usage: scripts/ci.sh [--quick]   (--quick: 25 explore seeds, skip sanitizers)
+# Usage: scripts/ci.sh [--quick]   (--quick: 25 + 10 explore seeds, skip
+#                                   sanitizers)
 set -e
 cd "$(dirname "$0")/.."
 
@@ -47,7 +52,8 @@ QUICK=0
 [ "$1" = "--quick" ] && QUICK=1
 JOBS="$(nproc 2>/dev/null || echo 4)"
 EXPLORE_SEEDS=400
-[ "$QUICK" = 1 ] && EXPLORE_SEEDS=25
+SHARDED_SEEDS=50
+[ "$QUICK" = 1 ] && EXPLORE_SEEDS=25 && SHARDED_SEEDS=10
 
 fail() {
   echo "" >&2
@@ -84,9 +90,12 @@ else
   scripts/check.sh || fail sanitizers "scripts/check.sh"
 fi
 
-echo "=== ci.sh stage 6/7: ${EXPLORE_SEEDS}-seed schedule exploration ==="
+echo "=== ci.sh stage 6/7: ${EXPLORE_SEEDS}-seed schedule exploration, then ${SHARDED_SEEDS} sharded ==="
 RKO_CHECK=1 ./build/tools/rko_explore --seeds "$EXPLORE_SEEDS" \
   || fail explore "RKO_CHECK=1 ./build/tools/rko_explore --seeds $EXPLORE_SEEDS"
+RKO_HOME_SHARDS=4 RKO_WORKSET_PUSH=32 RKO_CHECK=1 \
+  ./build/tools/rko_explore --seeds "$SHARDED_SEEDS" \
+  || fail explore "RKO_HOME_SHARDS=4 RKO_WORKSET_PUSH=32 RKO_CHECK=1 ./build/tools/rko_explore --seeds $SHARDED_SEEDS"
 
 echo "=== ci.sh stage 7/7: bench regression gate ==="
 mkdir -p build/bench_out

@@ -43,11 +43,11 @@ struct MachineConfig {
     /// (the paper's protocol), false = migrate-on-any-fault (no Shared
     /// state; see DESIGN.md §5).
     bool read_replication = true;
-    /// Fault-around prefetch window in pages (DESIGN.md §10). A remote read
-    /// fault from a thread with a detected sequential stride is upgraded to
-    /// a batched transaction covering up to this many pages. <= 1 disables
-    /// the detector entirely: runs are bit-identical to the pre-prefetch
-    /// protocol (no kPageFaultBatch messages exist on the wire).
+    /// Fault-around prefetch window in pages (DESIGN.md §10). A read fault
+    /// from a thread with a detected sequential stride carries a window of
+    /// up to this many pages, which the home grants in one transaction
+    /// round. <= 1 disables the detector entirely: runs are bit-identical
+    /// to the pre-prefetch protocol (no fault carries a window).
     int prefetch_window = 1;
     /// Hierarchical futex (DESIGN.md §13): remote waiters on the same
     /// (pid, uaddr) aggregate into a per-kernel convoy, the origin fans

@@ -202,8 +202,8 @@ void Migration::on_migrate(msg::Node& node, msg::MessagePtr m) {
     }
     // The stride detector must restart on arrival — a revisit reactivates
     // the task's OLD record here, and a stale last_fault_page/fault_run
-    // pair would fire a bogus multi-page kPageFaultBatch on the first
-    // unrelated fault. The fault stream crosses a different fabric edge
+    // pair would send a bogus multi-page window on the first unrelated
+    // fault. The fault stream crosses a different fabric edge
     // now; fresh records get the same treatment for uniformity.
     t->last_fault_page = 0;
     t->fault_run = 0;

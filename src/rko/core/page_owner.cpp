@@ -54,14 +54,37 @@ msg::MessagePtr fetch_request(const PageFetchReq& req) {
                                     req, wire_bytes(req));
 }
 
-/// A one-page kPageFetch.
-msg::MessagePtr fetch_request(Pid pid, mem::Vaddr page, bool downgrade) {
+/// A one-page kPageFetch. With `drop` the holder hands its copy over: it
+/// unmaps and frees the page after the copy.
+msg::MessagePtr fetch_request(Pid pid, mem::Vaddr page, bool downgrade,
+                              bool drop = false) {
     PageFetchReq req{};
     req.pid = pid;
     req.count = 1;
+    req.drop = drop;
     req.downgrade = downgrade ? 1u : 0u;
     req.va[0] = page;
     return fetch_request(req);
+}
+
+/// A one-offset kPageInvalidateRange dropping `vpn`, built in its message
+/// slot: the request struct is 2 KiB, of which 28 bytes travel.
+msg::MessagePtr drop_request(Pid pid, std::uint64_t vpn) {
+    auto m = msg::make_message(msg::MsgType::kPageInvalidateRange,
+                               msg::MsgKind::kRequest);
+    auto& req = m->emplace_payload<PageInvalidateRangeReq>();
+    req.pid = pid;
+    req.op = InvalidateRangeOp::kDrop;
+    req.count = 1;
+    req.base_vpn = vpn;
+    req.vpn_offset[0] = 0;
+    m->truncate_payload(wire_bytes(req));
+    return m;
+}
+
+mem::Mmu::FaultResult fault_result(FaultStatus status) {
+    return status == FaultStatus::kSegv ? mem::Mmu::FaultResult::kSegv
+                                        : mem::Mmu::FaultResult::kFixed;
 }
 
 /// Attributes an installed guest fault to the kernel that supplied its
@@ -156,18 +179,8 @@ void PageOwner::install() {
         msg::MsgType::kPageFault, msg::HandlerClass::kBlocking,
         [this](msg::Node& node, msg::MessagePtr m) { on_page_fault(node, std::move(m)); });
     k_.node().register_handler(
-        msg::MsgType::kPageFaultBatch, msg::HandlerClass::kBlocking,
-        [this](msg::Node& node, msg::MessagePtr m) {
-            on_page_fault_batch(node, std::move(m));
-        });
-    k_.node().register_handler(
         msg::MsgType::kPageFetch, msg::HandlerClass::kLeaf,
         [this](msg::Node& node, msg::MessagePtr m) { on_page_fetch(node, std::move(m)); });
-    k_.node().register_handler(
-        msg::MsgType::kPageInvalidate, msg::HandlerClass::kLeaf,
-        [this](msg::Node& node, msg::MessagePtr m) {
-            on_page_invalidate(node, std::move(m));
-        });
     k_.node().register_handler(
         msg::MsgType::kPageInvalidateRange, msg::HandlerClass::kLeaf,
         [this](msg::Node& node, msg::MessagePtr m) {
@@ -204,55 +217,38 @@ void PageOwner::install() {
 
 void PageOwner::serve_fetch(ProcessSite& site, std::span<FetchPart> parts) {
     WriteGuard guard(site.space().mmap_lock());
-    // Each page is downgraded BEFORE its bytes are captured: a local writer
-    // slipping one more store in after the copy would diverge from the
-    // shipped data. The protects and the generation bump share a no-yield
-    // window, and the sleeps land after it closes (stale-TLB hazard, see
-    // local_invalidate).
-    bool downgraded = false;
+    // Each page is narrowed (dropped, or its write bit stripped) BEFORE its
+    // bytes are captured, so no local store can race past the copy.
+    // INVARIANT: the PTE changes and the TLB-generation bump must land in
+    // the same no-yield window — any sleep in between (the copies, a frame
+    // free's allocator time) would let a local task's soft-TLB serve a
+    // stale writable pointer into a frame being narrowed or reclaimed. So
+    // the sleeps and the frees all come after the bump.
+    bool narrowed = false;
     Nanos copy_cost = 0;
+    std::vector<mem::Paddr> dropped;
     for (FetchPart& part : parts) {
         const mem::Pte* pte = site.space().page_table().find(part.va);
-        part.ok = pte != nullptr && pte->present;
-        if (!part.ok) continue;
-        if (part.downgrade && (pte->prot & mem::kProtWrite) != 0) {
-            site.space().page_table().protect(part.va, pte->prot & ~mem::kProtWrite);
-            downgraded = true;
+        part.had_page = 0;
+        if (pte == nullptr || !pte->present) continue;
+        const mem::Pte old = *pte;
+        part.had_page = old.dirty ? PageFetchResp::kHadPage | PageFetchResp::kDirty
+                                  : PageFetchResp::kHadPage;
+        if (part.drop) {
+            site.space().page_table().clear(part.va);
+            dropped.push_back(old.paddr);
+            narrowed = true;
+        } else if (part.downgrade && (old.prot & mem::kProtWrite) != 0) {
+            site.space().page_table().protect(part.va, old.prot & ~mem::kProtWrite);
+            narrowed = true;
         }
-        std::memcpy(part.out, k_.phys().frame_ptr(pte->paddr), mem::kPageSize);
+        std::memcpy(part.out, k_.phys().frame_ptr(old.paddr), mem::kPageSize);
         copy_cost += k_.costs().page_copy;
     }
-    if (downgraded) site.space().bump_tlb_generation();
+    if (narrowed) site.space().bump_tlb_generation();
     if (copy_cost != 0) sim::current_actor().sleep_for(copy_cost);
-    if (downgraded) sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
-}
-
-std::uint8_t PageOwner::local_invalidate(ProcessSite& site, mem::Vaddr page,
-                                         bool want_data, std::byte* out,
-                                         bool* data_included) {
-    WriteGuard guard(site.space().mmap_lock());
-    const mem::Pte* pte = site.space().page_table().find(page);
-    RKO_TRACE("%lld invalidate k=%d page=%llx present=%d",
-              static_cast<long long>(k_.engine().now()), k_.id(),
-              static_cast<unsigned long long>(page),
-              static_cast<int>(pte != nullptr && pte->present));
-    if (pte == nullptr || !pte->present) return 0;
-    // INVARIANT: the PTE clear and the TLB-generation bump must land in the
-    // same no-yield window — any sleep in between (the data copy, the frame
-    // free's allocator time) would let a local task's soft-TLB serve a
-    // stale writable pointer into the frame being reclaimed. The bytes are
-    // captured AFTER revocation, so no local store can race past the copy.
-    const mem::Pte old = site.space().page_table().clear(page);
-    site.space().bump_tlb_generation();
-    if (want_data) {
-        std::memcpy(out, k_.phys().frame_ptr(old.paddr), mem::kPageSize);
-        sim::current_actor().sleep_for(k_.costs().page_copy);
-        *data_included = true;
-    }
-    k_.frames().free(old.paddr);
-    sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
-    return old.dirty ? PageInvalidateResp::kHadPage | PageInvalidateResp::kDirty
-                     : PageInvalidateResp::kHadPage;
+    for (const mem::Paddr frame : dropped) k_.frames().free(frame);
+    if (narrowed) sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
 }
 
 // ---------------------------------------------------------------------------
@@ -407,7 +403,7 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                 // busy bit. Fall through to the remote sharers if so.
                 FetchPart own{page, false, out.data.data()};
                 if (snapshot.holds(k_.id())) serve_fetch(site, std::span(&own, 1));
-                if (own.ok) {
+                if (own.had_page != 0) {
                     out.source = static_cast<std::uint8_t>(k_.id());
                     have_data = true;
                 } else {
@@ -432,12 +428,12 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                             continue;
                         }
                         const auto& fetched = reply->payload_prefix_as<PageFetchResp>();
-                        if (!fetched.ok) {
+                        if (fetched.had_page == 0) {
                             // The sharer dropped its copy between our
                             // snapshot and the fetch (a munmap's replica
                             // sweep is not gated on our busy bit) — same
-                            // transient the write path tolerates from
-                            // invalidate replies. Try the next sharer.
+                            // transient the write path tolerates from its
+                            // byte source. Try the next sharer.
                             live &= ~topo::kbit(source);
                             continue;
                         }
@@ -465,7 +461,7 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                     // Zero-fill like a dead owner if so.
                     FetchPart own{page, true, out.data.data()};
                     serve_fetch(site, std::span(&own, 1));
-                    have_data = own.ok;
+                    have_data = own.had_page != 0;
                 } else if (!k_.node().peer_dead(snapshot.owner)) {
                     fetches_.inc();
                     msg::RpcStatus st = msg::RpcStatus::kOk;
@@ -473,11 +469,11 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                         snapshot.owner, fetch_request(site.pid(), page, true), &st);
                     if (reply != nullptr) {
                         const auto& fetched = reply->payload_prefix_as<PageFetchResp>();
-                        // ok=false: the owner dropped the page between our
+                        // No copy: the owner dropped the page between our
                         // snapshot and the fetch (munmap replica sweep) —
                         // transient, fall through to zero-fill like a dead
                         // owner.
-                        if (fetched.ok) {
+                        if (fetched.had_page != 0) {
                             out.data = fetched.data;
                             have_data = true;
                         }
@@ -503,11 +499,11 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
         } else {
             // WRITE (or a migratory grant, which transfers ownership the
             // same way): invalidate every other copy CONCURRENTLY. Exactly one
-            // victim is asked for its bytes (`want_data`; all copies agree
-            // in Shared state, and Exclusive has a single holder) — the
-            // rest answer with a dataless two-byte reply — and all the
-            // round trips overlap in one rpc_scatter, so K sharers cost
-            // about one RTT instead of K.
+            // victim, the byte source, hands its copy over in a dropping
+            // kPageFetch (all copies agree in Shared state, and Exclusive
+            // has a single holder); the rest get a one-offset ranged drop
+            // with a dataless reply. All the round trips overlap in one
+            // rpc_scatter, so K sharers cost about one RTT instead of K.
             const bool requester_holds = snapshot.holds(requester);
             topo::KernelMask victims = snapshot.holder_mask() & ~topo::kbit(requester);
             // Dead holders (elastic) cannot answer an invalidate and their
@@ -530,21 +526,27 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
             bool have_data = false;
             // An Exclusive owner that answers without its dirty bit never
             // stored to the page since its grant (reversion, DESIGN §17).
+            // It is the page's only holder, so it is always the byte source.
             const topo::KernelId owner =
                 snapshot.state == PageDirEntry::State::kExclusive ? snapshot.owner : -1;
             bool owner_clean = false;
-            // The origin's own copy drops inline (no message) and is the
+            // The home's own copy drops inline (no message) and is the
             // cheapest byte source when one is needed.
             if ((victims & topo::kbit(k_.id())) != 0) {
                 invalidations_.inc();
-                bool included = false;
-                const std::uint8_t had = local_invalidate(site, page, need_data,
-                                                          out.data.data(), &included);
-                if (had != 0 && included) {
-                    out.source = static_cast<std::uint8_t>(k_.id());
-                    have_data = true;
+                if (need_data) {
+                    FetchPart own{page, false, out.data.data(), /*drop=*/true};
+                    serve_fetch(site, std::span(&own, 1));
+                    if (own.had_page != 0) {
+                        out.source = static_cast<std::uint8_t>(k_.id());
+                        have_data = true;
+                    }
+                    if (owner == k_.id()) {
+                        owner_clean = own.had_page == PageFetchResp::kHadPage;
+                    }
+                } else {
+                    local_drop_range(site, {vpn});
                 }
-                if (owner == k_.id()) owner_clean = had == PageInvalidateResp::kHadPage;
                 victims &= ~topo::kbit(k_.id());
             }
             const topo::KernelId data_source =
@@ -552,31 +554,33 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                     ? static_cast<topo::KernelId>(std::countr_zero(victims))
                     : -1;
             std::vector<msg::Node::ScatterItem> posts;
-            std::vector<topo::KernelId> post_holder;
+            std::size_t source_post = 0;
             for (topo::KernelMask mask = victims; mask != 0; mask &= mask - 1) {
                 const auto holder = static_cast<topo::KernelId>(std::countr_zero(mask));
                 invalidations_.inc();
-                posts.push_back(
-                    {holder,
-                     msg::make_message(msg::MsgType::kPageInvalidate,
-                                       msg::MsgKind::kRequest,
-                                       PageInvalidateReq{site.pid(), page,
-                                                         holder == data_source})});
-                post_holder.push_back(holder);
+                if (holder == data_source) {
+                    source_post = posts.size();
+                    posts.push_back({holder, fetch_request(site.pid(), page,
+                                                           /*downgrade=*/false,
+                                                           /*drop=*/true)});
+                } else {
+                    range_rpcs_.inc();
+                    posts.push_back({holder, drop_request(site.pid(), vpn)});
+                }
             }
             if (!posts.empty()) {
-                auto replies = k_.node().rpc_scatter(std::move(posts));
-                for (std::size_t i = 0; i < replies.size(); ++i) {
-                    if (replies[i] == nullptr) continue; // victim died mid-scatter
-                    const auto& inv =
-                        replies[i]->payload_prefix_as<PageInvalidateResp>();
-                    if (inv.had_page != 0 && inv.data_included) {
-                        out.data = inv.data;
-                        out.source = static_cast<std::uint8_t>(post_holder[i]);
+                const auto replies = k_.node().rpc_scatter(std::move(posts));
+                // A null reply: the byte source died mid-scatter.
+                if (data_source >= 0 && replies[source_post] != nullptr) {
+                    const auto& fetched =
+                        replies[source_post]->payload_prefix_as<PageFetchResp>();
+                    if (fetched.had_page != 0) {
+                        out.data = fetched.data;
+                        out.source = static_cast<std::uint8_t>(data_source);
                         have_data = true;
                     }
-                    if (post_holder[i] == owner) {
-                        owner_clean = inv.had_page == PageInvalidateResp::kHadPage;
+                    if (data_source == owner) {
+                        owner_clean = fetched.had_page == PageFetchResp::kHadPage;
                     }
                 }
             }
@@ -707,7 +711,7 @@ bool PageOwner::install_locally(ProcessSite& site, const mem::Vma& vma,
         sim::current_actor().sleep_for(k_.costs().page_copy);
     }
     // Replace any stale mapping (should not exist; belt and braces). Clear
-    // and bump before the free can yield (see local_invalidate).
+    // and bump before the free can yield (see serve_fetch).
     if (const mem::Pte* old = site.space().page_table().find(page);
         old != nullptr && old->present) {
         const mem::Pte cleared = site.space().page_table().clear(page);
@@ -735,19 +739,20 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
         const bool peers = !site.is_origin() ||
                            (site.group().replica_mask & ~topo::kbit(k_.id())) != 0;
         const std::uint32_t window = peers ? stride_window(vma, page, access, t) : 0;
-        if (window >= 2) return home_window(site, vma, page, access, window, t);
-        return home_fault(site, vma, page, access, t);
+        return fault_result(window >= 2
+                                ? home_window(site, vma, page, access, window, t)
+                                : home_fault(site, vma, page, access, t));
     }
 
     remote_faults_.inc();
     trace::Span span(k_.engine(), k_.id(), "page.fault.remote", page);
 
-    // Fault-around: a thread on a sequential read streak upgrades this
-    // fault into a batched transaction — the home services the faulting
-    // page as usual and pushes the window's remaining pages unsolicited
-    // (kPagePush), turning one RTT per page into one RTT per window. With
-    // the knob off (window <= 1) none of this code runs and the wire
-    // traffic is bit-identical to the plain protocol.
+    // Fault-around: a thread on a sequential read streak sends its fault
+    // with a window — the home services the faulting page as usual and
+    // pushes the window's remaining pages unsolicited (kPagePush), turning
+    // one RTT per page into one RTT per window. With the knob off
+    // (window <= 1) the fault carries no window and the wire traffic is
+    // bit-identical to the plain protocol.
     std::uint32_t window = stride_window(vma, page, access, t);
     // Post-migration boost (§15): a freshly migrated thread's remote read
     // faults batch from the FIRST touch (no min-run — the whole address
@@ -766,45 +771,38 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
             boosted = true;
         }
     }
+    return fault_result(remote_fault(site, vma, home, page, access, window, boosted, t));
+}
 
+FaultStatus PageOwner::remote_fault(ProcessSite& site, const mem::Vma& vma,
+                                    topo::KernelId home, mem::Vaddr page,
+                                    std::uint32_t access, std::uint32_t window,
+                                    bool workset, task::Task* t) {
     const Nanos t0 = k_.engine().now();
     const GrantInFlight in_flight(site, home);
     msg::RpcStatus rpc_status = msg::RpcStatus::kOk;
-    msg::MessagePtr reply;
-    if (window >= 2) {
-        reply = k_.node().rpc(
-            home,
-            msg::make_message(msg::MsgType::kPageFaultBatch, msg::MsgKind::kRequest,
-                              PageFaultBatchReq{site.pid(), page, access, k_.id(),
-                                                window, boosted ? 1u : 0u}),
-            &rpc_status);
-    } else {
-        reply = k_.node().rpc(
-            home,
-            msg::make_message(msg::MsgType::kPageFault, msg::MsgKind::kRequest,
-                              PageFaultReq{site.pid(), page, access, k_.id()}),
-            &rpc_status);
-    }
+    const msg::MessagePtr reply = k_.node().rpc(
+        home,
+        msg::make_message(msg::MsgType::kPageFault, msg::MsgKind::kRequest,
+                          PageFaultReq{site.pid(), page, access,
+                                       static_cast<std::int16_t>(k_.id()),
+                                       static_cast<std::uint8_t>(window), workset}),
+        &rpc_status);
     remote_latency_.add(k_.engine().now() - t0);
-    if (reply == nullptr) {
-        // The home died mid-fault (impossible unsharded: the origin is
-        // immortal). Refault — by the time the MMU retries, the membership
-        // update has re-homed the shard and the route recomputes.
-        return mem::Mmu::FaultResult::kFixed;
-    }
-    const PageFaultResp& fault_resp =
-        window >= 2 ? reply->payload_prefix_as<PageFaultBatchResp>().first
-                    : reply->payload_prefix_as<PageFaultResp>();
-    if (fault_resp.status == FaultStatus::kSegv) return mem::Mmu::FaultResult::kSegv;
-    if (fault_resp.status == FaultStatus::kRetry) return mem::Mmu::FaultResult::kFixed;
-    const bool installed = install_locally(site, vma, page, access, fault_resp);
-    if (installed) attribute_fault(t, page, fault_resp.source);
+    // The home died mid-fault (impossible unsharded: the origin is
+    // immortal). Retry — by then the membership update has re-homed the
+    // shard and the route recomputes.
+    if (reply == nullptr) return FaultStatus::kRetry;
+    const auto& resp = reply->payload_prefix_as<PageFaultResp>();
+    if (resp.status != FaultStatus::kOk) return resp.status;
+    const bool installed = install_locally(site, vma, page, access, resp);
+    if (installed) attribute_fault(t, page, resp.source);
     // Third leg: let the directory commit (or roll back) and release busy.
     k_.node().send(home,
                    msg::make_message(msg::MsgType::kPageInstalled, msg::MsgKind::kOneway,
                                      PageInstalledMsg{site.pid(), page, k_.id(),
                                                       installed}));
-    return mem::Mmu::FaultResult::kFixed;
+    return FaultStatus::kOk;
 }
 
 std::uint32_t PageOwner::stride_window(const mem::Vma& vma, mem::Vaddr page,
@@ -838,7 +836,11 @@ std::uint32_t PageOwner::stride_window(const mem::Vma& vma, mem::Vaddr page,
 
 std::byte* PageOwner::ensure_readable(ProcessSite& site, mem::Vaddr page) {
     RKO_ASSERT(site.is_origin());
-    for (int attempt = 0; attempt < 16; ++attempt) {
+    constexpr std::uint32_t kPeek = mem::kProtRead | kAccessKernelPeek;
+    // Attempts bound the installs lost to racing invalidations; a retry
+    // answer (a shard being rebuilt, a home that moved or died) waits a
+    // beat and costs none.
+    for (int attempt = 0; attempt < 16;) {
         {
             const mem::Pte* pte = site.space().page_table().find(page);
             if (pte != nullptr && pte->allows(mem::kProtRead)) {
@@ -856,36 +858,16 @@ std::byte* PageOwner::ensure_readable(ProcessSite& site, mem::Vaddr page) {
         // kernel even though we are the origin — take the requester role
         // (recomputed per attempt: the home moves if its owner dies).
         const topo::KernelId home = home_of(site, page);
-        if (home != k_.id()) {
-            const GrantInFlight in_flight(site, home);
-            msg::RpcStatus st = msg::RpcStatus::kOk;
-            auto reply = k_.node().rpc( // rko-lint: allow(serial-fanout): each retry re-routes on the last answer
-                home,
-                msg::make_message(msg::MsgType::kPageFault, msg::MsgKind::kRequest,
-                                  PageFaultReq{site.pid(), page,
-                                               mem::kProtRead | kAccessKernelPeek,
-                                               k_.id()}),
-                &st);
-            if (reply == nullptr) continue; // home died: re-route next attempt
-            const auto& resp = reply->payload_prefix_as<PageFaultResp>();
-            if (resp.status == FaultStatus::kSegv) return nullptr;
-            if (resp.status == FaultStatus::kRetry) continue;
-            const bool installed =
-                install_locally(site, vma, page, mem::kProtRead, resp);
-            k_.node().send(home, msg::make_message(
-                                     msg::MsgType::kPageInstalled,
-                                     msg::MsgKind::kOneway,
-                                     PageInstalledMsg{site.pid(), page, k_.id(),
-                                                      installed}));
-            continue; // loop re-checks the PTE
+        const FaultStatus status =
+            home == k_.id()
+                ? home_fault(site, vma, page, kPeek, nullptr)
+                : remote_fault(site, vma, home, page, kPeek, 0, false, nullptr);
+        if (status == FaultStatus::kSegv) return nullptr;
+        if (status == FaultStatus::kRetry) {
+            k_.engine().current().sleep_for(1000);
+            continue;
         }
-        PageFaultResp resp{};
-        if (origin_transaction(site, page, mem::kProtRead | kAccessKernelPeek, k_.id(),
-                               resp) != FaultStatus::kOk) {
-            return nullptr;
-        }
-        const bool installed = install_locally(site, vma, page, mem::kProtRead, resp);
-        commit_install(site, page, k_.id(), installed);
+        ++attempt; // the loop re-checks the PTE
     }
     return nullptr;
 }
@@ -1211,18 +1193,17 @@ std::uint32_t PageOwner::sequester_range(ProcessSite& site, mem::Vaddr start,
         ProcessSite::DirShard* shard;
         std::uint64_t vpn;
         bool origin_holds = false;
-        int source_post = -1; ///< scatter index of this page's want_data invalidate
         bool have_data = false;
         std::array<std::byte, mem::kPageSize> data;
     };
     std::vector<SeqPage> pages;
-    std::vector<std::size_t> post_page; // want_data post index -> pages index
+    std::vector<std::size_t> post_page; // byte-source post index -> pages index
     std::vector<msg::Node::ScatterItem> posts;
     std::array<std::vector<std::uint64_t>, topo::kMaxKernels> drop_by_holder;
 
     // Phase 1: claim everything in range. For each page the origin does
-    // not hold, ONE holder is asked for the bytes (per-page invalidate with
-    // want_data); every other holder lands in a ranged dataless drop. All
+    // not hold, ONE holder hands its copy over (a one-page dropping
+    // kPageFetch); every other holder lands in a ranged dataless drop. All
     // of it ships in a single scatter below.
     for (auto& shard : site.dir_shards()) {
         for (const std::uint64_t vpn : collect_vpns(shard, vpn_lo, vpn_hi)) {
@@ -1239,13 +1220,10 @@ std::uint32_t PageOwner::sequester_range(ProcessSite& site, mem::Vaddr start,
                     static_cast<topo::KernelId>(std::countr_zero(rest));
                 rest &= rest - 1;
                 invalidations_.inc();
-                p.source_post = static_cast<int>(posts.size());
                 post_page.push_back(pages.size());
-                posts.push_back(
-                    {source,
-                     msg::make_message(msg::MsgType::kPageInvalidate,
-                                       msg::MsgKind::kRequest,
-                                       PageInvalidateReq{site.pid(), page, true})});
+                posts.push_back({source, fetch_request(site.pid(), page,
+                                                       /*downgrade=*/false,
+                                                       /*drop=*/true)});
             }
             for (topo::KernelMask mask = rest; mask != 0; mask &= mask - 1) {
                 const auto holder =
@@ -1257,8 +1235,8 @@ std::uint32_t PageOwner::sequester_range(ProcessSite& site, mem::Vaddr start,
         }
     }
 
-    // Phase 2: one scatter for the whole range — byte-source invalidates
-    // and ranged drops fly together.
+    // Phase 2: one scatter for the whole range — byte-source fetches and
+    // ranged drops fly together.
     const std::size_t nsources = posts.size();
     append_ranged_posts(site.pid(), drop_by_holder, InvalidateRangeOp::kDrop, &posts);
     range_rpcs_.inc(posts.size() - nsources);
@@ -1266,10 +1244,10 @@ std::uint32_t PageOwner::sequester_range(ProcessSite& site, mem::Vaddr start,
         auto replies = k_.node().rpc_scatter(std::move(posts));
         for (std::size_t i = 0; i < nsources; ++i) {
             if (replies[i] == nullptr) continue; // source died mid-scatter
-            const auto& inv = replies[i]->payload_prefix_as<PageInvalidateResp>();
+            const auto& fetched = replies[i]->payload_prefix_as<PageFetchResp>();
             SeqPage& p = pages[post_page[i]];
-            if (inv.had_page != 0 && inv.data_included) {
-                p.data = inv.data;
+            if (fetched.had_page != 0) {
+                p.data = fetched.data;
                 p.have_data = true;
             }
         }
@@ -1651,13 +1629,13 @@ std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) 
         std::array<std::byte, mem::kPageSize> data;
     };
     std::vector<EvictPage> pages;
-    std::vector<std::size_t> post_page; // want_data post index -> pages index
+    std::vector<std::size_t> post_page; // pull post index -> pages index
     std::vector<msg::Node::ScatterItem> posts;
     std::array<std::vector<std::uint64_t>, topo::kMaxKernels> drop_by_holder;
 
     // Phase 1: claim every entry the holder appears in. Sole copies are
-    // pulled home with a per-page want_data invalidate; shared copies get a
-    // ranged dataless drop.
+    // pulled home with a one-page dropping kPageFetch each; shared copies
+    // get a ranged dataless drop.
     for (auto& shard : site.dir_shards()) {
         for (const std::uint64_t vpn :
              collect_vpns(shard, 0, std::numeric_limits<std::uint64_t>::max())) {
@@ -1675,11 +1653,9 @@ std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) 
             invalidations_.inc();
             if (p.sole) {
                 post_page.push_back(pages.size());
-                posts.push_back(
-                    {holder,
-                     msg::make_message(msg::MsgType::kPageInvalidate,
-                                       msg::MsgKind::kRequest,
-                                       PageInvalidateReq{site.pid(), page, true})});
+                posts.push_back({holder, fetch_request(site.pid(), page,
+                                                       /*downgrade=*/false,
+                                                       /*drop=*/true)});
             } else {
                 drop_by_holder[static_cast<std::size_t>(holder)].push_back(vpn);
             }
@@ -1695,10 +1671,10 @@ std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) 
         auto replies = k_.node().rpc_scatter(std::move(posts));
         for (std::size_t i = 0; i < nsources; ++i) {
             if (replies[i] == nullptr) continue; // holder died mid-drain
-            const auto& inv = replies[i]->payload_prefix_as<PageInvalidateResp>();
+            const auto& fetched = replies[i]->payload_prefix_as<PageFetchResp>();
             EvictPage& p = pages[post_page[i]];
-            if (inv.had_page != 0 && inv.data_included) {
-                p.data = inv.data;
+            if (fetched.had_page != 0) {
+                p.data = fetched.data;
                 p.have_data = true;
             }
         }
@@ -1777,9 +1753,9 @@ std::uint32_t PageOwner::local_drop_range(ProcessSite& site,
                                           const std::vector<std::uint64_t>& vpns) {
     if (vpns.empty()) return 0;
     WriteGuard guard(site.space().mmap_lock());
-    // INVARIANT (see local_invalidate): every PTE clear and the generation
-    // bump must share a no-yield window — so clear them ALL, bump once,
-    // and only then free the frames and pay the one modeled shootdown.
+    // INVARIANT (see serve_fetch): every PTE clear and the generation bump
+    // must share a no-yield window — so clear them ALL, bump once, and only
+    // then free the frames and pay the one modeled shootdown.
     std::vector<mem::Paddr> frames;
     frames.reserve(vpns.size());
     for (const std::uint64_t vpn : vpns) {
@@ -1911,7 +1887,7 @@ std::vector<PageOwner::PushPage> PageOwner::capture_pages(
     if (!local.empty()) {
         serve_fetch(site, local);
         for (std::size_t i = 0; i < local.size(); ++i) {
-            local_pages[i]->cancelled = !local[i].ok;
+            local_pages[i]->cancelled = local[i].had_page == 0;
         }
     }
     if (!remote.empty()) {
@@ -1925,7 +1901,8 @@ std::vector<PageOwner::PushPage> PageOwner::capture_pages(
         for (const SourceFetch& f : remote) {
             for (PushPage* p : f.pages) {
                 const msg::MessagePtr& reply = replies[part++];
-                if (reply == nullptr || !reply->payload_prefix_as<PageFetchResp>().ok) {
+                if (reply == nullptr ||
+                    reply->payload_prefix_as<PageFetchResp>().had_page == 0) {
                     p->cancelled = true;
                     continue;
                 }
@@ -1936,7 +1913,7 @@ std::vector<PageOwner::PushPage> PageOwner::capture_pages(
 
     // The one cancel policy: a source that lost its copy (a munmap replica
     // sweep dropped it after the snapshot — the transient the read path
-    // tolerates, DESIGN §14; a remote source says ok=false) or died
+    // tolerates, DESIGN §14; a remote source answers without a copy) or died
     // (elastic: a null reply) cancels its page. The claim is released and
     // the requester demand-faults the page later.
     for (const PushPage& p : work) {
@@ -1971,23 +1948,22 @@ std::uint32_t PageOwner::push_pages(ProcessSite& site, std::vector<PushPage> cap
     return static_cast<std::uint32_t>(captured.size());
 }
 
-mem::Mmu::FaultResult PageOwner::home_fault(ProcessSite& site, const mem::Vma& vma,
-                                            mem::Vaddr page, std::uint32_t access,
-                                            task::Task* t, bool* installed) {
+FaultStatus PageOwner::home_fault(ProcessSite& site, const mem::Vma& vma,
+                                  mem::Vaddr page, std::uint32_t access, task::Task* t,
+                                  bool* installed) {
     PageFaultResp resp{};
     const FaultStatus status = origin_transaction(site, page, access, k_.id(), resp);
-    if (status == FaultStatus::kSegv) return mem::Mmu::FaultResult::kSegv;
-    if (status == FaultStatus::kRetry) return mem::Mmu::FaultResult::kFixed;
+    if (status != FaultStatus::kOk) return status;
     const bool ok = install_locally(site, vma, page, access, resp);
     commit_install(site, page, k_.id(), ok);
     if (ok) attribute_fault(t, page, resp.source);
     if (installed != nullptr) *installed = ok;
-    return mem::Mmu::FaultResult::kFixed;
+    return FaultStatus::kOk;
 }
 
-mem::Mmu::FaultResult PageOwner::home_window(ProcessSite& site, const mem::Vma& vma,
-                                             mem::Vaddr page, std::uint32_t access,
-                                             std::uint32_t window, task::Task* t) {
+FaultStatus PageOwner::home_window(ProcessSite& site, const mem::Vma& vma,
+                                   mem::Vaddr page, std::uint32_t access,
+                                   std::uint32_t window, task::Task* t) {
     const std::vector<mem::Vaddr> rest = window_pages(page, window, kMaxFaultAround);
     // The faulting page leads the claim only where its transaction would
     // plan a plain read share: the claim takes nothing when the page is
@@ -2006,9 +1982,8 @@ mem::Mmu::FaultResult PageOwner::home_window(ProcessSite& site, const mem::Vma& 
         // The page demand-faults, then the rest of the window follows once
         // it has committed.
         bool installed = false;
-        const mem::Mmu::FaultResult result =
-            home_fault(site, vma, page, access, t, &installed);
-        if (!installed) return result;
+        const FaultStatus status = home_fault(site, vma, page, access, t, &installed);
+        if (!installed) return status;
         claimed = claim_push_pages(site, rest, k_.id());
     }
     bool demand_done = !folded;
@@ -2042,7 +2017,7 @@ mem::Mmu::FaultResult PageOwner::home_window(ProcessSite& site, const mem::Vma& 
     // A folded page whose capture was cancelled (its source died or lost
     // the copy) runs its own transaction; the window stays installed.
     if (!demand_done) return home_fault(site, vma, page, access, t);
-    return mem::Mmu::FaultResult::kFixed;
+    return FaultStatus::kOk;
 }
 
 // ---------------------------------------------------------------------------
@@ -2135,43 +2110,33 @@ ProcessSite* PageOwner::serve_fault(Pid pid, mem::Vaddr va, std::uint32_t access
 void PageOwner::on_page_fault(msg::Node& node, msg::MessagePtr m) {
     const auto& req = m->payload_as<PageFaultReq>();
     PageFaultResp resp{};
-    serve_fault(req.pid, req.va, req.access, req.requester, resp);
+    ProcessSite* site = serve_fault(req.pid, req.va, req.access, req.requester, resp);
+    std::vector<mem::Vaddr> claimed;
+    if (site != nullptr && req.window >= 2) {
+        claimed = claim_push_pages(
+            *site,
+            window_pages(req.va, req.window,
+                         req.workset ? kMaxWorksetAround : kMaxFaultAround),
+            req.requester);
+    }
+    const auto push = [&] {
+        if (claimed.empty()) return;
+        push_pages(*site, capture_pages(*site, claimed, req.requester), req.requester,
+                   req.workset);
+    };
+    // Boosted window (§15): push FIRST, reply last. The channel is FIFO, so
+    // every pushed page is already installed when the demand reply unblocks
+    // the guest; it resumes into a warm window instead of re-faulting page
+    // by page into busy directory entries while the pushes are in flight.
+    if (req.workset) push();
     // Dataless outcomes (SEGV, retry, zero-fill, upgrade) ship 8 bytes, not
     // 8 + 4 KiB — the wire carries only what the requester will read.
     node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageFault,
                                             msg::MsgKind::kReply, resp,
                                             wire_bytes(resp)));
-}
-
-void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
-    const auto& req = m->payload_as<PageFaultBatchReq>();
-    PageFaultBatchResp resp{};
-    const bool workset = req.workset != 0;
-    ProcessSite* site = serve_fault(req.pid, req.va, req.access, req.requester, resp.first);
-    std::vector<mem::Vaddr> claimed;
-    if (site != nullptr) {
-        claimed = claim_push_pages(
-            *site,
-            window_pages(req.va, req.window, workset ? kMaxWorksetAround : kMaxFaultAround),
-            req.requester);
-    }
-    resp.extra_granted = static_cast<std::uint32_t>(claimed.size());
-    const auto push = [&] {
-        if (claimed.empty()) return;
-        push_pages(*site, capture_pages(*site, claimed, req.requester), req.requester,
-                   workset);
-    };
-    // Boosted batch (§15): push FIRST, reply last. The channel is FIFO, so
-    // every pushed page is already installed when the demand reply unblocks
-    // the guest; it resumes into a warm window instead of re-faulting page
-    // by page into busy directory entries while the pushes are in flight.
-    if (workset) push();
-    node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageFaultBatch,
-                                            msg::MsgKind::kReply, resp,
-                                            wire_bytes(resp)));
-    // Streaming batch: reply first, so the requester installs the demand
+    // Streaming window: reply first, so the requester installs the demand
     // page while the pushes are still being generated behind it.
-    if (!workset) push();
+    if (!req.workset) push();
 }
 
 void PageOwner::on_page_fetch(msg::Node& node, msg::MessagePtr m) {
@@ -2183,14 +2148,14 @@ void PageOwner::on_page_fetch(msg::Node& node, msg::MessagePtr m) {
     for (std::uint32_t i = 0; i < req.count; ++i) {
         replies[i] = msg::make_message(msg::MsgType::kPageFetch, msg::MsgKind::kReply);
         parts[i] = {req.va[i], ((req.downgrade >> i) & 1u) != 0,
-                    replies[i]->emplace_payload<PageFetchResp>().data.data()};
+                    replies[i]->emplace_payload<PageFetchResp>().data.data(), req.drop};
     }
     if (k_.has_site(req.pid)) {
         serve_fetch(k_.site(req.pid), std::span(parts.data(), req.count));
     }
     for (std::uint32_t i = 0; i < req.count; ++i) {
         auto& resp = replies[i]->payload_as<PageFetchResp>();
-        resp.ok = parts[i].ok;
+        resp.had_page = parts[i].had_page;
         replies[i]->truncate_payload(wire_bytes(resp));
         node.reply_part(*m, i, std::move(replies[i]));
     }
@@ -2214,19 +2179,6 @@ void PageOwner::on_page_installed(msg::Node& node, msg::MessagePtr m) {
     shard.lock.unlock();
     if (!current) return;
     commit_install(site, done.va, done.requester, done.ok);
-}
-
-void PageOwner::on_page_invalidate(msg::Node& node, msg::MessagePtr m) {
-    const auto& req = m->payload_as<PageInvalidateReq>();
-    PageInvalidateResp resp{};
-    resp.data_included = false;
-    resp.had_page = k_.has_site(req.pid)
-                        ? local_invalidate(k_.site(req.pid), req.va, req.want_data,
-                                           resp.data.data(), &resp.data_included)
-                        : 0;
-    node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageInvalidate,
-                                            msg::MsgKind::kReply, resp,
-                                            wire_bytes(resp)));
 }
 
 void PageOwner::on_page_invalidate_range(msg::Node& node, msg::MessagePtr m) {

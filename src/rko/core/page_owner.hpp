@@ -38,7 +38,7 @@ public:
     /// one) regardless of the configured prefetch_window.
     static constexpr std::uint32_t kMaxFaultAround = 16;
     /// Consecutive +1-page faults a thread must string together before a
-    /// read fault is upgraded to a batched transaction.
+    /// read fault carries a fault-around window.
     static constexpr std::uint32_t kPrefetchMinRun = 3;
     /// Window cap for a post-migration boosted batch (DESIGN.md §15) —
     /// wider than kMaxFaultAround because the requester just lost its whole
@@ -52,9 +52,9 @@ public:
 
     explicit PageOwner(kernel::Kernel& k);
 
-    /// Registers kPageFault / kPageFaultBatch / kHomeRangeOp / kWorksetPull
-    /// (blocking), kPageFetch / kPageInvalidate / kPageInvalidateRange /
-    /// kPagePush / kHomeRebuild (leaf).
+    /// Registers kPageFault / kHomeRangeOp / kWorksetPull (blocking),
+    /// kPageFetch / kPageInvalidateRange / kPageInstalled / kPagePush /
+    /// kHomeRebuild (leaf).
     void install();
 
     /// Protocol ablation: when false, read faults also take exclusive
@@ -64,8 +64,8 @@ public:
     bool read_replication() const { return read_replication_; }
 
     /// Fault-around prefetch window (pages). <= 1 disables the stride
-    /// detector: no kPageFaultBatch / kPagePush traffic exists and runs are
-    /// bit-identical to the plain demand-fault protocol.
+    /// detector: no fault carries a window, no kPagePush traffic exists and
+    /// runs are bit-identical to the plain demand-fault protocol.
     void set_prefetch_window(int pages) { prefetch_window_ = pages; }
     int prefetch_window() const { return prefetch_window_; }
 
@@ -100,8 +100,10 @@ public:
                                   task::Task* t = nullptr);
 
     /// Ensures this (origin) kernel holds a readable copy of `page` —
-    /// used by the distributed futex to peek at user words. Returns the
-    /// host pointer to the local frame, or null if unmapped/SEGV.
+    /// used by the distributed futex to peek at user words. Runs acquire's
+    /// home and remote fault legs as a kernel peek, outside the fault
+    /// counters. Returns the host pointer to the local frame, or null if
+    /// unmapped/SEGV.
     std::byte* ensure_readable(ProcessSite& site, mem::Vaddr page);
 
     /// Origin-side munmap support: invalidates every copy of every page in
@@ -133,7 +135,7 @@ public:
 
     /// Drain support: evicts every page copy a LIVE, parting `holder` still
     /// holds (kElasticEvict handler). Sole copies are pulled home into
-    /// origin frames (want_data invalidate); shared copies get a ranged
+    /// origin frames (a dropping kPageFetch); shared copies get a ranged
     /// dataless drop. Runs the full claim/scatter/commit shape, so it is
     /// safe against concurrent faults. Returns entries stripped.
     std::uint32_t evict_holder(ProcessSite& site, topo::KernelId holder);
@@ -175,8 +177,9 @@ public:
     /// requester's pushes, or the home's own fetched window).
     std::uint64_t prefetch_hit() const { return prefetch_hit_.value; }
     std::uint64_t prefetch_wasted() const { return prefetch_wasted_.value; }
-    /// kPageInvalidateRange RPCs issued by the ranged revoke/downgrade/
-    /// sequester paths (each replaces up to kMaxPages per-page round trips).
+    /// kPageInvalidateRange RPCs posted: the ranged revoke/downgrade/
+    /// sequester/evict chunks (each replaces up to kMaxPages per-page round
+    /// trips) and a write transaction's one-offset drops.
     std::uint64_t range_rpcs() const { return range_rpcs_.value; }
     const base::Histogram& remote_fault_latency() const { return remote_latency_; }
     /// Working-set pages this (home) kernel pushed to migration
@@ -229,18 +232,17 @@ private:
         mem::Vaddr va = 0;
         bool downgrade = false;   ///< strip the write bit before the copy
         std::byte* out = nullptr; ///< receives the page bytes
-        bool ok = false;          ///< set by serve_fetch: the page was present
+        bool drop = false;        ///< unmap and free the page after the copy
+        /// Set by serve_fetch: PageFetchResp::had_page flags (zero: the
+        /// page was not present).
+        std::uint8_t had_page = 0;
     };
     /// The holder batch: copies out every present page of `parts` under one
-    /// mmap_lock hold. Downgrades share one TLB-generation bump and one
-    /// modeled shootdown, and the copy charges are summed. Serves
+    /// mmap_lock hold. Downgrades and drops share one TLB-generation bump
+    /// and one modeled shootdown, and the copy charges are summed. Serves
     /// kPageFetch, the push pipeline's local sources and the transaction's
     /// own copy.
     void serve_fetch(ProcessSite& site, std::span<FetchPart> parts);
-    /// Drops this kernel's copy; returns PageInvalidateResp::had_page flags
-    /// (zero: no copy here).
-    std::uint8_t local_invalidate(ProcessSite& site, mem::Vaddr page, bool want_data,
-                                  std::byte* out, bool* data_included);
 
     // Batched local holder ops: N PTE changes share one TLB-generation bump
     // and one modeled shootdown instead of paying both per page. Return the
@@ -291,9 +293,9 @@ private:
     /// A fault taken AT the page's home: the transaction with this kernel
     /// as requester, then the local install and commit. `installed`, when
     /// given, reports whether the page was mapped.
-    mem::Mmu::FaultResult home_fault(ProcessSite& site, const mem::Vma& vma,
-                                     mem::Vaddr page, std::uint32_t access,
-                                     task::Task* t, bool* installed = nullptr);
+    FaultStatus home_fault(ProcessSite& site, const mem::Vma& vma, mem::Vaddr page,
+                           std::uint32_t access, task::Task* t,
+                           bool* installed = nullptr);
 
     /// A read streak AT the home: claims `page` with the rest of its window
     /// for this kernel, captures them (every source is remote, so one
@@ -302,24 +304,31 @@ private:
     /// where its transaction would plan a plain read share; otherwise it
     /// demand-faults first (home_fault) and the rest of the window follows,
     /// and a folded page whose capture was cancelled demand-faults last.
-    mem::Mmu::FaultResult home_window(ProcessSite& site, const mem::Vma& vma,
-                                      mem::Vaddr page, std::uint32_t access,
-                                      std::uint32_t window, task::Task* t);
+    FaultStatus home_window(ProcessSite& site, const mem::Vma& vma, mem::Vaddr page,
+                            std::uint32_t access, std::uint32_t window, task::Task* t);
 
-    /// Admission shared by kPageFault and kPageFaultBatch: SEGV for an
-    /// unknown process or an already-dead requester, kRetry for a stale
-    /// sharded route, else the demand transaction, rolled back if the
-    /// requester died meanwhile. Returns the site only when the transaction
-    /// parked an install a live requester will confirm.
+    /// A fault taken away from the page's `home`: one kPageFault round trip
+    /// (carrying the fault-around `window`, 0 for none, and the
+    /// post-migration `workset` boost), then the local install, its
+    /// attribution and the kPageInstalled confirm. kRetry when the home
+    /// died mid-fault or asked for a retry.
+    FaultStatus remote_fault(ProcessSite& site, const mem::Vma& vma,
+                             topo::KernelId home, mem::Vaddr page,
+                             std::uint32_t access, std::uint32_t window, bool workset,
+                             task::Task* t);
+
+    /// The demand half of kPageFault: SEGV for an unknown process or an
+    /// already-dead requester, kRetry for a stale sharded route, else the
+    /// demand transaction, rolled back if the requester died meanwhile.
+    /// Returns the site only when the transaction parked an install a live
+    /// requester will confirm.
     ProcessSite* serve_fault(Pid pid, mem::Vaddr va, std::uint32_t access,
                              topo::KernelId requester, PageFaultResp& out);
 
     void on_page_fault(msg::Node& node, msg::MessagePtr m);
     void on_home_range_op(msg::Node& node, msg::MessagePtr m);
     void on_home_rebuild(msg::Node& node, msg::MessagePtr m);
-    void on_page_fault_batch(msg::Node& node, msg::MessagePtr m);
     void on_page_fetch(msg::Node& node, msg::MessagePtr m);
-    void on_page_invalidate(msg::Node& node, msg::MessagePtr m);
     void on_page_invalidate_range(msg::Node& node, msg::MessagePtr m);
     void on_page_installed(msg::Node& node, msg::MessagePtr m);
     void on_page_push(msg::Node& node, msg::MessagePtr m);
@@ -353,5 +362,7 @@ private:
 static_assert(PageFetchReq::kMaxPages == PageOwner::kMaxWorksetAround &&
                   PageFetchReq::kMaxPages >= task::kMaxWorkset,
               "one kPageFetch carries a whole capture's pages from one holder");
+static_assert(PageOwner::kMaxWorksetAround <= 0xff,
+              "a boosted window fits PageFaultReq::window");
 
 } // namespace rko::core

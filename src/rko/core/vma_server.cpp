@@ -349,7 +349,7 @@ void VmaServer::on_vma_update(msg::Node& node, msg::MessagePtr m) {
                 [&](mem::Vaddr va, mem::Pte&) { stale.push_back(va); });
             // Clear + bump first (no yields), then pay for the frees and
             // the shootdown: a sleep between a clear and the bump would
-            // expose stale soft-TLB entries (see PageOwner::local_invalidate).
+            // expose stale soft-TLB entries (see PageOwner::serve_fetch).
             std::vector<mem::Paddr> freed;
             for (const mem::Vaddr va : stale) {
                 const mem::Pte old = site.space().page_table().clear(va);

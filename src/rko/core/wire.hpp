@@ -59,7 +59,7 @@ struct VmaUpdateResp {
     std::uint32_t cleared_pages;
 };
 
-// --- Page-ownership protocol (kPageFault / kPageFetch / kPageInvalidate) ---
+// --- Page-ownership protocol (kPageFault / kPageFetch / kPageInvalidateRange)
 
 enum class FaultStatus : std::uint8_t { kOk = 0, kSegv, kRetry };
 
@@ -70,12 +70,25 @@ enum class FaultStatus : std::uint8_t { kOk = 0, kSegv, kRetry };
 /// migratory detector. Rides in `access` so the request keeps its size.
 constexpr std::uint32_t kAccessKernelPeek = 1u << 31;
 
+/// A fault on `va`, plain or with a fault-around window: the home serves
+/// the faulting page, then try-claims up to window-1 following pages and
+/// pushes each one it claimed (kPagePush) down the same channel.
 struct PageFaultReq {
     Pid pid;
     mem::Vaddr va;          ///< page-aligned
     std::uint32_t access;   ///< mem::Prot bits, plus kAccessKernelPeek
-    topo::KernelId requester;
+    std::int16_t requester;
+    /// Pages including the faulting one; <= 1: no window.
+    std::uint8_t window;
+    /// The requester is in its post-migration boost (DESIGN.md §15): the
+    /// window may reach PageOwner::kMaxWorksetAround, and the home pushes
+    /// the window before it replies, so the window lands installed before
+    /// the guest resumes.
+    bool workset;
 };
+static_assert(sizeof(PageFaultReq) == 24,
+              "window and workset must fill the bytes freed by `requester`");
+static_assert(topo::kMaxKernels <= 1 << 15, "a KernelId fits PageFaultReq::requester");
 
 struct PageFaultResp {
     FaultStatus status;
@@ -99,17 +112,22 @@ static_assert(sizeof(PageFaultResp) == 8 + mem::kPageSize,
               "PageFaultResp must keep its pre-`source` wire size: copy costs "
               "are charged per byte and golden baselines depend on them");
 
-/// Home -> holder: copy out a page list. The holder serves the whole list
-/// under one mmap_lock hold and one shootdown, and answers each page with
-/// its own reply part (msg::Node::reply_part) carrying one PageFetchResp,
-/// in list order. Truncated on the wire to the addresses actually carried
-/// (see wire_bytes), so a one-page fetch is 24 bytes.
+/// Home -> holder: copy out a page list, the one message page bytes travel
+/// in from a holder. The holder serves the whole list under one mmap_lock
+/// hold and one shootdown, and answers each page with its own reply part
+/// (msg::Node::reply_part) carrying one PageFetchResp, in list order.
+/// Truncated on the wire to the addresses actually carried (see
+/// wire_bytes), so a one-page fetch is 24 bytes. Drops that need no bytes
+/// travel in kPageInvalidateRange instead.
 struct PageFetchReq {
     /// PageOwner::kMaxWorksetAround: a boosted window's pages all fit one
     /// request to their holder.
     static constexpr std::uint32_t kMaxPages = 32;
     Pid pid;
-    std::uint32_t count;
+    std::uint16_t count;
+    /// The holder unmaps and frees each page after copying it (a write
+    /// transaction's byte source, or a page pulled home).
+    bool drop;
     /// Bit i: the holder drops write permission on va[i] (Exclusive ->
     /// Shared) before copying it.
     std::uint32_t downgrade;
@@ -119,23 +137,11 @@ static_assert(PageFetchReq::kMaxPages <= 8 * sizeof(PageFetchReq::downgrade),
               "the downgrade bitmask must cover every page of a fetch");
 
 struct PageFetchResp {
-    bool ok;
-    std::array<std::byte, mem::kPageSize> data;
-};
-
-struct PageInvalidateReq {
-    Pid pid;
-    mem::Vaddr va;
-    bool want_data; ///< holder must return its (possibly dirty) bytes
-};
-
-struct PageInvalidateResp {
     static constexpr std::uint8_t kHadPage = 1; ///< the holder had a copy
     /// ...and stored to it since it was mapped (the PTE dirty bit) — the
     /// migratory detector's reversion signal (DESIGN §17).
     static constexpr std::uint8_t kDirty = 2;
-    std::uint8_t had_page; ///< kHadPage | kDirty; zero: no copy here
-    bool data_included;
+    std::uint8_t had_page; ///< kHadPage | kDirty; zero: no copy, no data
     std::array<std::byte, mem::kPageSize> data;
 };
 
@@ -157,11 +163,12 @@ enum class InvalidateRangeOp : std::uint32_t {
 };
 
 /// One ranged invalidation RPC: `count` VPN offsets relative to base_vpn,
-/// all of whose busy bits the origin already claimed. An explicit offset
-/// list — not a [start, end) span — because the holder may hold in-range
-/// pages whose busy bits belong to *other* transactions; only pages the
-/// origin claimed may be touched. Truncated on the wire to the offsets
-/// actually carried (see wire_bytes).
+/// all of whose busy bits the home already claimed — a ranged sweep's
+/// chunk, or the one offset a write transaction drops at a holder that is
+/// not its byte source. An explicit offset list — not a [start, end) span
+/// — because the holder may hold in-range pages whose busy bits belong to
+/// *other* transactions; only pages the home claimed may be touched.
+/// Truncated on the wire to the offsets actually carried (see wire_bytes).
 struct PageInvalidateRangeReq {
     static constexpr std::uint32_t kMaxPages = 512;
     Pid pid;
@@ -173,33 +180,6 @@ struct PageInvalidateRangeReq {
 
 struct PageInvalidateRangeResp {
     std::uint32_t touched; ///< pages the holder actually dropped/downgraded
-};
-
-/// A remote read fault upgraded by the stride detector: service `va`
-/// exactly like kPageFault, then opportunistically push up to window-1
-/// following pages (kPagePush) whose transactions can start immediately.
-struct PageFaultBatchReq {
-    Pid pid;
-    mem::Vaddr va;        ///< the faulting page
-    std::uint32_t access; ///< mem::Prot bits (read streams only in practice)
-    topo::KernelId requester;
-    std::uint32_t window; ///< total pages including the faulting one, >= 2
-    /// Nonzero: the requester is in its post-migration boost window
-    /// (DESIGN.md §15). The home may grant past kMaxFaultAround (up to
-    /// kMaxWorksetAround) and batches its local downgrades under one
-    /// shootdown. Occupies what was a padding hole, so the wire size (and
-    /// the modeled copy cost of every existing batch fault) is unchanged.
-    std::uint32_t workset;
-};
-static_assert(sizeof(PageFaultBatchReq) == 32,
-              "workset flag must fill the padding hole");
-
-/// The faulting page's result plus how many pushes follow it down the
-/// origin->requester channel. The data array sits last (inside `first`) so
-/// dataless outcomes truncate like a plain PageFaultResp.
-struct PageFaultBatchResp {
-    std::uint32_t extra_granted;
-    PageFaultResp first;
 };
 
 /// Home -> requester: one pushed page (a fault-around window page, or a
@@ -229,9 +209,7 @@ static_assert(offsetof(PageFaultResp, data) == 8,
 static_assert(offsetof(PageFetchResp, data) == 1,
               "dataless PageFetchResp wire size");
 static_assert(offsetof(PageFetchReq, va) + sizeof(mem::Vaddr) == 24,
-              "a one-page PageFetchReq keeps the single-page wire size");
-static_assert(offsetof(PageInvalidateResp, data) == 2,
-              "dataless PageInvalidateResp wire size");
+              "a one-page PageFetchReq, dropping or not, is 24 bytes");
 static_assert(offsetof(PagePushMsg, data) == 19,
               "PagePushMsg header wire size");
 
@@ -243,16 +221,10 @@ inline std::size_t wire_bytes(const PageFetchReq& r) {
            static_cast<std::size_t>(r.count) * sizeof(mem::Vaddr);
 }
 inline std::size_t wire_bytes(const PageFetchResp& r) {
-    return offsetof(PageFetchResp, data) + (r.ok ? mem::kPageSize : 0);
-}
-inline std::size_t wire_bytes(const PageInvalidateResp& r) {
-    return offsetof(PageInvalidateResp, data) + (r.data_included ? mem::kPageSize : 0);
+    return offsetof(PageFetchResp, data) + (r.had_page != 0 ? mem::kPageSize : 0);
 }
 inline std::size_t wire_bytes(const PagePushMsg& r) {
     return offsetof(PagePushMsg, data) + (r.data_included ? mem::kPageSize : 0);
-}
-inline std::size_t wire_bytes(const PageFaultBatchResp& r) {
-    return offsetof(PageFaultBatchResp, first) + wire_bytes(r.first);
 }
 inline std::size_t wire_bytes(const PageInvalidateRangeReq& r) {
     return offsetof(PageInvalidateRangeReq, vpn_offset) +

@@ -17,7 +17,6 @@ const char* msg_type_name(MsgType type) {
     case MsgType::kVmaUpdate: return "vma_update";
     case MsgType::kPageFault: return "page_fault";
     case MsgType::kPageFetch: return "page_fetch";
-    case MsgType::kPageInvalidate: return "page_invalidate";
     case MsgType::kPageInstalled: return "page_installed";
     case MsgType::kFutexWait: return "futex_wait";
     case MsgType::kFutexWake: return "futex_wake";
@@ -30,7 +29,6 @@ const char* msg_type_name(MsgType type) {
     case MsgType::kLoadGossip: return "load_gossip";
     case MsgType::kSteal: return "steal";
     case MsgType::kPageInvalidateRange: return "page_invalidate_range";
-    case MsgType::kPageFaultBatch: return "page_fault_batch";
     case MsgType::kPagePush: return "page_push";
     case MsgType::kMembershipUpdate: return "membership_update";
     case MsgType::kElasticEvict: return "elastic_evict";

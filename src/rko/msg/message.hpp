@@ -36,9 +36,9 @@ enum class MsgType : std::uint16_t {
     kVmaFetch,          ///< fetch the VMA covering an address (nb)
     kVmaUpdate,         ///< apply a VMA change to a replica (nb)
     // Address space: page-ownership layer (core/page_owner)
-    kPageFault,         ///< remote fault: request access from directory (blk)
-    kPageFetch,         ///< directory -> holder: a page list's bytes, a reply each (leaf)
-    kPageInvalidate,    ///< directory -> holder: drop your copy (nb)
+    kPageFault,         ///< remote fault, with its fault-around window (blk)
+    kPageFetch,         ///< directory -> holder: a page list's bytes, a reply each,
+                        ///< optionally dropping each copy (leaf)
     kPageInstalled,     ///< requester -> directory: install done, commit (nb)
     // Distributed futex (core/dfutex)
     kFutexWait,         ///< queue a waiter at the origin futex table (blk)
@@ -55,7 +55,6 @@ enum class MsgType : std::uint16_t {
     kSteal,             ///< thief asks victim to surrender a queued thread (leaf)
     // Coherence batching & fault-around prefetch (core/page_owner, §10)
     kPageInvalidateRange, ///< directory -> holder: drop/downgrade a VPN batch (leaf)
-    kPageFaultBatch,    ///< remote fault upgraded to a multi-page window (blk)
     kPagePush,          ///< home -> requester: one pushed page (leaf)
     // Elastic membership (elastic/)
     kMembershipUpdate,  ///< membership event broadcast: dead/parted/join (nb)

@@ -99,8 +99,8 @@ struct Task {
     /// none). Migration resets all three on arrival (Migration::on_migrate)
     /// — deliberately, since the fault stream now crosses a different
     /// fabric edge. The reset must be explicit: a thread revisiting a kernel
-    /// reactivates its *old* task record there, and a stale run would fire
-    /// a bogus multi-page kPageFaultBatch on the first unrelated fault.
+    /// reactivates its *old* task record there, and a stale run would send
+    /// a bogus multi-page window on the first unrelated fault.
     mem::Vaddr last_fault_page = 0;
     std::uint32_t fault_run = 0;
     mem::Vaddr fault_window_end = 0;

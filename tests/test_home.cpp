@@ -20,6 +20,7 @@
 
 #include "rko/api/machine.hpp"
 #include "rko/check/invariants.hpp"
+#include "rko/core/dfutex.hpp"
 #include "rko/home/home.hpp"
 
 namespace rko::api {
@@ -412,6 +413,67 @@ TEST(Home, CensusWaitsForGrantsInFlightFromAPartingHome) {
     run(0, &start);
     ASSERT_GT(start, 0);
     for (Nanos at = start; at <= start + 6_us; at += 250) run(at, nullptr);
+}
+
+// A futex peek reads the word through the page protocol (ensure_readable),
+// and a shard being census-rebuilt answers its faults with kRetry. The peek
+// must wait the rebuild out, not report the mapped word as EFAULT: neither
+// when the origin homes the word itself, nor when another kernel does.
+TEST(Home, FutexPeekWaitsOutAShardRebuild) {
+    constexpr int kPages = 64;
+    const auto run = [](topo::KernelId home, Nanos rebuild) {
+        Machine machine(home_config(4, 32));
+        auto& process = machine.create_process(0);
+        const Pid pid = process.pid();
+        Vaddr word = 0;
+        for (int p = 0; p < kPages && word == 0; ++p) {
+            const Vaddr va = mem::kMmapBase + static_cast<Vaddr>(p) * kPageSize;
+            if (home::home_of(machine.kernel(0).home_map(), pid, 0, mem::vpn_of(va)) ==
+                home) {
+                word = va;
+            }
+        }
+        EXPECT_NE(word, 0u) << "no page homed at kernel " << home;
+        auto& mapper = process.spawn([](Guest& g) { g.mmap(kPages * kPageSize); }, 0);
+        // The word's page ends Exclusive at kernel 1.
+        process.spawn(
+            [&](Guest& g) {
+                g.join(mapper);
+                g.write<std::uint32_t>(word, 7);
+            },
+            1);
+        machine.run();
+        process.check_all_joined();
+
+        core::ProcessSite& site = machine.kernel(home).site(pid);
+        const int shard = machine.kernel(home).home_map().shard_of(mem::vpn_of(word));
+        process.spawn(
+            [&site, shard, rebuild](Guest& g) {
+                site.set_home_rebuilding(shard, true);
+                g.compute(rebuild);
+                g.flush_timing();
+                site.set_home_rebuilding(shard, false);
+            },
+            home);
+        int rc = -1;
+        Nanos waited = 0;
+        process.spawn(
+            [&](Guest& g) {
+                g.compute(1_us); // the rebuild flag is up
+                g.flush_timing();
+                const Nanos t0 = g.now();
+                rc = g.futex_wait_for(word, 7, 200_us);
+                waited = g.now() - t0;
+            },
+            0);
+        machine.run();
+        process.check_all_joined();
+        EXPECT_NE(rc, core::kEfault) << "home k" << home;
+        EXPECT_TRUE(rc == 0 || rc == core::kEtimedout) << "home k" << home << ": " << rc;
+        EXPECT_GE(waited, rebuild) << "home k" << home;
+    };
+    run(0, 100_us); // the origin homes the word
+    run(2, 150_us); // a remote home
 }
 
 } // namespace

@@ -8,7 +8,7 @@
 // (kPeerDead) without leaking directory busy bits; and sharded homes
 // (RKO_HOME_SHARDS=4 equivalent) serve the pull round identically to the
 // unsharded origin. The stale stride-detector regression (a revisit
-// reactivating an old task record must not fire a bogus kPageFaultBatch)
+// reactivating an old task record must not send a bogus window)
 // rides along because migration arrival owns both resets.
 #include <gtest/gtest.h>
 
@@ -74,8 +74,8 @@ TEST(WorksetTracker, TopKTrackingAndDecay) {
 // A thread builds a partial sequential run (2 faults, below kPrefetchMinRun)
 // on k1, migrates away and back — reactivating its OLD task record — then
 // faults the next sequential page. Before the arrival-time reset, the stale
-// last_fault_page/fault_run pair completed the run and fired a bogus
-// kPageFaultBatch; with the reset the revisit starts a fresh run and no
+// last_fault_page/fault_run pair completed the run and sent a bogus
+// windowed fault; with the reset the revisit starts a fresh run and no
 // prefetch is ever issued.
 TEST(WorksetMigration, StrideDetectorResetsOnRevisit) {
     MachineConfig config = smp::popcorn_config(8, 4);

@@ -325,15 +325,15 @@ TEST(Node, LeafHandlerMayTakeLocalLocks) {
     sim::SpinLock local_lock;
     int handled = 0;
     h.fabric->node(1).register_handler(
-        MsgType::kPageInvalidate, HandlerClass::kLeaf,
+        MsgType::kPageInvalidateRange, HandlerClass::kLeaf,
         [&](Node& node, MessagePtr m) {
             local_lock.lock();
             // Intentional: this is exactly the behaviour under test.
             h.engine.current().sleep_for(1_us); // rko-lint: allow(lock-across-await): lock-convoy behaviour is what this test measures
             local_lock.unlock();
             ++handled;
-            node.reply(*m, make_message(MsgType::kPageInvalidate, MsgKind::kReply,
-                                        PingPayload{1}));
+            node.reply(*m, make_message(MsgType::kPageInvalidateRange,
+                                        MsgKind::kReply, PingPayload{1}));
         });
     h.start();
     // A local actor on kernel 1 holds the lock while the message arrives.
@@ -345,7 +345,7 @@ TEST(Node, LeafHandlerMayTakeLocalLocks) {
     holder.start();
     int done = 0;
     Actor app(h.engine, "app", [&](Actor&) {
-        h.fabric->node(0).rpc(1, make_message(MsgType::kPageInvalidate,
+        h.fabric->node(0).rpc(1, make_message(MsgType::kPageInvalidateRange,
                                               MsgKind::kRequest, PingPayload{0}));
         ++done;
     });

@@ -45,6 +45,33 @@ Nanos timed(Guest& g, Fn&& fn) {
     return g.now() - t0;
 }
 
+/// Messages each of the first four kernels dispatched: the two holder
+/// requests, and every message.
+struct HolderCounts {
+    std::array<std::uint64_t, 4> fetches{}, ranged{}, dispatched{};
+};
+
+HolderCounts holder_counts(Machine& machine) {
+    HolderCounts c;
+    for (std::size_t k = 0; k < 4; ++k) {
+        const msg::Node& node = machine.kernel(static_cast<topo::KernelId>(k)).node();
+        c.fetches[k] = node.dispatched(msg::MsgType::kPageFetch);
+        c.ranged[k] = node.dispatched(msg::MsgType::kPageInvalidateRange);
+        c.dispatched[k] = node.total_dispatched();
+    }
+    return c;
+}
+
+/// The counts dispatched between two snapshots.
+HolderCounts operator-(HolderCounts after, const HolderCounts& before) {
+    for (std::size_t k = 0; k < 4; ++k) {
+        after.fetches[k] -= before.fetches[k];
+        after.ranged[k] -= before.ranged[k];
+        after.dispatched[k] -= before.dispatched[k];
+    }
+    return after;
+}
+
 // ---------------------------------------------------------------------------
 // Satellite: dataless replies must not be charged 4 KiB on the wire.
 // ---------------------------------------------------------------------------
@@ -57,24 +84,22 @@ TEST(WireSize, DatalessRepliesTruncate) {
     EXPECT_EQ(core::wire_bytes(fault), 8u + kPageSize);
 
     core::PageFetchResp fetch{};
-    fetch.ok = false;
+    fetch.had_page = 0;
     EXPECT_EQ(core::wire_bytes(fetch), 1u);
-    fetch.ok = true;
+    // Any copy, dirty or clean, ships the page bytes.
+    fetch.had_page = core::PageFetchResp::kHadPage;
     EXPECT_EQ(core::wire_bytes(fetch), 1u + kPageSize);
-
-    core::PageInvalidateResp inval{};
-    inval.data_included = false;
-    EXPECT_EQ(core::wire_bytes(inval), 2u);
-    inval.data_included = true;
-    EXPECT_EQ(core::wire_bytes(inval), 2u + kPageSize);
+    fetch.had_page = core::PageFetchResp::kHadPage | core::PageFetchResp::kDirty;
+    EXPECT_EQ(core::wire_bytes(fetch), 1u + kPageSize);
 
     // A truncated message's payload_size is the wire size, and the prefix
     // view still reads the leading fields.
+    fetch.had_page = 0;
     msg::MessagePtr m = msg::make_message_prefix(
-        msg::MsgType::kPageInvalidate, msg::MsgKind::kReply, inval,
-        core::wire_bytes(core::PageInvalidateResp{}));
-    EXPECT_EQ(m->hdr.payload_size, 2u);
-    EXPECT_EQ(m->wire_size(), sizeof(msg::MessageHeader) + 2u);
+        msg::MsgType::kPageFetch, msg::MsgKind::kReply, fetch, core::wire_bytes(fetch));
+    EXPECT_EQ(m->hdr.payload_size, 1u);
+    EXPECT_EQ(m->wire_size(), sizeof(msg::MessageHeader) + 1u);
+    EXPECT_EQ(m->payload_prefix_as<core::PageFetchResp>().had_page, 0u);
 }
 
 TEST(WireSize, RangedRequestScalesWithCount) {
@@ -91,6 +116,8 @@ TEST(WireSize, PageFetchRequestScalesWithCount) {
     // adds one address per page, never the full array.
     core::PageFetchReq req{};
     req.count = 1;
+    EXPECT_EQ(core::wire_bytes(req), 24u);
+    req.drop = true; // a write's byte source hands its copy over
     EXPECT_EQ(core::wire_bytes(req), 24u);
     req.count = 8;
     EXPECT_EQ(core::wire_bytes(req), 24u + 7 * sizeof(mem::Vaddr));
@@ -161,41 +188,32 @@ TEST(RangedRevoke, ObservationallyEquivalentToPerPage) {
             },
             static_cast<topo::KernelId>(k)));
     }
-    // Snapshot per-page invalidate counts right before the munmap so the
-    // revoke's own traffic is isolated from unrelated exchanges (thread
-    // exit/join futexes also move pages around).
-    std::array<std::uint64_t, 4> inval_before{};
+    // Snapshot the holder-side counts around the munmap so the revoke's
+    // own traffic is isolated from unrelated exchanges (thread exit/join
+    // futex writes also drop pages, one offset at a time).
+    HolderCounts revoke;
+    std::uint64_t range_rpcs = 0;
     process.spawn(
         [&](Guest& g) {
             g.join(init);
             for (Thread* r : readers) g.join(*r);
-            for (int k = 0; k < 4; ++k) {
-                inval_before[static_cast<std::size_t>(k)] =
-                    machine.kernel(static_cast<topo::KernelId>(k))
-                        .node()
-                        .dispatched(msg::MsgType::kPageInvalidate);
-            }
+            const HolderCounts before = holder_counts(machine);
+            range_rpcs = machine.kernel(0).pages().range_rpcs();
             g.munmap(buf, kPages * kPageSize);
+            revoke = holder_counts(machine) - before;
+            range_rpcs = machine.kernel(0).pages().range_rpcs() - range_rpcs;
         },
         0);
     machine.run();
     process.check_all_joined();
 
-    // One ranged RPC per remote holder; the revoke added zero per-page
-    // invalidates (it used to send kPages x holders of them).
-    for (int k = 1; k < 4; ++k) {
-        EXPECT_EQ(machine.kernel(static_cast<topo::KernelId>(k))
-                      .node()
-                      .dispatched(msg::MsgType::kPageInvalidateRange),
-                  1u)
-            << "kernel " << k;
-        EXPECT_EQ(machine.kernel(static_cast<topo::KernelId>(k))
-                      .node()
-                      .dispatched(msg::MsgType::kPageInvalidate),
-                  inval_before[static_cast<std::size_t>(k)])
-            << "kernel " << k;
+    // One ranged RPC per remote holder; the revoke fetched no bytes (it
+    // used to send kPages x holders per-page invalidates).
+    for (std::size_t k = 1; k < 4; ++k) {
+        EXPECT_EQ(revoke.ranged[k], 1u) << "kernel " << k;
+        EXPECT_EQ(revoke.fetches[k], 0u) << "kernel " << k;
     }
-    EXPECT_EQ(machine.kernel(0).pages().range_rpcs(), 3u);
+    EXPECT_EQ(range_rpcs, 3u);
 
     // Directory entries erased and every holder's PTE gone.
     const std::uint64_t vpn_lo = mem::vpn_of(buf);
@@ -290,6 +308,114 @@ TEST(ParallelFanout, PreservesMsiUnderDeliveryJitter) {
         machine.run();
         process.check_all_joined();
     }
+}
+
+/// What a write to a page Shared by kernels {1, 2, 3} sends to each holder
+/// (see write_to_shared_page).
+struct SharedWrite {
+    HolderCounts during;               ///< dispatched during the write
+    std::uint64_t value = 0;           ///< read back afterwards
+    std::array<bool, 4> mapped{};      ///< a PTE for the page survives
+    bool exclusive_at_writer = false;  ///< the directory entry afterwards
+};
+
+/// Kernel 1 writes one page, kernels 2 and 3 read it (Shared {1, 2, 3}),
+/// then `writer` writes it. Kernel 0 is the origin and home of the page
+/// and holds no copy before the write.
+SharedWrite write_to_shared_page(topo::KernelId writer) {
+    auto config = smp::popcorn_config(8, 4);
+    config.home_shards = 1;
+    Machine machine(config);
+    auto& process = machine.create_process(0);
+    const Pid pid = process.pid();
+    Vaddr page = 0;
+    auto& mapper = process.spawn([&](Guest& g) { page = g.mmap(kPageSize); }, 0);
+    auto& first = process.spawn(
+        [&](Guest& g) {
+            g.join(mapper);
+            g.write<std::uint64_t>(page, 1);
+        },
+        1);
+    std::vector<Thread*> readers;
+    for (const topo::KernelId k : {2, 3}) {
+        readers.push_back(&process.spawn(
+            [&](Guest& g) {
+                g.join(first);
+                EXPECT_EQ(g.read<std::uint64_t>(page), 1u);
+            },
+            k));
+    }
+    SharedWrite out;
+    auto& write = process.spawn(
+        [&](Guest& g) {
+            for (Thread* r : readers) g.join(*r);
+            g.compute(20_us); // let the readers' exit traffic drain
+            g.flush_timing();
+            const HolderCounts before = holder_counts(machine);
+            g.write<std::uint64_t>(page, 2);
+            g.flush_timing();
+            out.during = holder_counts(machine) - before;
+        },
+        writer);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(write);
+            out.value = g.read<std::uint64_t>(page);
+        },
+        writer);
+    machine.run();
+    process.check_all_joined();
+    for (std::size_t k = 0; k < 4; ++k) {
+        const mem::Pte* pte = machine.kernel(static_cast<topo::KernelId>(k))
+                                  .site(pid)
+                                  .space()
+                                  .page_table()
+                                  .find(page);
+        out.mapped[k] = pte != nullptr && pte->present;
+    }
+    const auto& shard = machine.kernel(0).site(pid).dir_shard(mem::vpn_of(page));
+    const auto it = shard.entries.find(mem::vpn_of(page));
+    out.exclusive_at_writer = it != shard.entries.end() && !it->second.busy &&
+                              it->second.state == core::PageDirEntry::State::kExclusive &&
+                              it->second.owner == writer;
+    return out;
+}
+
+TEST(ParallelFanout, WriteFaultMovesBytesOnce) {
+    // The home writes a page it does not hold. The lowest holder hands its
+    // copy over in one dropping kPageFetch; the other two holders drop
+    // theirs on a one-offset kPageInvalidateRange. Nothing else reaches a
+    // holder.
+    const SharedWrite home = write_to_shared_page(0);
+    EXPECT_EQ(home.during.fetches[1], 1u);
+    EXPECT_EQ(home.during.ranged[1], 0u);
+    for (const std::size_t k : {2, 3}) {
+        EXPECT_EQ(home.during.fetches[k], 0u) << "kernel " << k;
+        EXPECT_EQ(home.during.ranged[k], 1u) << "kernel " << k;
+    }
+    for (const std::size_t k : {1, 2, 3}) {
+        EXPECT_EQ(home.during.dispatched[k], 1u) << "kernel " << k;
+        EXPECT_FALSE(home.mapped[k]) << "kernel " << k << " kept its copy";
+    }
+    EXPECT_TRUE(home.mapped[0]);
+    EXPECT_TRUE(home.exclusive_at_writer);
+    EXPECT_EQ(home.value, 2u);
+
+    // A sharer's upgrade needs no bytes: both other holders drop theirs on
+    // a ranged drop, and no kernel serves a fetch.
+    const SharedWrite upgrade = write_to_shared_page(1);
+    for (std::size_t k = 0; k < 4; ++k) {
+        EXPECT_EQ(upgrade.during.fetches[k], 0u) << "kernel " << k;
+    }
+    for (const std::size_t k : {2, 3}) {
+        EXPECT_EQ(upgrade.during.ranged[k], 1u) << "kernel " << k;
+        EXPECT_EQ(upgrade.during.dispatched[k], 1u) << "kernel " << k;
+        EXPECT_FALSE(upgrade.mapped[k]) << "kernel " << k << " kept its copy";
+    }
+    EXPECT_TRUE(upgrade.mapped[1]);
+    EXPECT_FALSE(upgrade.mapped[0]);
+    EXPECT_TRUE(upgrade.exclusive_at_writer);
+    EXPECT_EQ(upgrade.value, 2u);
 }
 
 TEST(ParallelFanout, WriteFaultLatencyNearFlatInSharers) {
@@ -415,11 +541,15 @@ struct StreamRun {
     Nanos vtime = 0;
     std::uint64_t messages = 0;
     std::uint64_t bytes = 0;
-    std::uint64_t batch_faults = 0;
     std::uint64_t pushes = 0;
     std::uint64_t issued = 0, hit = 0, wasted = 0;
-    /// Page faults the reader's kernel took during the stream.
+    /// Page faults the reader's kernel took during the stream, and how many
+    /// of them went to a home on another kernel.
     std::uint64_t demand_faults = 0;
+    std::uint64_t remote_faults = 0;
+    /// kPageFault requests the other kernels (the homes) served during the
+    /// stream: one per remote fault, with or without a window.
+    std::uint64_t fault_requests = 0;
     /// rpc_scatter rounds kernel 0 (the home) posted during the stream.
     std::uint64_t home_scatters = 0;
     /// kPageFetch requests the writer kernel served during the stream, and
@@ -447,6 +577,17 @@ StreamRun stream_pages(int pages, int window, Reader reader = Reader::kRemote,
         const core::PageOwner& owner = machine.kernel(reader_kernel(reader)).pages();
         return owner.local_faults() + owner.remote_faults();
     };
+    const auto reader_remote_faults = [&machine, reader] {
+        return machine.kernel(reader_kernel(reader)).pages().remote_faults();
+    };
+    const auto served_faults = [&machine, reader] {
+        std::uint64_t served = 0;
+        for (topo::KernelId k = 0; k < machine.nkernels(); ++k) {
+            if (k == reader_kernel(reader)) continue;
+            served += machine.kernel(k).node().dispatched(msg::MsgType::kPageFault);
+        }
+        return served;
+    };
     kernel::Kernel& holder = machine.kernel(writer_kernel(reader));
     const auto holder_fetches = [&holder] {
         return holder.node().dispatched(msg::MsgType::kPageFetch);
@@ -459,6 +600,8 @@ StreamRun stream_pages(int pages, int window, Reader reader = Reader::kRemote,
             g.join(writer);
             const Vaddr buf = mem::kMmapBase;
             const std::uint64_t faults0 = reader_faults();
+            const std::uint64_t remote0 = reader_remote_faults();
+            const std::uint64_t served0 = served_faults();
             const std::uint64_t scatters0 = machine.kernel(0).node().scatter_batches();
             const std::uint64_t fetches0 = holder_fetches();
             const std::uint64_t tlb0 = holder_tlb();
@@ -472,6 +615,8 @@ StreamRun stream_pages(int pages, int window, Reader reader = Reader::kRemote,
                                    static_cast<std::uint64_t>(pages - 1) / 2);
             });
             out.demand_faults = reader_faults() - faults0;
+            out.remote_faults = reader_remote_faults() - remote0;
+            out.fault_requests = served_faults() - served0;
             out.home_scatters = machine.kernel(0).node().scatter_batches() - scatters0;
             out.holder_fetches = holder_fetches() - fetches0;
             out.holder_tlb_bumps = holder_tlb() - tlb0;
@@ -485,7 +630,6 @@ StreamRun stream_pages(int pages, int window, Reader reader = Reader::kRemote,
     const std::uint64_t vpn_hi = vpn_lo + static_cast<std::uint64_t>(pages);
     for (topo::KernelId k = 0; k < machine.nkernels(); ++k) {
         auto& kernel = machine.kernel(k);
-        out.batch_faults += kernel.node().dispatched(msg::MsgType::kPageFaultBatch);
         out.pushes += kernel.node().dispatched(msg::MsgType::kPagePush);
         out.issued += kernel.pages().prefetch_issued();
         out.hit += kernel.pages().prefetch_hit();
@@ -508,7 +652,8 @@ TEST(Prefetch, WindowOffIsPlainDemandProtocol) {
     for (const Reader reader : kReaders) {
         for (const int window : {0, 1}) {
             const StreamRun run = stream_pages(16, window, reader);
-            EXPECT_EQ(run.batch_faults, 0u) << name(reader) << ", window " << window;
+            EXPECT_EQ(run.fault_requests, run.remote_faults)
+                << name(reader) << ", window " << window;
             EXPECT_EQ(run.pushes, 0u) << name(reader) << ", window " << window;
             EXPECT_EQ(run.issued, 0u) << name(reader) << ", window " << window;
         }
@@ -525,7 +670,11 @@ TEST(Prefetch, BatchesAndBeatsDemandFaulting) {
     RKO_SKIP_IF_SHARDED();
     const StreamRun demand = stream_pages(32, 1);
     const StreamRun pf = stream_pages(32, 8);
-    EXPECT_GT(pf.batch_faults, 0u);
+    // Windowed or not, each remote fault is one kPageFault at the home.
+    EXPECT_GT(demand.remote_faults, 0u);
+    EXPECT_EQ(demand.fault_requests, demand.remote_faults);
+    EXPECT_GT(pf.remote_faults, 0u);
+    EXPECT_EQ(pf.fault_requests, pf.remote_faults);
     EXPECT_GT(pf.pushes, 0u);
     EXPECT_GT(pf.issued, 0u);
     EXPECT_EQ(pf.issued, pf.hit + pf.wasted);
@@ -597,6 +746,7 @@ TEST(Prefetch, PushFetchesRemoteSourcesInOneScatter) {
     EXPECT_GT(pf.issued, 0u);
     EXPECT_EQ(pf.issued, pf.hit + pf.wasted);
     EXPECT_GT(pf.home_scatters, 0u) << "the home fetched its pushes page by page";
+    EXPECT_EQ(pf.fault_requests, pf.remote_faults);
     EXPECT_LT(pf.move_time, demand.move_time)
         << "prefetch did not speed up a stream from a third-party source";
 }
