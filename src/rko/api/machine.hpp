@@ -43,11 +43,14 @@ struct MachineConfig {
     /// (the paper's protocol), false = migrate-on-any-fault (no Shared
     /// state; see DESIGN.md §5).
     bool read_replication = true;
-    /// Fault-around prefetch window in pages (DESIGN.md §10). A read fault
-    /// from a thread with a detected sequential stride carries a window of
-    /// up to this many pages, which the home grants in one transaction
-    /// round. <= 1 disables the detector entirely: runs are bit-identical
-    /// to the pre-prefetch protocol (no fault carries a window).
+    /// Fault-around prefetch window in pages (DESIGN.md §10): the first
+    /// window of a stream. A fault from a thread with a detected sequential
+    /// stride carries a window, which the home grants in one transaction
+    /// round — read shares pushed behind a read, and the untouched pages
+    /// after a first touch as zero-fill. Each window that continues the
+    /// stream doubles the next, up to 32 pages. <= 1 disables the detector
+    /// entirely: runs are bit-identical to the pre-prefetch protocol (no
+    /// fault carries a window).
     int prefetch_window = 1;
     /// Hierarchical futex (DESIGN.md §13): remote waiters on the same
     /// (pid, uaddr) aggregate into a per-kernel convoy, the origin fans

@@ -122,6 +122,7 @@ ScenarioResult finish(Machine& m) {
     for (topo::KernelId k = 0; k < m.nkernels(); ++k) {
         res.migratory_grants += m.kernel(k).pages().migratory_grants();
         res.migratory_reverts += m.kernel(k).pages().migratory_reverts();
+        res.first_touch_grants += m.kernel(k).pages().first_touch_grants();
     }
     Fnv h;
     h.u64(res.content_hash);
@@ -502,6 +503,60 @@ ScenarioResult run_prefetch_race(const ExploreConfig& cfg) {
                 g.munmap(buf + (kPages - 6) * kPageSize, 6 * kPageSize);
                 g.compute(1_us);
                 g.mmap(6 * kPageSize);
+            }
+        },
+        0);
+    machine.run();
+    return finish(machine);
+}
+
+/// Two writers on kernels 1 and 2 first-touch adjacent halves of one
+/// 32-page region as write streams with prefetch_window=8, so the home
+/// grants first-touch runs (DESIGN §10) that must stop at the first page
+/// the other writer already touched, while an unmapper on kernel 3 cycles
+/// the 8-page tail: a run can be granted for pages whose VMA vanishes
+/// before the writer maps them (confirmed as abandoned), and each revoke
+/// must wait on the run's busy bits. A reader on kernel 0 then reads the
+/// head back. Writers may legally segfault; audits + reproducibility only.
+ScenarioResult run_first_touch_race(const ExploreConfig& cfg) {
+    constexpr int kPages = 32;
+    constexpr int kTail = 8;
+    MachineConfig mc = base_config(cfg);
+    mc.prefetch_window = 8;
+    Machine machine(mc);
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    auto& init = process.spawn([&](Guest& g) { buf = g.mmap(kPages * kPageSize); }, 0);
+    std::vector<Thread*> writers;
+    for (int w = 0; w < 2; ++w) {
+        writers.push_back(&process.spawn(
+            [&, w](Guest& g) {
+                g.join(init);
+                for (int p = 0; p < kPages / 2; ++p) {
+                    const int page = w * (kPages / 2) + p;
+                    g.write<std::uint64_t>(buf + static_cast<Vaddr>(page) * kPageSize,
+                                           static_cast<std::uint64_t>(0x100 + page));
+                    g.compute(100_ns);
+                }
+            },
+            static_cast<topo::KernelId>(1 + w)));
+    }
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            for (int c = 0; c < 3; ++c) {
+                g.compute(2_us);
+                g.munmap(buf + (kPages - kTail) * kPageSize, kTail * kPageSize);
+                g.compute(1_us);
+                g.mmap(kTail * kPageSize); // usually lands back on the same gap
+            }
+        },
+        3);
+    process.spawn(
+        [&](Guest& g) {
+            for (Thread* w : writers) g.join(*w);
+            for (int p = 0; p < kPages - kTail; ++p) {
+                (void)g.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize);
             }
         },
         0);
@@ -1103,6 +1158,11 @@ const std::vector<Scenario>& scenarios() {
          "fault-around pushes race write upgrades and munmap of the tail",
          /*content_deterministic=*/false, /*expect_violation=*/false,
          &run_prefetch_race},
+        {"first_touch_race",
+         "two write streams first-touch adjacent halves of a region as "
+         "zero-fill runs while munmap cycles its tail",
+         /*content_deterministic=*/false, /*expect_violation=*/false,
+         &run_first_touch_race},
         {"home_prefetch_race",
          "the home's own fault-around fetches race write upgrades and "
          "munmap of the tail",
@@ -1171,6 +1231,7 @@ SweepStats sweep(const Scenario& scenario, const SweepOptions& options) {
         stats.sim_time += first.vtime;
         stats.migratory_grants += first.migratory_grants;
         stats.migratory_reverts += first.migratory_reverts;
+        stats.first_touch_grants += first.first_touch_grants;
 
         if (first.replay_hash != again.replay_hash) {
             ++stats.replay_mismatches;

@@ -44,6 +44,9 @@ struct ScenarioResult {
     /// migratory-page paths (DESIGN.md §17) ran.
     std::uint64_t migratory_grants = 0;
     std::uint64_t migratory_reverts = 0;
+    /// Machine-wide pages.first_touch.grants: pages granted as zero-fill
+    /// in first-touch runs (DESIGN.md §10).
+    std::uint64_t first_touch_grants = 0;
     Report report; ///< invariant audit of the drained machine
 };
 
@@ -79,6 +82,7 @@ struct SweepStats {
     Nanos sim_time = 0;         ///< summed virtual end time (first run per seed)
     std::uint64_t migratory_grants = 0;  ///< summed over first runs
     std::uint64_t migratory_reverts = 0; ///< summed over first runs
+    std::uint64_t first_touch_grants = 0; ///< summed over first runs
     bool ok() const {
         return violations == 0 && replay_mismatches == 0 && content_mismatches == 0;
     }

@@ -201,13 +201,12 @@ void Migration::on_migrate(msg::Node& node, msg::MessagePtr m) {
         t = &fresh;
     }
     // The stride detector must restart on arrival — a revisit reactivates
-    // the task's OLD record here, and a stale last_fault_page/fault_run
-    // pair would send a bogus multi-page window on the first unrelated
-    // fault. The fault stream crosses a different fabric edge
-    // now; fresh records get the same treatment for uniformity.
-    t->last_fault_page = 0;
-    t->fault_run = 0;
-    t->fault_window_end = 0;
+    // the task's OLD record here, and a stale streak would send a bogus
+    // multi-page window on the first unrelated fault. The fault stream
+    // crosses a different fabric edge now; fresh records get the same
+    // treatment for uniformity.
+    t->read_streak = {};
+    t->write_streak = {};
     // Working-set migration (§15): restart the tracker seeded with the
     // shipped hot set, queue it for the post-resume pull round, and arm
     // the post-copy boost window so the tail outside the top-K streams.

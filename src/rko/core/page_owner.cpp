@@ -30,6 +30,10 @@ struct WriteGuard {
     sim::RwLock& lock;
 };
 
+/// How long a fault answered kRetry waits before it re-routes
+/// (PageOwner::settle_fault).
+constexpr Nanos kRetryBeatNs = 1'000;
+
 std::uint32_t effective_prot(std::uint32_t vma_prot, bool writable) {
     return writable ? vma_prot : (vma_prot & ~mem::kProtWrite);
 }
@@ -149,6 +153,27 @@ void apply_commit_locked(ProcessSite::DirShard& shard, std::uint64_t vpn,
     }
 }
 
+/// Creates `vpn`'s entry for a first touch by `requester`: born busy, with
+/// the post-state (Exclusive at the requester, or Shared {requester}) parked
+/// until its install commits. Shard lock held.
+void park_first_touch(ProcessSite::DirShard& shard, std::uint64_t vpn,
+                      topo::KernelId requester, bool exclusive) {
+    PageDirEntry entry;
+    if (exclusive) {
+        entry.state = PageDirEntry::State::kExclusive;
+        entry.owner = requester;
+    } else {
+        entry.state = PageDirEntry::State::kShared;
+        entry.sharers = topo::kbit(requester);
+    }
+    PageDirEntry busy_marker = entry;
+    busy_marker.busy = true;
+    shard.entries.emplace(vpn, busy_marker);
+    shard.pending[vpn] = entry;
+    shard.pending_from[vpn] = requester;
+    shard.shadow.on_write();
+}
+
 } // namespace
 
 PageOwner::PageOwner(kernel::Kernel& k)
@@ -167,6 +192,7 @@ PageOwner::PageOwner(kernel::Kernel& k)
       workset_wasted_(k.metrics().counter("migration.workset.wasted")),
       migratory_grants_(k.metrics().counter("pages.migratory.grants")),
       migratory_reverts_(k.metrics().counter("pages.migratory.reverts")),
+      first_touch_grants_(k.metrics().counter("pages.first_touch.grants")),
       remote_latency_(k.metrics().histogram("pages.remote_fault_ns")) {}
 
 topo::KernelId PageOwner::home_of(ProcessSite& site, mem::Vaddr page) const {
@@ -318,20 +344,7 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
         if (it == shard.entries.end()) {
             // First touch machine-wide: the requester allocates a zero page.
             // The entry is born busy; it commits when the install confirms.
-            PageDirEntry entry;
-            if (take_exclusive) {
-                entry.state = PageDirEntry::State::kExclusive;
-                entry.owner = requester;
-            } else {
-                entry.state = PageDirEntry::State::kShared;
-                entry.sharers = topo::kbit(requester);
-            }
-            PageDirEntry busy_marker = entry;
-            busy_marker.busy = true;
-            shard.entries.emplace(vpn, busy_marker);
-            shard.pending[vpn] = entry;
-            shard.pending_from[vpn] = requester;
-            shard.shadow.on_write();
+            park_first_touch(shard, vpn, requester, take_exclusive);
             shard.lock.unlock();
             out.status = FaultStatus::kOk;
             out.zero_fill = true;
@@ -722,12 +735,31 @@ bool PageOwner::install_locally(ProcessSite& site, const mem::Vma& vma,
     return true;
 }
 
+template <typename Leg>
+FaultStatus PageOwner::settle_fault(ProcessSite& site, mem::Vaddr page, const Leg& leg) {
+    for (;;) {
+        // Route by the page's HOME — the origin when unsharded
+        // (bit-identical to the pre-home protocol), else the home map's
+        // owner of its shard, recomputed per try: the home moves if its
+        // owner dies.
+        const FaultStatus status = leg(home_of(site, page));
+        if (status != FaultStatus::kRetry) return status;
+        if (k_.node().dead()) throw msg::LocalNodeDead{};
+        k_.engine().current().sleep_for(kRetryBeatNs);
+    }
+}
+
 mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
                                          mem::Vaddr page, std::uint32_t access,
                                          task::Task* t) {
-    // Route by the page's HOME — the origin when unsharded (bit-identical
-    // to the pre-home protocol), else the home map's owner of its shard.
-    const topo::KernelId home = home_of(site, page);
+    return fault_result(settle_fault(site, page, [&](topo::KernelId home) {
+        return guest_fault(site, vma, home, page, access, t);
+    }));
+}
+
+FaultStatus PageOwner::guest_fault(ProcessSite& site, const mem::Vma& vma,
+                                   topo::KernelId home, mem::Vaddr page,
+                                   std::uint32_t access, task::Task* t) {
     if (home == k_.id()) {
         local_faults_.inc();
         trace::Span span(k_.engine(), k_.id(), "page.fault.local", page);
@@ -739,24 +771,27 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
         const bool peers = !site.is_origin() ||
                            (site.group().replica_mask & ~topo::kbit(k_.id())) != 0;
         const std::uint32_t window = peers ? stride_window(vma, page, access, t) : 0;
-        return fault_result(window >= 2
-                                ? home_window(site, vma, page, access, window, t)
-                                : home_fault(site, vma, page, access, t));
+        // A write streak at the home takes no window: its first touches
+        // send no message, so there is no round trip to save.
+        return window >= 2 && (access & mem::kProtWrite) == 0
+                   ? home_window(site, vma, page, access, window, t)
+                   : home_fault(site, vma, page, access, t);
     }
 
     remote_faults_.inc();
     trace::Span span(k_.engine(), k_.id(), "page.fault.remote", page);
 
-    // Fault-around: a thread on a sequential read streak sends its fault
-    // with a window — the home services the faulting page as usual and
+    // Fault-around: a thread on a sequential streak sends its fault with a
+    // window. For a read the home services the faulting page as usual and
     // pushes the window's remaining pages unsolicited (kPagePush), turning
-    // one RTT per page into one RTT per window. With the knob off
-    // (window <= 1) the fault carries no window and the wire traffic is
-    // bit-identical to the plain protocol.
+    // one RTT per page into one RTT per window; a first touch, read or
+    // write, also takes the untouched pages after it as a zero-fill run.
+    // With the knob off (window <= 1) the fault carries no window and the
+    // wire traffic is bit-identical to the plain protocol.
     std::uint32_t window = stride_window(vma, page, access, t);
     // Post-migration boost (§15): a freshly migrated thread's remote read
     // faults batch from the FIRST touch (no min-run — the whole address
-    // space is cold here, so any pattern benefits) with the widened cap.
+    // space is cold here, so any pattern benefits) with a full window.
     // The home recognizes the flag, batches its downgrades under one
     // shootdown, and replies after the pushes, so the window lands
     // installed before the guest resumes.
@@ -764,14 +799,13 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
     if (workset_push_ > 0 && t != nullptr && (access & mem::kProtWrite) == 0 &&
         t->workset_boost_until > k_.engine().now()) {
         const std::uint64_t avail = (vma.end - page) >> mem::kPageShift;
-        const std::uint64_t cap =
-            std::min<std::uint64_t>(kMaxWorksetAround, avail);
+        const std::uint64_t cap = std::min<std::uint64_t>(kMaxFaultAround, avail);
         if (cap >= 2 && cap > window) {
             window = static_cast<std::uint32_t>(cap);
             boosted = true;
         }
     }
-    return fault_result(remote_fault(site, vma, home, page, access, window, boosted, t));
+    return remote_fault(site, vma, home, page, access, window, boosted, t);
 }
 
 FaultStatus PageOwner::remote_fault(ProcessSite& site, const mem::Vma& vma,
@@ -802,35 +836,66 @@ FaultStatus PageOwner::remote_fault(ProcessSite& site, const mem::Vma& vma,
                    msg::make_message(msg::MsgType::kPageInstalled, msg::MsgKind::kOneway,
                                      PageInstalledMsg{site.pid(), page, k_.id(),
                                                       installed}));
+    if (resp.run > 0) install_first_touch_run(site, home, page, access, resp, t);
     return FaultStatus::kOk;
+}
+
+void PageOwner::install_first_touch_run(ProcessSite& site, topo::KernelId home,
+                                        mem::Vaddr page, std::uint32_t access,
+                                        const PageFaultResp& resp, task::Task* t) {
+    // The home clipped the run to its own VMA tree; a racing munmap may
+    // have removed part of it here since, so each page is checked against
+    // a fresh lookup, and one that lost its VMA is confirmed as abandoned.
+    mem::Vma vma{};
+    {
+        ReadGuard guard(site.space().mmap_lock());
+        if (const mem::Vma* found = site.space().vmas().find(page + mem::kPageSize)) {
+            vma = *found;
+        }
+    }
+    // Each page installs from the demand's zero-fill answer, as `page` did.
+    for (std::uint32_t i = 1; i <= resp.run; ++i) {
+        const mem::Vaddr va = page + static_cast<mem::Vaddr>(i) * mem::kPageSize;
+        const bool installed = vma.contains(va) && (vma.prot & access) == access &&
+                               install_locally(site, vma, va, access, resp);
+        if (installed) attribute_fault(t, va, resp.source);
+        k_.node().send(home, msg::make_message(msg::MsgType::kPageInstalled,
+                                               msg::MsgKind::kOneway,
+                                               PageInstalledMsg{site.pid(), va, k_.id(),
+                                                                installed}));
+    }
 }
 
 std::uint32_t PageOwner::stride_window(const mem::Vma& vma, mem::Vaddr page,
                                        std::uint32_t access, task::Task* t) {
-    if (prefetch_window_ <= 1 || t == nullptr || (access & mem::kProtWrite) != 0) {
-        return 0;
-    }
+    if (prefetch_window_ <= 1 || t == nullptr) return 0;
+    task::FaultStreak& streak =
+        (access & mem::kProtWrite) != 0 ? t->write_streak : t->read_streak;
     // A stream continues at the next page, or inside or just past the last
     // window: the window's granted pages never fault, so the next fault of
-    // a stream lands past its end (or on a page the home could not claim).
-    if (t->last_fault_page + mem::kPageSize == page ||
-        (page > t->last_fault_page && page <= t->fault_window_end)) {
-        ++t->fault_run;
+    // a stream lands past its end (or on a page the home could not grant).
+    if (streak.last_page + mem::kPageSize == page ||
+        (page > streak.last_page && page <= streak.window_end)) {
+        ++streak.run;
     } else {
-        t->fault_run = 1;
-        t->fault_window_end = 0;
+        streak.run = 1;
+        streak.window_end = 0;
     }
-    t->last_fault_page = page;
-    if (t->fault_run < kPrefetchMinRun) return 0;
-    // Clip to the faulting kernel's VMA; the home's claim re-clips against
-    // its own tree and the non-busy directory entries it can claim.
+    streak.last_page = page;
+    if (streak.run < kPrefetchMinRun) return 0;
+    // Ramp: each window that continues the stream doubles the next one.
+    std::uint64_t want = static_cast<std::uint64_t>(prefetch_window_);
+    for (std::uint32_t run = kPrefetchMinRun; run < streak.run && want < kMaxFaultAround;
+         ++run) {
+        want *= 2;
+    }
+    // Clip to the faulting kernel's VMA; the home re-clips against its own
+    // tree and the directory entries it can grant.
     const std::uint64_t avail = (vma.end - page) >> mem::kPageShift;
-    const std::uint64_t cap = std::min<std::uint64_t>(
-        std::min<std::uint64_t>(static_cast<std::uint64_t>(prefetch_window_),
-                                kMaxFaultAround),
-        avail);
+    const std::uint64_t cap =
+        std::min({want, static_cast<std::uint64_t>(kMaxFaultAround), avail});
     if (cap < 2) return 0;
-    t->fault_window_end = page + cap * mem::kPageSize;
+    streak.window_end = page + cap * mem::kPageSize;
     return static_cast<std::uint32_t>(cap);
 }
 
@@ -838,9 +903,8 @@ std::byte* PageOwner::ensure_readable(ProcessSite& site, mem::Vaddr page) {
     RKO_ASSERT(site.is_origin());
     constexpr std::uint32_t kPeek = mem::kProtRead | kAccessKernelPeek;
     // Attempts bound the installs lost to racing invalidations; a retry
-    // answer (a shard being rebuilt, a home that moved or died) waits a
-    // beat and costs none.
-    for (int attempt = 0; attempt < 16;) {
+    // answer costs none (settle_fault waits it out).
+    for (int attempt = 0; attempt < 16; ++attempt) {
         {
             const mem::Pte* pte = site.space().page_table().find(page);
             if (pte != nullptr && pte->allows(mem::kProtRead)) {
@@ -855,19 +919,13 @@ std::byte* PageOwner::ensure_readable(ProcessSite& site, mem::Vaddr page) {
             vma = *found;
         }
         // Sharded homes: the page's directory entry may live on another
-        // kernel even though we are the origin — take the requester role
-        // (recomputed per attempt: the home moves if its owner dies).
-        const topo::KernelId home = home_of(site, page);
-        const FaultStatus status =
-            home == k_.id()
-                ? home_fault(site, vma, page, kPeek, nullptr)
-                : remote_fault(site, vma, home, page, kPeek, 0, false, nullptr);
+        // kernel even though we are the origin — take the requester role.
+        const FaultStatus status = settle_fault(site, page, [&](topo::KernelId home) {
+            return home == k_.id()
+                       ? home_fault(site, vma, page, kPeek, nullptr)
+                       : remote_fault(site, vma, home, page, kPeek, 0, false, nullptr);
+        });
         if (status == FaultStatus::kSegv) return nullptr;
-        if (status == FaultStatus::kRetry) {
-            k_.engine().current().sleep_for(1000);
-            continue;
-        }
-        ++attempt; // the loop re-checks the PTE
     }
     return nullptr;
 }
@@ -1029,11 +1087,10 @@ ReadSharePlan plan_read_share(ProcessSite& site, std::uint64_t vpn, topo::Kernel
 }
 
 /// The pages a fault-around window offers after its faulting page `first`:
-/// first+1 up to first+min(window, cap)-1.
-std::vector<mem::Vaddr> window_pages(mem::Vaddr first, std::uint32_t window,
-                                     std::uint32_t cap) {
+/// first+1 up to first+min(window, kMaxFaultAround)-1.
+std::vector<mem::Vaddr> window_pages(mem::Vaddr first, std::uint32_t window) {
     std::vector<mem::Vaddr> pages;
-    for (std::uint32_t i = 1; i < std::min(window, cap); ++i) {
+    for (std::uint32_t i = 1; i < std::min(window, PageOwner::kMaxFaultAround); ++i) {
         pages.push_back(first + static_cast<mem::Vaddr>(i) * mem::kPageSize);
     }
     return pages;
@@ -1045,7 +1102,6 @@ std::vector<mem::Vaddr> window_pages(mem::Vaddr first, std::uint32_t window,
 /// captured, the kPagePush carrying its bytes.
 struct PageOwner::PushPage {
     ReadSharePlan plan;
-    bool cancelled = false;
     PagePushMsg push{};
 };
 
@@ -1842,9 +1898,8 @@ std::vector<mem::Vaddr> PageOwner::claim_push_pages(ProcessSite& site,
     return claimed;
 }
 
-std::vector<PageOwner::PushPage> PageOwner::capture_pages(
-    ProcessSite& site, const std::vector<mem::Vaddr>& claimed,
-    topo::KernelId requester) {
+void PageOwner::capture_pages(ProcessSite& site, const std::vector<mem::Vaddr>& claimed,
+                              topo::KernelId requester, const CaptureSink& sink) {
     RKO_ASSERT_MSG(claimed.size() <= PageFetchReq::kMaxPages,
                    "a capture's pages must fit one kPageFetch per holder");
     std::vector<PushPage> work(claimed.size());
@@ -1884,68 +1939,68 @@ std::vector<PageOwner::PushPage> PageOwner::capture_pages(
         it->pages.push_back(&p);
     }
 
-    if (!local.empty()) {
-        serve_fetch(site, local);
-        for (std::size_t i = 0; i < local.size(); ++i) {
-            local_pages[i]->cancelled = local[i].had_page == 0;
-        }
-    }
-    if (!remote.empty()) {
-        std::vector<msg::Node::ScatterItem> posts;
-        for (const SourceFetch& f : remote) {
-            posts.push_back({f.source, fetch_request(f.req), f.req.count});
-        }
-        // One result slot per page, in post order.
-        const auto replies = k_.node().rpc_scatter(std::move(posts));
-        std::size_t part = 0;
-        for (const SourceFetch& f : remote) {
-            for (PushPage* p : f.pages) {
-                const msg::MessagePtr& reply = replies[part++];
-                if (reply == nullptr ||
-                    reply->payload_prefix_as<PageFetchResp>().had_page == 0) {
-                    p->cancelled = true;
-                    continue;
-                }
-                p->push.data = reply->payload_prefix_as<PageFetchResp>().data;
-            }
-        }
-    }
-
     // The one cancel policy: a source that lost its copy (a munmap replica
     // sweep dropped it after the snapshot — the transient the read path
     // tolerates, DESIGN §14; a remote source answers without a copy) or died
     // (elastic: a null reply) cancels its page. The claim is released and
-    // the requester demand-faults the page later.
-    for (const PushPage& p : work) {
-        if (p.cancelled) release_claim(site, k_.node(), mem::vpn_of(p.push.va));
-    }
-    std::erase_if(work, [](const PushPage& p) { return p.cancelled; });
-    return work;
-}
-
-std::uint32_t PageOwner::push_pages(ProcessSite& site, std::vector<PushPage> captured,
-                                    topo::KernelId requester, bool workset) {
-    // Elastic: a requester that died while we captured will never confirm —
-    // release every claim instead of parking pendings nobody commits.
-    if (k_.node().peer_dead(requester)) {
-        for (const PushPage& p : captured) {
+    // the requester demand-faults the page later. Every other page goes to
+    // the sink as soon as its bytes are in.
+    const auto land = [&](PushPage& p, bool copied) {
+        if (copied) {
+            sink(p);
+        } else {
             release_claim(site, k_.node(), mem::vpn_of(p.push.va));
         }
-        return 0;
+    };
+    if (!local.empty()) {
+        serve_fetch(site, local);
+        for (std::size_t i = 0; i < local.size(); ++i) {
+            land(*local_pages[i], local[i].had_page != 0);
+        }
     }
-    // The requester's kPageInstalled (sent by its on_page_push, success or
-    // not) commits or rolls back each parked state and releases the busy
-    // bit — the standard three-phase shape.
-    for (PushPage& p : captured) {
-        park_pending(site, mem::vpn_of(p.push.va), p.plan.updated, requester);
+    if (remote.empty()) return;
+    std::vector<msg::Node::ScatterItem> posts;
+    std::vector<PushPage*> parts; // one per reply part, in post order
+    for (const SourceFetch& f : remote) {
+        posts.push_back({f.source, fetch_request(f.req), f.req.count});
+        parts.insert(parts.end(), f.pages.begin(), f.pages.end());
+    }
+    k_.node().rpc_scatter(std::move(posts), [&](std::size_t part, msg::MessagePtr reply) {
+        PushPage& p = *parts[part];
+        const bool copied =
+            reply != nullptr && reply->payload_prefix_as<PageFetchResp>().had_page != 0;
+        if (copied) p.push.data = reply->payload_prefix_as<PageFetchResp>().data;
+        land(p, copied);
+    });
+}
+
+std::uint32_t PageOwner::push_window(ProcessSite& site,
+                                     const std::vector<mem::Vaddr>& claimed,
+                                     topo::KernelId requester, bool workset) {
+    std::uint32_t pushed = 0;
+    capture_pages(site, claimed, requester, [&](PushPage& p) {
+        const std::uint64_t vpn = mem::vpn_of(p.push.va);
+        // Elastic: a requester that died while we captured will never
+        // confirm — release the claim instead of parking a pending nobody
+        // commits. No yield separates this check from the park's lock
+        // request, so a later death finds the pending for the reaper's
+        // sweep (which takes the same shard lock) to roll back.
+        if (k_.node().peer_dead(requester)) {
+            release_claim(site, k_.node(), vpn);
+            return;
+        }
+        // The requester's kPageInstalled (sent by its on_page_push, success
+        // or not) commits or rolls back the parked state and releases the
+        // busy bit — the standard three-phase shape.
+        park_pending(site, vpn, p.plan.updated, requester);
         (workset ? workset_pushed_ : prefetch_issued_).inc();
         p.push.workset = workset;
-        k_.node().send(requester,
-                       msg::make_message_prefix(msg::MsgType::kPagePush,
-                                                msg::MsgKind::kOneway, p.push,
-                                                wire_bytes(p.push)));
-    }
-    return static_cast<std::uint32_t>(captured.size());
+        k_.node().send(requester, msg::make_message_prefix(msg::MsgType::kPagePush,
+                                                           msg::MsgKind::kOneway, p.push,
+                                                           wire_bytes(p.push)));
+        ++pushed;
+    });
+    return pushed;
 }
 
 FaultStatus PageOwner::home_fault(ProcessSite& site, const mem::Vma& vma,
@@ -1964,7 +2019,7 @@ FaultStatus PageOwner::home_fault(ProcessSite& site, const mem::Vma& vma,
 FaultStatus PageOwner::home_window(ProcessSite& site, const mem::Vma& vma,
                                    mem::Vaddr page, std::uint32_t access,
                                    std::uint32_t window, task::Task* t) {
-    const std::vector<mem::Vaddr> rest = window_pages(page, window, kMaxFaultAround);
+    const std::vector<mem::Vaddr> rest = window_pages(page, window);
     // The faulting page leads the claim only where its transaction would
     // plan a plain read share: the claim takes nothing when the page is
     // absent (zero-fill), busy, already held here or migratory, and without
@@ -1987,7 +2042,9 @@ FaultStatus PageOwner::home_window(ProcessSite& site, const mem::Vma& vma,
         claimed = claim_push_pages(site, rest, k_.id());
     }
     bool demand_done = !folded;
-    for (const PushPage& p : capture_pages(site, claimed, k_.id())) {
+    // Each page installs and commits as soon as its bytes arrive, while the
+    // rest of the window is still in flight.
+    capture_pages(site, claimed, k_.id(), [&](PushPage& p) {
         // The claim skipped pages the home holds: every source is remote.
         RKO_ASSERT(p.plan.source != k_.id());
         const bool demand = p.push.va == page;
@@ -2009,11 +2066,11 @@ FaultStatus PageOwner::home_window(ProcessSite& site, const mem::Vma& vma,
         if (demand) {
             demand_done = true;
             if (installed) attribute_fault(t, page, resp.source);
-            continue;
+            return;
         }
         prefetch_issued_.inc();
         (installed ? prefetch_hit_ : prefetch_wasted_).inc();
-    }
+    });
     // A folded page whose capture was cancelled (its source died or lost
     // the copy) runs its own transaction; the window stays installed.
     if (!demand_done) return home_fault(site, vma, page, access, t);
@@ -2079,50 +2136,96 @@ void PageOwner::workset_prefault(ProcessSite& site, task::Task& t) {
 // Message handlers.
 // ---------------------------------------------------------------------------
 
-ProcessSite* PageOwner::serve_fault(Pid pid, mem::Vaddr va, std::uint32_t access,
-                                    topo::KernelId requester, PageFaultResp& out) {
-    if (!k_.has_site(pid) || k_.node().peer_dead(requester)) {
+ProcessSite* PageOwner::serve_fault(const PageFaultReq& req, PageFaultResp& out) {
+    if (!k_.has_site(req.pid) || k_.node().peer_dead(req.requester)) {
         // A fault from an already-declared-dead requester must not park a
         // pending install nobody will ever confirm; the reply dead-letters.
         out.status = FaultStatus::kSegv;
         return nullptr;
     }
-    ProcessSite& site = k_.site(pid);
-    if (k_.home_map().sharded() && home_of(site, va) != k_.id()) {
+    ProcessSite& site = k_.site(req.pid);
+    if (k_.home_map().sharded() && home_of(site, req.va) != k_.id()) {
         // Stale routing: the requester aimed at a home that has since moved
         // (membership change in flight). Back off and re-route.
         out.status = FaultStatus::kRetry;
         return nullptr;
     }
-    if (origin_transaction(site, va, access, requester, out) != FaultStatus::kOk) {
+    if (origin_transaction(site, req.va, req.access, req.requester, out) !=
+        FaultStatus::kOk) {
         return nullptr;
     }
-    if (k_.node().peer_dead(requester)) {
-        // The requester died while we worked: its kPageInstalled will never
-        // arrive — roll the parked install back now (idempotent versus the
-        // reaper's own sweep).
-        abandon_pending(site, va, requester);
+    if (out.zero_fill && req.window >= 2) {
+        out.run = static_cast<std::uint8_t>(
+            grant_first_touch_run(site, req.va, req.access, req.window, req.requester));
+    }
+    if (k_.node().peer_dead(req.requester)) {
+        // The requester died while we worked: its kPageInstalled confirms
+        // will never arrive — roll the parked installs back now
+        // (idempotent versus the reaper's own sweep).
+        for (std::uint32_t i = 0; i <= out.run; ++i) {
+            abandon_pending(site, req.va + static_cast<mem::Vaddr>(i) * mem::kPageSize,
+                            req.requester);
+        }
         return nullptr;
     }
     return &site;
 }
 
+std::uint32_t PageOwner::grant_first_touch_run(ProcessSite& site, mem::Vaddr page,
+                                               std::uint32_t access, std::uint32_t window,
+                                               topo::KernelId requester) {
+    // Each page gets the entry a first touch gets (origin_transaction).
+    const bool exclusive = (access & mem::kProtWrite) != 0 || !read_replication_;
+    std::uint64_t epoch = 0;
+    mem::Vaddr end = page + static_cast<mem::Vaddr>(std::min(window, kMaxFaultAround)) *
+                                mem::kPageSize;
+    {
+        ReadGuard guard(site.space().mmap_lock());
+        const mem::Vma* vma = site.space().vmas().find(page);
+        if (vma == nullptr) return 0;
+        end = std::min(end, vma->end);
+        epoch = site.vma_epoch;
+    }
+    // The run stops at the first page another fault already touched: the
+    // pages past it (a neighbour thread's slice, say) would otherwise land
+    // here, and their own first touch would become a transfer from us.
+    std::uint32_t run = 0;
+    for (mem::Vaddr va = page + mem::kPageSize; va < end; va += mem::kPageSize) {
+        const std::uint64_t vpn = mem::vpn_of(va);
+        if (k_.home_map().sharded() &&
+            (home_of(site, va) != k_.id() ||
+             site.home_rebuilding(k_.home_map().shard_of(vpn)))) {
+            break;
+        }
+        auto& shard = site.dir_shard(vpn);
+        shard.lock.lock();
+        shard.shadow.on_read();
+        // A destructive VMA op since the lookup ends the run, as it sends
+        // the transaction back to re-validate.
+        if (site.vma_epoch != epoch || shard.entries.contains(vpn)) {
+            shard.lock.unlock();
+            break;
+        }
+        park_first_touch(shard, vpn, requester, exclusive);
+        shard.lock.unlock();
+        ++run;
+    }
+    first_touch_grants_.inc(run);
+    return run;
+}
+
 void PageOwner::on_page_fault(msg::Node& node, msg::MessagePtr m) {
     const auto& req = m->payload_as<PageFaultReq>();
     PageFaultResp resp{};
-    ProcessSite* site = serve_fault(req.pid, req.va, req.access, req.requester, resp);
+    ProcessSite* site = serve_fault(req, resp);
+    // Only a read window pushes: a write's pages would be read shares it
+    // must upgrade at once.
     std::vector<mem::Vaddr> claimed;
-    if (site != nullptr && req.window >= 2) {
-        claimed = claim_push_pages(
-            *site,
-            window_pages(req.va, req.window,
-                         req.workset ? kMaxWorksetAround : kMaxFaultAround),
-            req.requester);
+    if (site != nullptr && req.window >= 2 && (req.access & mem::kProtWrite) == 0) {
+        claimed = claim_push_pages(*site, window_pages(req.va, req.window), req.requester);
     }
     const auto push = [&] {
-        if (claimed.empty()) return;
-        push_pages(*site, capture_pages(*site, claimed, req.requester), req.requester,
-                   req.workset);
+        if (!claimed.empty()) push_window(*site, claimed, req.requester, req.workset);
     };
     // Boosted window (§15): push FIRST, reply last. The channel is FIFO, so
     // every pushed page is already installed when the demand reply unblocks
@@ -2257,9 +2360,8 @@ void PageOwner::on_workset_pull(msg::Node& node, msg::MessagePtr m) {
         for (std::uint32_t i = 0; i < req.count && i < task::kMaxWorkset; ++i) {
             pages.push_back(static_cast<mem::Vaddr>(req.vpn[i]) << mem::kPageShift);
         }
-        const auto claimed = claim_push_pages(site, pages, req.requester);
-        resp.granted = push_pages(site, capture_pages(site, claimed, req.requester),
-                                  req.requester, /*workset=*/true);
+        resp.granted = push_window(site, claim_push_pages(site, pages, req.requester),
+                                   req.requester, /*workset=*/true);
     }
     // Reply AFTER the pushes: the channel is FIFO, so by the time the
     // puller's scatter completes every granted push has already been

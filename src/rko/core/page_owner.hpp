@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -35,19 +36,16 @@ namespace rko::core {
 class PageOwner {
 public:
     /// Hard cap on a fault-around window (pages, including the faulting
-    /// one) regardless of the configured prefetch_window.
-    static constexpr std::uint32_t kMaxFaultAround = 16;
+    /// one): a stream's ramp, a first-touch run and a post-migration
+    /// boosted batch (DESIGN.md §15) all stop here, so one capture fits one
+    /// kPageFetch per holder.
+    static constexpr std::uint32_t kMaxFaultAround = 32;
     /// Consecutive +1-page faults a thread must string together before a
-    /// read fault carries a fault-around window.
+    /// fault carries a fault-around window.
     static constexpr std::uint32_t kPrefetchMinRun = 3;
-    /// Window cap for a post-migration boosted batch (DESIGN.md §15) —
-    /// wider than kMaxFaultAround because the requester just lost its whole
-    /// address space and the home batches the downgrades under one
-    /// shootdown.
-    static constexpr std::uint32_t kMaxWorksetAround = 32;
     /// How long (virtual ns) after arrival a migrated thread keeps its
     /// post-copy boost: remote read faults batch from the first touch
-    /// (min-run 1) with the widened window.
+    /// (min-run 1) with a full kMaxFaultAround window.
     static constexpr Nanos kWorksetBoostNs = 2'000'000;
 
     explicit PageOwner(kernel::Kernel& k);
@@ -63,9 +61,11 @@ public:
     void set_read_replication(bool enabled) { read_replication_ = enabled; }
     bool read_replication() const { return read_replication_; }
 
-    /// Fault-around prefetch window (pages). <= 1 disables the stride
-    /// detector: no fault carries a window, no kPagePush traffic exists and
-    /// runs are bit-identical to the plain demand-fault protocol.
+    /// Fault-around prefetch window (pages): the first window of a stream.
+    /// Each window that continues the stream doubles the next one, up to
+    /// kMaxFaultAround. <= 1 disables the stride detector: no fault carries
+    /// a window, no kPagePush traffic or first-touch run exists and runs are
+    /// bit-identical to the plain demand-fault protocol.
     void set_prefetch_window(int pages) { prefetch_window_ = pages; }
     int prefetch_window() const { return prefetch_window_; }
 
@@ -194,6 +194,9 @@ public:
     /// because their owner never stored to them (DESIGN §17).
     std::uint64_t migratory_grants() const { return migratory_grants_.value; }
     std::uint64_t migratory_reverts() const { return migratory_reverts_.value; }
+    /// Pages this (home) kernel granted as zero-fill in first-touch runs,
+    /// after the faulting page of a remote fault's window (DESIGN.md §10).
+    std::uint64_t first_touch_grants() const { return first_touch_grants_.value; }
 
 private:
     /// The heart of the protocol; runs at the origin (task or kworker).
@@ -261,10 +264,24 @@ private:
         InvalidateRangeOp op);
 
     /// The fault-around stride detector both fault branches share: records
-    /// this fault in `t`'s read streak and returns the window (pages,
-    /// including `page`, clipped to `vma`) the fault should batch, or 0.
+    /// this fault in `t`'s read or write streak and returns the window
+    /// (pages, including `page`, clipped to `vma`) the fault should batch,
+    /// or 0. A stream's first window is prefetch_window; each window that
+    /// continues it doubles the next, up to kMaxFaultAround.
     std::uint32_t stride_window(const mem::Vma& vma, mem::Vaddr page,
                                 std::uint32_t access, task::Task* t);
+
+    /// Runs `leg(home)`, a fault leg aimed at the page's current home,
+    /// until it settles. A kRetry answer (a shard being rebuilt, a home
+    /// that moved or died) waits a 1 us beat and re-routes, so a rebuild of
+    /// any length costs the guest no MMU retry.
+    template <typename Leg>
+    FaultStatus settle_fault(ProcessSite& site, mem::Vaddr page, const Leg& leg);
+
+    /// One guest fault leg routed to `home`: a home fault or window, or a
+    /// remote fault with its window and post-migration boost.
+    FaultStatus guest_fault(ProcessSite& site, const mem::Vma& vma, topo::KernelId home,
+                            mem::Vaddr page, std::uint32_t access, task::Task* t);
 
     // The page-push pipeline (home side, DESIGN.md §10). Fault-around
     // windows, post-migration boosted batches and kWorksetPull rounds all
@@ -272,23 +289,27 @@ private:
     // (skipping absent, busy and requester-held entries; never waiting);
     // capture_pages plans each claimed page's read share and copies its
     // bytes — local copies in one holder batch, remote ones with one
-    // kPageFetch per source kernel, all in one rpc_scatter — releasing the
-    // claim of any page whose source died or lost its copy; push_pages
-    // parks each captured page's pending state and ships it as kPagePush,
-    // which the requester's kPageInstalled confirm commits.
+    // kPageFetch per source kernel, all in one streaming rpc_scatter —
+    // releasing the claim of any page whose source died or lost its copy,
+    // and hands every other page to `sink` as soon as its bytes are in;
+    // push_window's sink parks each page's pending state and ships it as
+    // kPagePush, which the requester's kPageInstalled confirm commits.
     // `demand_first`: pages.front() is a guest read fault's own page, also
     // skipped when migratory (its read is an ownership grant, §17); when it
     // cannot be claimed, nothing is.
     struct PushPage;
+    using CaptureSink = std::function<void(PushPage& page)>;
     std::vector<mem::Vaddr> claim_push_pages(ProcessSite& site,
                                              const std::vector<mem::Vaddr>& pages,
                                              topo::KernelId requester,
                                              bool demand_first = false);
-    std::vector<PushPage> capture_pages(ProcessSite& site,
-                                        const std::vector<mem::Vaddr>& claimed,
-                                        topo::KernelId requester);
-    std::uint32_t push_pages(ProcessSite& site, std::vector<PushPage> captured,
-                             topo::KernelId requester, bool workset);
+    void capture_pages(ProcessSite& site, const std::vector<mem::Vaddr>& claimed,
+                       topo::KernelId requester, const CaptureSink& sink);
+    /// Captures `claimed` and pushes each page to `requester` as it
+    /// arrives, or releases its claim if the requester has died. Returns
+    /// the pages pushed.
+    std::uint32_t push_window(ProcessSite& site, const std::vector<mem::Vaddr>& claimed,
+                              topo::KernelId requester, bool workset);
 
     /// A fault taken AT the page's home: the transaction with this kernel
     /// as requester, then the local install and commit. `installed`, when
@@ -298,19 +319,21 @@ private:
                            bool* installed = nullptr);
 
     /// A read streak AT the home: claims `page` with the rest of its window
-    /// for this kernel, captures them (every source is remote, so one
-    /// rpc_scatter with one kPageFetch per holder), then installs and
-    /// commits each page locally. The faulting page leads the claim only
-    /// where its transaction would plan a plain read share; otherwise it
-    /// demand-faults first (home_fault) and the rest of the window follows,
-    /// and a folded page whose capture was cancelled demand-faults last.
+    /// for this kernel and captures them (every source is remote, so one
+    /// rpc_scatter with one kPageFetch per holder), installing and
+    /// committing each page locally as its bytes land. The faulting page
+    /// leads the claim only where its transaction would plan a plain read
+    /// share; otherwise it demand-faults first (home_fault) and the rest of
+    /// the window follows, and a folded page whose capture was cancelled
+    /// demand-faults last.
     FaultStatus home_window(ProcessSite& site, const mem::Vma& vma, mem::Vaddr page,
                             std::uint32_t access, std::uint32_t window, task::Task* t);
 
     /// A fault taken away from the page's `home`: one kPageFault round trip
     /// (carrying the fault-around `window`, 0 for none, and the
     /// post-migration `workset` boost), then the local install, its
-    /// attribution and the kPageInstalled confirm. kRetry when the home
+    /// attribution and the kPageInstalled confirm, and the same for each
+    /// page of a first-touch run the home granted. kRetry when the home
     /// died mid-fault or asked for a retry.
     FaultStatus remote_fault(ProcessSite& site, const mem::Vma& vma,
                              topo::KernelId home, mem::Vaddr page,
@@ -319,11 +342,29 @@ private:
 
     /// The demand half of kPageFault: SEGV for an unknown process or an
     /// already-dead requester, kRetry for a stale sharded route, else the
-    /// demand transaction, rolled back if the requester died meanwhile.
-    /// Returns the site only when the transaction parked an install a live
-    /// requester will confirm.
-    ProcessSite* serve_fault(Pid pid, mem::Vaddr va, std::uint32_t access,
-                             topo::KernelId requester, PageFaultResp& out);
+    /// demand transaction, with its first-touch run when it answered
+    /// zero-fill to a fault with a `window`; both are rolled back if the
+    /// requester died meanwhile. Returns the site only when the transaction
+    /// parked an install a live requester will confirm.
+    ProcessSite* serve_fault(const PageFaultReq& req, PageFaultResp& out);
+
+    /// A first-touch run (DESIGN.md §10): after a zero-fill answer to
+    /// `requester`'s fault on `page`, creates entries for the pages after it,
+    /// up to the fault's `window`, stopping at the first page that already
+    /// has an entry, lies outside this kernel's VMA or is homed elsewhere.
+    /// Each entry is born busy with the demand's post-state parked, as a
+    /// first touch's is. Returns the run length (pages after `page`).
+    std::uint32_t grant_first_touch_run(ProcessSite& site, mem::Vaddr page,
+                                        std::uint32_t access, std::uint32_t window,
+                                        topo::KernelId requester);
+
+    /// Requester side of the first-touch run `resp` (the demand's zero-fill
+    /// answer) grants after `page`: maps each page as a zeroed frame with
+    /// the fault's access, attributes it and confirms it to `home`
+    /// (ok=false where the VMA vanished).
+    void install_first_touch_run(ProcessSite& site, topo::KernelId home,
+                                 mem::Vaddr page, std::uint32_t access,
+                                 const PageFaultResp& resp, task::Task* t);
 
     void on_page_fault(msg::Node& node, msg::MessagePtr m);
     void on_home_range_op(msg::Node& node, msg::MessagePtr m);
@@ -354,15 +395,16 @@ private:
     trace::Counter& workset_wasted_;
     trace::Counter& migratory_grants_;
     trace::Counter& migratory_reverts_;
+    trace::Counter& first_touch_grants_;
     base::Histogram& remote_latency_;
 };
 
-// A capture (a boosted window, or a kWorksetPull round) fits one
-// kPageFetch per holder.
-static_assert(PageFetchReq::kMaxPages == PageOwner::kMaxWorksetAround &&
+// A capture (a window, or a kWorksetPull round) fits one kPageFetch per
+// holder.
+static_assert(PageFetchReq::kMaxPages == PageOwner::kMaxFaultAround &&
                   PageFetchReq::kMaxPages >= task::kMaxWorkset,
               "one kPageFetch carries a whole capture's pages from one holder");
-static_assert(PageOwner::kMaxWorksetAround <= 0xff,
-              "a boosted window fits PageFaultReq::window");
+static_assert(PageOwner::kMaxFaultAround <= 0xff,
+              "a window fits PageFaultReq::window and a run PageFaultResp::run");
 
 } // namespace rko::core

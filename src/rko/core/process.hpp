@@ -57,7 +57,6 @@ struct ThreadGroup {
     int alive = 0;
     std::uint64_t spawned = 0;
     std::map<Tid, topo::KernelId> location; ///< live members -> kernel
-    sim::WaitList exit_waiters;             ///< whole-process waiters
     /// Every kernel that ever instantiated a replica site (targets for VMA
     /// update broadcasts); includes the origin.
     topo::KernelMask replica_mask = 0;

@@ -44,12 +44,6 @@ task::Task& ThreadGroups::instantiate_local(Pid pid, Tid tid, topo::KernelId ori
     return ref;
 }
 
-ProcessSite& ThreadGroups::create_process(Pid pid, Tid main_tid) {
-    ProcessSite& site = k_.ensure_site(pid, k_.id());
-    origin_join(pid, main_tid, k_.id());
-    return site;
-}
-
 void ThreadGroups::origin_join(Pid pid, Tid tid, topo::KernelId where) {
     ProcessSite& site = k_.ensure_site(pid, k_.id());
     RKO_ASSERT(site.is_origin());
@@ -119,9 +113,7 @@ void ThreadGroups::origin_exit(Pid pid, Tid tid, int status) {
     // same tid; whichever lands first does the bookkeeping.
     if (group.location.erase(tid) == 0) return;
     RKO_ASSERT(group.alive > 0);
-    if (--group.alive == 0) {
-        group.exit_waiters.notify_all();
-    }
+    --group.alive;
     // The origin-side shadow record (if any) is now dead.
     if (task::Task* shadow = k_.find_task(tid);
         shadow != nullptr && shadow->state == task::TaskState::kShadow) {
@@ -163,13 +155,6 @@ void ThreadGroups::on_group_exit(msg::Node& node, msg::MessagePtr m) {
     (void)node;
     const auto& req = m->payload_as<TaskExitMsg>();
     k_.drop_site(req.pid);
-}
-
-void ThreadGroups::wait_group_exit(ProcessSite& site) {
-    RKO_ASSERT(site.is_origin());
-    while (site.group().alive > 0) {
-        site.group().exit_waiters.wait(k_.engine());
-    }
 }
 
 void ThreadGroups::on_remote_clone(msg::Node& node, msg::MessagePtr m) {

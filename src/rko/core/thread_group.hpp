@@ -28,11 +28,6 @@ public:
     /// Registers kRemoteClone (leaf), kTaskExit / kGroupUpdate (inline).
     void install();
 
-    /// Creates a process homed on this kernel, with its main-thread task.
-    /// Boot-time setup path (also used by the api layer's host-side
-    /// create_process); no messages are exchanged.
-    ProcessSite& create_process(Pid pid, Tid main_tid);
-
     /// Spawns thread `tid` of `site`'s process on kernel `dest`; runs on the
     /// calling (parent) task's actor. The thread entity must already be
     /// registered with the machine's actor resolver. Returns false on error.
@@ -42,10 +37,6 @@ public:
     /// Exit path for the current task (runs on its actor, before the actor
     /// finishes). Updates the group record, possibly via message.
     void task_exited(task::Task& t, int status);
-
-    /// Parks the calling actor until the whole group has exited. Only valid
-    /// on the origin kernel.
-    void wait_group_exit(ProcessSite& site);
 
     /// Reclaims every machine-wide resource of a dead process: unmaps the
     /// whole address space (revoking and freeing every page copy at its

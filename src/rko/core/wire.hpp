@@ -71,8 +71,10 @@ enum class FaultStatus : std::uint8_t { kOk = 0, kSegv, kRetry };
 constexpr std::uint32_t kAccessKernelPeek = 1u << 31;
 
 /// A fault on `va`, plain or with a fault-around window: the home serves
-/// the faulting page, then try-claims up to window-1 following pages and
-/// pushes each one it claimed (kPagePush) down the same channel.
+/// the faulting page, then, for a read, try-claims up to window-1 following
+/// pages and pushes each one it claimed (kPagePush) down the same channel.
+/// A fault the home answers zero-fill also takes the untouched pages after
+/// it, up to the window, as a first-touch run (PageFaultResp::run).
 struct PageFaultReq {
     Pid pid;
     mem::Vaddr va;          ///< page-aligned
@@ -81,9 +83,8 @@ struct PageFaultReq {
     /// Pages including the faulting one; <= 1: no window.
     std::uint8_t window;
     /// The requester is in its post-migration boost (DESIGN.md §15): the
-    /// window may reach PageOwner::kMaxWorksetAround, and the home pushes
-    /// the window before it replies, so the window lands installed before
-    /// the guest resumes.
+    /// home pushes the window before it replies, so the window lands
+    /// installed before the guest resumes.
     bool workset;
 };
 static_assert(sizeof(PageFaultReq) == 24,
@@ -104,7 +105,12 @@ struct PageFaultResp {
     /// the page writable if the VMA allows it (DESIGN §17). Occupies a byte
     /// freed by narrowing `status`, so the wire size is unchanged.
     bool writable;
-    std::array<std::uint8_t, 2> reserved; ///< keeps `data` at offset 8
+    /// First-touch run (DESIGN §10): the pages after `va` the home also
+    /// granted as zero-fill with this fault's access; the requester maps
+    /// and confirms each one. Occupies a reserved byte, so a reply without
+    /// data stays 8 bytes.
+    std::uint8_t run;
+    std::uint8_t reserved; ///< keeps `data` at offset 8
     std::array<std::byte, mem::kPageSize> data;
 };
 
@@ -120,8 +126,8 @@ static_assert(sizeof(PageFaultResp) == 8 + mem::kPageSize,
 /// wire_bytes), so a one-page fetch is 24 bytes. Drops that need no bytes
 /// travel in kPageInvalidateRange instead.
 struct PageFetchReq {
-    /// PageOwner::kMaxWorksetAround: a boosted window's pages all fit one
-    /// request to their holder.
+    /// PageOwner::kMaxFaultAround: a window's pages all fit one request to
+    /// their holder.
     static constexpr std::uint32_t kMaxPages = 32;
     Pid pid;
     std::uint16_t count;

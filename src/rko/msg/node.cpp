@@ -192,6 +192,16 @@ std::vector<MessagePtr> Node::rpc_all(const std::vector<KernelId>& dsts,
 
 std::vector<MessagePtr> Node::rpc_scatter(std::vector<ScatterItem> items,
                                           RpcStatus* status) {
+    return scatter(std::move(items), nullptr, status);
+}
+
+void Node::rpc_scatter(std::vector<ScatterItem> items, const PartSink& on_part,
+                       RpcStatus* status) {
+    scatter(std::move(items), &on_part, status);
+}
+
+std::vector<MessagePtr> Node::scatter(std::vector<ScatterItem> items,
+                                      const PartSink* on_part, RpcStatus* status) {
     sim::Actor& self = engine_.current();
     RKO_ASSERT_MSG(&self != dispatcher_.get(), "dispatcher must never block on rpc");
     RKO_ASSERT_MSG(!is_leaf_worker(&self), "leaf handlers must never rpc");
@@ -205,10 +215,12 @@ std::vector<MessagePtr> Node::rpc_scatter(std::vector<ScatterItem> items,
     if (status != nullptr) *status = RpcStatus::kOk;
     if (items.empty()) return replies;
 
+    std::vector<std::size_t> landed;
     PendingReply slot;
     slot.waiter = &self;
     slot.outstanding = static_cast<int>(parts);
     slot.sink = &replies;
+    if (on_part != nullptr) slot.landed = &landed;
 
     ++scatter_batches_;
     scatter_posts_ += items.size();
@@ -228,6 +240,11 @@ std::vector<MessagePtr> Node::rpc_scatter(std::vector<ScatterItem> items,
             slot.outstanding -= static_cast<int>(item.replies);
             rpc_failures_ += item.replies;
             slot.status = RpcStatus::kPeerDead;
+            if (on_part != nullptr) {
+                for (std::uint32_t part = 0; part < item.replies; ++part) {
+                    landed.push_back(base + part);
+                }
+            }
             continue;
         }
         item.request->hdr.kind = MsgKind::kRequest;
@@ -241,8 +258,18 @@ std::vector<MessagePtr> Node::rpc_scatter(std::vector<ScatterItem> items,
         send(item.dst, std::move(item.request));
     }
     const Nanos wait_start = engine_.now();
-    while (slot.outstanding > 0) self.park();
-    if (dead_) throw LocalNodeDead{};
+    for (std::size_t handed = 0;;) {
+        if (dead_) throw LocalNodeDead{};
+        if (handed < landed.size()) {
+            const std::size_t index = landed[handed++];
+            (*on_part)(index, std::move(replies[index]));
+            continue;
+        }
+        if (slot.outstanding == 0) break;
+        slot.waiting = true;
+        self.park();
+        slot.waiting = false;
+    }
     scatter_wait_.add(engine_.now() - wait_start);
     if (status != nullptr) *status = slot.status;
     return replies;
@@ -273,16 +300,28 @@ void Node::complete_reply(MessagePtr message) {
     PendingReply* slot = it->second;
     pending_.erase(it);
     ticket_dst_.erase(ticket);
+    land_part(*slot, ticket, std::move(message));
+}
 
-    if (slot->sink != nullptr) {
+void Node::land_part(PendingReply& slot, std::uint64_t ticket, MessagePtr reply) {
+    if (slot.sink != nullptr) {
         auto idx_it = ticket_index_.find(ticket);
         RKO_ASSERT(idx_it != ticket_index_.end());
-        (*slot->sink)[idx_it->second] = std::move(message);
+        const std::size_t index = idx_it->second;
         ticket_index_.erase(idx_it);
+        (*slot.sink)[index] = std::move(reply);
+        if (slot.landed != nullptr) slot.landed->push_back(index);
     } else {
-        slot->reply = std::move(message);
+        slot.reply = std::move(reply);
     }
-    if (--slot->outstanding == 0) slot->waiter->unpark();
+    --slot.outstanding;
+    // A streaming waiter is woken only while parked for a part, and once:
+    // a permit banked on an actor busy handing a part on would end some
+    // later, unrelated park early.
+    if (slot.landed != nullptr ? slot.waiting : slot.outstanding == 0) {
+        slot.waiting = false;
+        slot.waiter->unpark();
+    }
 }
 
 void Node::fail_ticket(std::uint64_t ticket, RpcStatus status) {
@@ -291,11 +330,10 @@ void Node::fail_ticket(std::uint64_t ticket, RpcStatus status) {
     PendingReply* slot = it->second;
     pending_.erase(it);
     ticket_dst_.erase(ticket);
-    ticket_index_.erase(ticket); // a scatter slot's reply entry stays null
-    cancelled_.insert(ticket);   // drop the reply if it was already in flight
+    cancelled_.insert(ticket); // drop the reply if it was already in flight
     slot->status = status;
     ++rpc_failures_;
-    if (--slot->outstanding == 0) slot->waiter->unpark();
+    land_part(*slot, ticket, nullptr); // a scatter slot's reply entry stays null
 }
 
 void Node::fail_pending(KernelId dead) {

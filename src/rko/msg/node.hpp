@@ -141,6 +141,18 @@ public:
     std::vector<MessagePtr> rpc_scatter(std::vector<ScatterItem> items,
                                         RpcStatus* status = nullptr);
 
+    /// Streaming form: posts like rpc_scatter, then hands each reply part
+    /// on as soon as it lands, on the calling actor and in arrival order:
+    /// `on_part(slot, reply)`, where `slot` is the part's index in the
+    /// vector form's result and `reply` is null for a part that failed.
+    /// Returns once every part has been handed on. The caller wakes per
+    /// part only while it waits for one: a part that lands while `on_part`
+    /// runs (it may sleep, say for a page copy) never cuts that sleep
+    /// short, and is handed on when `on_part` returns.
+    using PartSink = std::function<void(std::size_t slot, MessagePtr reply)>;
+    void rpc_scatter(std::vector<ScatterItem> items, const PartSink& on_part,
+                     RpcStatus* status = nullptr);
+
     // --- Elastic membership hooks (rko/elastic) ---
 
     /// Marks `dead` unreachable: future rpc/send to it fail immediately and
@@ -194,6 +206,10 @@ private:
         MessagePtr reply;
         int outstanding = 1; ///< for rpc_all fan-in
         std::vector<MessagePtr>* sink = nullptr;
+        /// Streaming scatter: the sink slots landed so far, in arrival
+        /// order, and whether the waiter is parked for the next one.
+        std::vector<std::size_t>* landed = nullptr;
+        bool waiting = false;
         RpcStatus status = RpcStatus::kOk; ///< sticky: any failed ticket
     };
 
@@ -209,6 +225,14 @@ private:
     Nanos earliest_pending() const;
     void route(MessagePtr message);
     void complete_reply(MessagePtr message);
+    /// The one scatter wait loop behind both rpc_scatter forms; `on_part`
+    /// is null for the vector form.
+    std::vector<MessagePtr> scatter(std::vector<ScatterItem> items,
+                                    const PartSink* on_part, RpcStatus* status);
+    /// Lands one part of `slot` (its reply, or null for a failed ticket)
+    /// and wakes the waiter: a fan-in waiter once every part is in, a
+    /// streaming one per part while it waits.
+    void land_part(PendingReply& slot, std::uint64_t ticket, MessagePtr reply);
     /// Fails one pending ticket with `status`: reply stays null, the slot's
     /// status is marked, and the waiter is unparked once fan-in drains.
     void fail_ticket(std::uint64_t ticket, RpcStatus status);

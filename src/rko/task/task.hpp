@@ -57,6 +57,16 @@ struct WorksetEntry {
     std::uint32_t heat = 0;
 };
 
+/// One stride detector streak (core/page_owner, DESIGN.md §10): the last
+/// page the task faulted on, how many consecutive faults advanced by exactly
+/// one page or landed inside or just past the last window, and the first
+/// page past that window (0: none).
+struct FaultStreak {
+    mem::Vaddr last_page = 0;
+    std::uint32_t run = 0;
+    mem::Vaddr window_end = 0;
+};
+
 struct Task {
     Tid tid = 0;
     Pid pid = 0; ///< thread-group id (process)
@@ -93,17 +103,16 @@ struct Task {
     std::array<std::uint32_t, topo::kMaxKernels> fault_from{};
 
     // --- fault-around prefetch (core/page_owner, DESIGN.md §10) ---
-    /// Stride detector state: the last page this task faulted on, how many
-    /// consecutive faults advanced by exactly one page or landed inside or
-    /// just past the last window, and the first page past that window (0:
-    /// none). Migration resets all three on arrival (Migration::on_migrate)
-    /// — deliberately, since the fault stream now crosses a different
-    /// fabric edge. The reset must be explicit: a thread revisiting a kernel
-    /// reactivates its *old* task record there, and a stale run would send
-    /// a bogus multi-page window on the first unrelated fault.
-    mem::Vaddr last_fault_page = 0;
-    std::uint32_t fault_run = 0;
-    mem::Vaddr fault_window_end = 0;
+    /// Stride detector state, one streak for read faults and one for write
+    /// faults, so a thread that reads one array while it writes another
+    /// keeps both streams. Migration resets both on arrival
+    /// (Migration::on_migrate) — deliberately, since the fault stream now
+    /// crosses a different fabric edge. The reset must be explicit: a
+    /// thread revisiting a kernel reactivates its *old* task record there,
+    /// and a stale run would send a bogus multi-page window on the first
+    /// unrelated fault.
+    FaultStreak read_streak;
+    FaultStreak write_streak;
 
     // --- working-set migration (core/migration + core/page_owner, §15) ---
     /// Top-K hot-page tracker feeding pre-copy migration: a fault install
@@ -118,9 +127,9 @@ struct Task {
     std::array<std::uint64_t, kMaxWorkset> pending_workset{};
     std::uint32_t pending_workset_count = 0;
     /// Post-copy boost deadline: until this virtual time the destination
-    /// treats this task's remote read faults as streaming (min-run 1,
-    /// window widened past kMaxFaultAround) so the tail outside the
-    /// shipped top-K streams in instead of trickling.
+    /// treats this task's remote read faults as streaming (min-run 1, a
+    /// full kMaxFaultAround window from the first touch) so the tail
+    /// outside the shipped top-K streams in instead of trickling.
     Nanos workset_boost_until = 0;
 
     /// Records a fault install on `vpn` in the working-set tracker.

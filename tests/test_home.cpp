@@ -476,5 +476,67 @@ TEST(Home, FutexPeekWaitsOutAShardRebuild) {
     run(2, 150_us); // a remote home
 }
 
+// A guest fault on a page whose shard is being census-rebuilt is answered
+// kRetry until the rebuild ends. The fault must wait the rebuild out in
+// 1 us beats, not spend the MMU's 64 trap retries on it: neither on the
+// rebuilding home itself (the origin, then a non-origin home) nor from a
+// remote kernel, each with the flag up for longer than 64 traps take.
+TEST(Home, GuestFaultWaitsOutAShardRebuild) {
+    constexpr int kPages = 64;
+    const auto run = [](topo::KernelId home, topo::KernelId reader, Nanos rebuild) {
+        Machine machine(home_config(4, 32));
+        auto& process = machine.create_process(0);
+        const Pid pid = process.pid();
+        Vaddr page = 0;
+        for (int p = 0; p < kPages && page == 0; ++p) {
+            const Vaddr va = mem::kMmapBase + static_cast<Vaddr>(p) * kPageSize;
+            if (home::home_of(machine.kernel(0).home_map(), pid, 0, mem::vpn_of(va)) ==
+                home) {
+                page = va;
+            }
+        }
+        ASSERT_NE(page, 0u) << "no page homed at kernel " << home;
+        auto& mapper = process.spawn([](Guest& g) { g.mmap(kPages * kPageSize); }, 0);
+        // The page ends Exclusive at kernel 1.
+        process.spawn(
+            [&](Guest& g) {
+                g.join(mapper);
+                g.write<std::uint32_t>(page, 7);
+            },
+            1);
+        machine.run();
+        process.check_all_joined();
+
+        core::ProcessSite& site = machine.kernel(home).site(pid);
+        const int shard = machine.kernel(home).home_map().shard_of(mem::vpn_of(page));
+        process.spawn(
+            [&site, shard, rebuild](Guest& g) {
+                site.set_home_rebuilding(shard, true);
+                g.compute(rebuild);
+                g.flush_timing();
+                site.set_home_rebuilding(shard, false);
+            },
+            home);
+        std::uint32_t seen = 0;
+        Nanos waited = 0;
+        process.spawn(
+            [&](Guest& g) {
+                g.compute(1_us); // the rebuild flag is up
+                g.flush_timing();
+                const Nanos t0 = g.now();
+                seen = g.read<std::uint32_t>(page);
+                waited = g.now() - t0;
+            },
+            reader);
+        machine.run();
+        process.check_all_joined();
+        EXPECT_EQ(seen, 7u) << "home k" << home << ", reader k" << reader;
+        EXPECT_GE(waited, rebuild - 1_us) << "home k" << home << ", reader k" << reader;
+    };
+    run(0, 0, 100_us); // a reader on the rebuilding origin
+    run(2, 2, 100_us); // a reader on a rebuilding non-origin home
+    run(2, 3, 400_us); // a remote reader
+}
+
 } // namespace
 } // namespace rko::api

@@ -74,8 +74,7 @@ TEST(WorksetTracker, TopKTrackingAndDecay) {
 // A thread builds a partial sequential run (2 faults, below kPrefetchMinRun)
 // on k1, migrates away and back — reactivating its OLD task record — then
 // faults the next sequential page. Before the arrival-time reset, the stale
-// last_fault_page/fault_run pair completed the run and sent a bogus
-// windowed fault; with the reset the revisit starts a fresh run and no
+// read streak completed the run and sent a bogus windowed fault; with the reset the revisit starts a fresh run and no
 // prefetch is ever issued.
 TEST(WorksetMigration, StrideDetectorResetsOnRevisit) {
     MachineConfig config = smp::popcorn_config(8, 4);

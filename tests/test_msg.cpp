@@ -831,6 +831,68 @@ TEST(NodeElastic, PeerDeathMidReplyNullsTheMissingParts) {
     h.finish();
 }
 
+TEST(NodeElastic, StreamingScatterHandsEachPartOnAsItLands) {
+    // The streaming form hands the 2 parts the destination answers at once
+    // on long before it dies, each while the rest are still outstanding;
+    // the 3 parts the death fails follow as null. Each hand-off sleeps
+    // 10 us, and no part landing meanwhile cuts that sleep short.
+    Harness h(2);
+    h.fabric->node(1).register_handler(
+        MsgType::kVmaOp, HandlerClass::kBlocking,
+        [&](Node& node, MessagePtr m) { answer_parts_slowly(h.engine, node, m, 2); });
+    h.start();
+    struct HandOff {
+        std::size_t slot;
+        int value;
+        Nanos at;
+        Nanos slept;
+        std::size_t pending;
+    };
+    std::vector<HandOff> handed;
+    RpcStatus status = RpcStatus::kOk;
+    Nanos returned_at = -1;
+    Actor app(h.engine, "app", [&](Actor& self) {
+        std::vector<Node::ScatterItem> items;
+        items.push_back({1,
+                         make_message(MsgType::kVmaOp, MsgKind::kRequest,
+                                      PartsPayload{7, 5}),
+                         5});
+        h.fabric->node(0).rpc_scatter(
+            std::move(items),
+            [&](std::size_t slot, MessagePtr reply) {
+                const Nanos at = self.now();
+                const std::size_t pending = h.fabric->node(0).pending_replies();
+                self.sleep_for(10_us);
+                handed.push_back({slot,
+                                  reply == nullptr ? -1 : reply->payload_as<PingPayload>().value,
+                                  at, self.now() - at, pending});
+            },
+            &status);
+        returned_at = self.now();
+    });
+    app.start();
+    Actor killer(h.engine, "killer", [&](Actor&) {
+        h.fabric->node(1).set_dead();
+        h.fabric->node(0).set_peer_dead(1);
+    });
+    killer.start(200_us);
+    h.engine.run_until(5_ms);
+    ASSERT_EQ(handed.size(), 5u);
+    for (std::size_t i = 0; i < handed.size(); ++i) {
+        EXPECT_EQ(handed[i].slot, i);
+        EXPECT_EQ(handed[i].value, i < 2 ? 70 + static_cast<int>(i) : -1) << "slot " << i;
+        EXPECT_EQ(handed[i].slept, 10_us) << "slot " << i;
+    }
+    EXPECT_LT(handed[1].at, 200_us);
+    EXPECT_EQ(handed[0].pending, 4u);
+    EXPECT_EQ(handed[2].at, 200_us);
+    EXPECT_EQ(returned_at, 230_us);
+    EXPECT_EQ(status, RpcStatus::kPeerDead);
+    EXPECT_EQ(h.fabric->node(0).scatter_batches(), 1u);
+    EXPECT_EQ(h.fabric->node(0).pending_replies(), 0u);
+    h.finish();
+}
+
 TEST(NodeElastic, CallerKilledMidMultiPartWaitThrowsLocalNodeDead) {
     Harness h(2);
     h.fabric->node(1).register_handler(

@@ -699,6 +699,188 @@ TEST(Prefetch, StreamContinuesPastEachWindow) {
     EXPECT_LE(remote.demand_faults, 30u);
 }
 
+TEST(Prefetch, StreamWindowRamps) {
+    RKO_SKIP_IF_SHARDED(); // kernel 0 must home every page
+    // Each window that continues a stream doubles the next, up to 32
+    // pages. A 256-page stream at window 8 takes windows of 8, 16 and then
+    // 32 pages: three faults start the run, then one per window — faults at
+    // pages 0, 1, 2, 10, 26, 58, ..., 250, 12 in all, where fixed windows
+    // of 8 take 34. The remote reader also faults on pages whose push is
+    // still in flight behind the reply: 30 faults, where fixed windows take
+    // 66.
+    const StreamRun home = stream_pages(256, 8, Reader::kHome);
+    EXPECT_EQ(home.demand_faults, 12u);
+    EXPECT_EQ(home.issued, 256u - home.demand_faults);
+    const StreamRun remote = stream_pages(256, 8, Reader::kRemote);
+    EXPECT_LE(remote.demand_faults, 32u);
+    EXPECT_EQ(remote.fault_requests, remote.remote_faults);
+    EXPECT_EQ(remote.issued, remote.hit);
+}
+
+/// Machine-wide first-touch run grants (pages.first_touch.grants).
+std::uint64_t first_touch_grants(Machine& machine) {
+    auto metrics = machine.collect_metrics();
+    const trace::Counter* grants = metrics.find_counter("pages.first_touch.grants");
+    return grants == nullptr ? 0 : grants->value;
+}
+
+TEST(Prefetch, FirstTouchWriteStreamIsBatched) {
+    RKO_SKIP_IF_SHARDED(); // kernel 0 must home every page
+    // A kernel-1 thread writes 32 fresh pages homed at kernel 0. Its write
+    // streak carries windows of 8, 16 and 32 pages, and the home grants the
+    // untouched pages after each fault as zero-fill in the same reply:
+    // faults at pages 0, 1, 2, 10 and 26, where one fault per page is 32.
+    constexpr int kPages = 32;
+    auto config = smp::popcorn_config(4, 2);
+    config.prefetch_window = 8;
+    Machine machine(config);
+    auto& process = machine.create_process(0);
+    auto& mapper = process.spawn([](Guest& g) { g.mmap(kPages * kPageSize); }, 0);
+    std::uint64_t requests = 0;
+    process.spawn(
+        [&](Guest& g) {
+            g.join(mapper);
+            const msg::Node& home = machine.kernel(0).node();
+            const std::uint64_t served0 = home.dispatched(msg::MsgType::kPageFault);
+            for (int i = 0; i < kPages; ++i) {
+                g.write<std::uint64_t>(mem::kMmapBase + static_cast<Vaddr>(i) * kPageSize,
+                                       0x500ULL + static_cast<std::uint64_t>(i));
+            }
+            requests = home.dispatched(msg::MsgType::kPageFault) - served0;
+            for (int i = 0; i < kPages; ++i) {
+                EXPECT_EQ(g.read<std::uint64_t>(mem::kMmapBase +
+                                                static_cast<Vaddr>(i) * kPageSize),
+                          0x500ULL + static_cast<std::uint64_t>(i))
+                    << "page " << i;
+            }
+        },
+        1);
+    machine.run();
+    process.check_all_joined();
+    EXPECT_LE(requests, 5u);
+    EXPECT_EQ(first_touch_grants(machine), kPages - requests);
+    const std::uint64_t vpn0 = mem::vpn_of(mem::kMmapBase);
+    int exclusive_at_1 = 0;
+    for (const auto& shard : machine.kernel(0).site(process.pid()).dir_shards()) {
+        for (const auto& [vpn, entry] : shard.entries) {
+            if (vpn >= vpn0 && vpn < vpn0 + kPages && !entry.busy &&
+                entry.state == core::PageDirEntry::State::kExclusive && entry.owner == 1) {
+                ++exclusive_at_1;
+            }
+        }
+    }
+    EXPECT_EQ(exclusive_at_1, kPages);
+    const check::Report report = check::run_all(machine);
+    EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST(Prefetch, FirstTouchRunSurvivesMunmapRace) {
+    // A kernel-1 writer first-touches a 32-page mapping as a write stream
+    // while the origin unmaps its 8-page tail, at one instant per 1 us
+    // across the stream, unsharded and with 32 shards. A run granted for
+    // tail pages whose VMA vanishes before the writer maps them is
+    // confirmed as abandoned, and the revoke waits on the run's busy bits:
+    // no pending survives and the audits stay clean. The writer may
+    // legally segfault on the unmapped tail.
+    constexpr int kPages = 32;
+    constexpr int kTail = 8;
+    const auto run = [](int shards, Nanos unmap_after) {
+        auto config = smp::popcorn_config(4, 2);
+        config.prefetch_window = 8;
+        config.home_shards = shards;
+        Machine machine(config);
+        auto& process = machine.create_process(0);
+        auto& mapper = process.spawn([](Guest& g) { g.mmap(kPages * kPageSize); }, 0);
+        process.spawn(
+            [&mapper](Guest& g) {
+                g.join(mapper);
+                for (int i = 0; i < kPages; ++i) {
+                    const Vaddr page = mem::kMmapBase + static_cast<Vaddr>(i) * kPageSize;
+                    g.write<std::uint64_t>(page, 0x700ULL + static_cast<std::uint64_t>(i));
+                    g.compute(200_ns);
+                }
+            },
+            1);
+        if (unmap_after != 0) {
+            process.spawn(
+                [&mapper, unmap_after](Guest& g) {
+                    g.join(mapper);
+                    g.compute(unmap_after);
+                    g.munmap(mem::kMmapBase + (kPages - kTail) * kPageSize,
+                             kTail * kPageSize);
+                },
+                0);
+        }
+        machine.run();
+        process.check_all_joined();
+        for (topo::KernelId k = 0; k < machine.nkernels(); ++k) {
+            for (const auto& shard : machine.kernel(k).site(process.pid()).dir_shards()) {
+                EXPECT_TRUE(shard.pending.empty())
+                    << "shards " << shards << ", unmap after " << unmap_after << " ns";
+            }
+        }
+        const check::Report report = check::run_all(machine);
+        EXPECT_TRUE(report.ok()) << "shards " << shards << ", unmap after "
+                                 << unmap_after << " ns\n" << report.to_string();
+        return first_touch_grants(machine);
+    };
+    for (const int shards : {1, 32}) {
+        EXPECT_GT(run(shards, 0), 0u) << "shards " << shards;
+        for (Nanos after = 1_us; after <= 60_us; after += 1_us) run(shards, after);
+    }
+}
+
+TEST(Prefetch, FirstTouchRunSurvivesRequesterDeath) {
+    RKO_SKIP_IF_SHARDED(); // kernel 0 must home every page
+    // A kernel-1 writer first-touches a 64-page mapping as a write stream
+    // and dies with kernel 1 mid-stream, at one instant per 1 us. A run the
+    // home granted but the corpse never confirmed rolls back — through the
+    // home's own dead-requester check, or through the reaper's sweep — so
+    // no pending survives and the audits stay clean.
+    constexpr int kPages = 64;
+    const auto run = [](Nanos kill_after, Nanos* stream_start) {
+        auto config = smp::popcorn_config(4, 2);
+        config.prefetch_window = 8;
+        config.balance.policy = balance::Policy::kIdleSteal;
+        config.balance.period = 20_us;
+        config.balance.min_residency = 50_us;
+        config.elastic.enabled = true;
+        config.elastic.lease_misses = 4;
+        Machine machine(config);
+        auto& process = machine.create_process(0);
+        auto& mapper = process.spawn([](Guest& g) { g.mmap(kPages * kPageSize); }, 0);
+        process.spawn(
+            [&](Guest& g) {
+                g.join(mapper);
+                if (stream_start != nullptr) *stream_start = g.now();
+                for (int i = 0; i < kPages; ++i) {
+                    const Vaddr page = mem::kMmapBase + static_cast<Vaddr>(i) * kPageSize;
+                    g.write<std::uint64_t>(page, 0x900ULL + static_cast<std::uint64_t>(i));
+                }
+            },
+            1);
+        // Keeps the survivor's failure detector ticking past the lease.
+        process.spawn([](Guest& g) { g.compute(2_ms); }, 0);
+        if (kill_after != 0) {
+            machine.run_until(kill_after);
+            machine.kill_kernel(1);
+        }
+        machine.run();
+        process.check_all_joined();
+        for (const auto& shard : machine.kernel(0).site(process.pid()).dir_shards()) {
+            EXPECT_TRUE(shard.pending.empty()) << "kill at " << kill_after << " ns";
+        }
+        const check::Report report = check::run_all(machine);
+        EXPECT_TRUE(report.ok()) << "kill at " << kill_after << " ns\n"
+                                 << report.to_string();
+        return first_touch_grants(machine);
+    };
+    Nanos start = 0;
+    EXPECT_GT(run(0, &start), 0u);
+    ASSERT_GT(start, 0);
+    for (Nanos at = start + 1_us; at <= start + 60_us; at += 1_us) run(at, nullptr);
+}
+
 TEST(Prefetch, HomeReaderBatchesRemoteOwnedPages) {
     RKO_SKIP_IF_SHARDED();
     // Kernel 1 owns every page Exclusive when the home starts reading:
@@ -786,9 +968,11 @@ TEST(Prefetch, HomeStreakOnSingleKernelProcessCostsNothing) {
 TEST(Prefetch, HomeWindowSurvivesSourceDeath) {
     RKO_SKIP_IF_SHARDED(); // kernel 0 must home every page
     // Kernel 1 owns the stream and dies while the home reads it. A window
-    // fetch it never answered cancels its claim; one it answered commits.
-    // Both happen while the reaper's sweep skips the busy entries, so the
-    // release and the commit must strip the corpse themselves.
+    // page kernel 1 never answered cancels its claim; one it answered
+    // installs and commits as its reply part lands, even when the kill
+    // comes between the parts of one reply. Both happen while the reaper's
+    // sweep skips the busy entries, so the release and the commit must
+    // strip the corpse themselves.
     constexpr int kPages = 64;
     const auto run = [](Nanos kill_at) {
         auto config = smp::popcorn_config(4, 2);
@@ -803,26 +987,36 @@ TEST(Prefetch, HomeWindowSurvivesSourceDeath) {
         Thread& writer = map_and_fill(process, Reader::kHome, kPages,
                                       [](int i) { return 0x100ULL + i; });
         Nanos stream_start = 0;
+        std::uint64_t fetches0 = 0;
+        std::uint64_t kept = 0;
         process.spawn(
             [&](Guest& g) {
                 g.join(writer);
                 stream_start = g.now();
+                fetches0 = machine.kernel(0).node().dispatched(msg::MsgType::kPageFetch);
                 for (int i = 0; i < kPages; ++i) {
                     const std::uint64_t v =
                         g.read<std::uint64_t>(mem::kMmapBase + static_cast<Vaddr>(i) * kPageSize);
                     // A page whose only copy died with kernel 1 reads zero.
                     EXPECT_TRUE(v == 0 || v == 0x100ULL + i) << "page " << i;
+                    if (v != 0) ++kept;
                 }
             },
             0);
         // Keeps the survivor's failure detector ticking past the lease.
         process.spawn([](Guest& g) { g.compute(2_ms); }, 0);
+        // Stream pages kernel 1 had sent the home when it died: each one
+        // must be installed at the home and read back intact.
+        std::uint64_t arrived = 0;
         if (kill_at != 0) {
             machine.run_until(kill_at);
+            arrived = machine.kernel(0).node().dispatched(msg::MsgType::kPageFetch) -
+                      fetches0;
             machine.kill_kernel(1);
         }
         machine.run();
         process.check_all_joined();
+        EXPECT_GE(kept, arrived) << "kill at " << kill_at << " ns";
         const check::Report report = check::run_all(machine);
         EXPECT_TRUE(report.ok()) << "kill at " << kill_at << " ns\n" << report.to_string();
         return stream_start;

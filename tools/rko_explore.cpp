@@ -103,6 +103,10 @@ int main(int argc, char** argv) {
                         static_cast<double>(stats.migratory_grants) / stats.runs,
                         static_cast<double>(stats.migratory_reverts) / stats.runs);
         }
+        if (stats.first_touch_grants != 0) {
+            std::printf("%-24s first-touch grants/run=%.2f\n", "",
+                        static_cast<double>(stats.first_touch_grants) / stats.runs);
+        }
         std::fflush(stdout);
         all_ok = all_ok && stats.ok();
     }
