@@ -250,7 +250,7 @@ ScenarioResult run_futex_ping(const ExploreConfig& cfg) {
 }
 
 /// One thread cycles the lower half of a region read-only and back
-/// (downgrade_range demotes write bits machine-wide) while remote threads
+/// (a kDowngrade sweep demotes write bits machine-wide) while remote threads
 /// read those pages and write the upper half — demotion races fault-in
 /// upgrades on the same directory shards.
 ScenarioResult run_mprotect_demote(const ExploreConfig& cfg) {
@@ -297,6 +297,101 @@ ScenarioResult run_mprotect_demote(const ExploreConfig& cfg) {
     }
     machine.run();
     return finish(machine);
+}
+
+/// mprotect_demote's PROT_NONE twin: kernel 0 cycles the first four pages
+/// of a region PROT_NONE and back (each PROT_NONE sweep pulls the bytes
+/// home and drops every other copy, grouped into one kPageFetch per holder)
+/// while writers on kernels 1 and 2 fault on their neighbours. Each round
+/// opens once the region is accessible again: a writer writes two of the
+/// four pages and reads the other writer's two, so the next sweep finds
+/// copies Exclusive and Shared on both kernels; then it bounces a
+/// neighbouring page with the other writer while that sweep runs. A futex
+/// handshake keeps every access out of the PROT_NONE windows, so the last
+/// round's values must read back on kernels 0 and 2.
+ScenarioResult run_sequester_race(const ExploreConfig& cfg) {
+    constexpr int kCycles = 4;
+    constexpr int kGuarded = 4;
+    constexpr Vaddr kCtrl = kGuarded * kPageSize; // round opened, writers done
+    const auto value = [](int round, int page) {
+        return 0x5e00ULL + static_cast<std::uint64_t>(round) * 16 +
+               static_cast<std::uint64_t>(page);
+    };
+    Machine machine(base_config(cfg));
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    auto& init = process.spawn([&](Guest& g) { buf = g.mmap(8 * kPageSize); }, 0);
+    for (int w = 0; w < 2; ++w) {
+        process.spawn(
+            [&, w](Guest& g) {
+                g.join(init);
+                const Vaddr mine = buf + static_cast<Vaddr>(5 + w) * kPageSize;
+                const Vaddr theirs = buf + static_cast<Vaddr>(6 - w) * kPageSize;
+                for (int r = 0; r < kCycles; ++r) {
+                    std::uint32_t open;
+                    while ((open = g.read<std::uint32_t>(buf + kCtrl)) <=
+                           static_cast<std::uint32_t>(r)) {
+                        g.futex_wait(buf + kCtrl, open);
+                    }
+                    for (int p = 0; p < kGuarded; ++p) {
+                        const Vaddr page = buf + static_cast<Vaddr>(p) * kPageSize;
+                        if (p / 2 == w) {
+                            g.write<std::uint64_t>(page, value(r, p));
+                        } else {
+                            (void)g.read<std::uint64_t>(page);
+                        }
+                    }
+                    g.rmw_u32(buf + kCtrl + 64, [](std::uint32_t d) { return d + 1; });
+                    g.futex_wake(buf + kCtrl + 64, 1);
+                    for (int i = 0; i < 3; ++i) {
+                        g.write<std::uint64_t>(mine, static_cast<std::uint64_t>(r * 4 + i));
+                        (void)g.read<std::uint64_t>(theirs);
+                        g.compute(300_ns);
+                    }
+                }
+            },
+            static_cast<topo::KernelId>(1 + w));
+    }
+    int lost = 0;
+    const auto read_back = [&](Guest& g) {
+        for (int p = 0; p < kGuarded; ++p) {
+            if (g.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize) !=
+                value(kCycles - 1, p)) {
+                ++lost;
+            }
+        }
+    };
+    auto& cycler = process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            for (int r = 0; r < kCycles; ++r) {
+                g.write<std::uint32_t>(buf + kCtrl, static_cast<std::uint32_t>(r + 1));
+                g.futex_wake(buf + kCtrl, 2);
+                std::uint32_t done;
+                while ((done = g.read<std::uint32_t>(buf + kCtrl + 64)) <
+                       static_cast<std::uint32_t>(2 * (r + 1))) {
+                    g.futex_wait(buf + kCtrl + 64, done);
+                }
+                g.mprotect(buf, kGuarded * kPageSize, mem::kProtNone);
+                g.compute(1_us);
+                g.mprotect(buf, kGuarded * kPageSize, mem::kProtRead | mem::kProtWrite);
+            }
+            read_back(g);
+        },
+        0);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(cycler);
+            read_back(g);
+        },
+        2);
+    machine.run();
+    ScenarioResult res = finish(machine);
+    if (lost != 0) {
+        res.report.fail("sequester_race.value_lost",
+                        std::to_string(lost) + " page reads after the last cycle");
+    }
+    return res;
 }
 
 /// Fault-injection demo: drop one victim invalidation during a write
@@ -1141,6 +1236,11 @@ const std::vector<Scenario>& scenarios() {
          "mprotect write-bit demotion cycles race readers and writers",
          /*content_deterministic=*/true, /*expect_violation=*/false,
          &run_mprotect_demote},
+        {"sequester_race",
+         "PROT_NONE cycles pull copies home from two kernels while they fault "
+         "on neighbouring pages",
+         /*content_deterministic=*/true, /*expect_violation=*/false,
+         &run_sequester_race},
         {"inject_lost_invalidate",
          "drops one invalidation; the audit MUST flag the stale PTE",
          /*content_deterministic=*/true, /*expect_violation=*/true,

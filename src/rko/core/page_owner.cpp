@@ -558,7 +558,7 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                         owner_clean = own.had_page == PageFetchResp::kHadPage;
                     }
                 } else {
-                    local_drop_range(site, {vpn});
+                    local_range(site, {vpn}, InvalidateRangeOp::kDrop);
                 }
                 victims &= ~topo::kbit(k_.id());
             }
@@ -1020,14 +1020,18 @@ void append_ranged_posts(
     }
 }
 
-/// Releases a claimed busy bit whose transfer was cancelled and wakes its
-/// waiters; the page demand-faults later. Like a commit, the release
-/// strips holders that died while the claim was held.
-void release_claim(ProcessSite& site, const msg::Node& node, std::uint64_t vpn) {
+/// Releases a claimed busy bit and wakes its waiters, leaving the entry as
+/// it was (a cancelled transfer: the page demand-faults later) or, given
+/// `post`, committing that state. Like a transaction's commit, the release
+/// strips holders that died while the claim was held, and erases an entry
+/// left with no holder.
+void release_claim(ProcessSite& site, const msg::Node& node, std::uint64_t vpn,
+                   const PageDirEntry* post = nullptr) {
     auto& shard = site.dir_shard(vpn);
     shard.lock.lock();
     auto it = shard.entries.find(vpn);
     if (it != shard.entries.end()) {
+        if (post != nullptr) it->second = *post;
         it->second.busy = false;
         if (!strip_dead_holders(it->second, node)) shard.entries.erase(it);
     }
@@ -1105,72 +1109,171 @@ struct PageOwner::PushPage {
     PagePushMsg push{};
 };
 
-std::uint32_t PageOwner::scatter_ranged(
-    ProcessSite& site,
-    const std::array<std::vector<std::uint64_t>, topo::kMaxKernels>& by_holder,
-    InvalidateRangeOp op) {
-    std::vector<msg::Node::ScatterItem> posts;
-    auto buckets = by_holder; // append_ranged_posts sorts in place
-    append_ranged_posts(site.pid(), buckets, op, &posts);
-    if (posts.empty()) return 0;
-    range_rpcs_.inc(posts.size());
-    auto replies = k_.node().rpc_scatter(std::move(posts));
-    std::uint32_t touched = 0;
-    for (const auto& reply : replies) {
-        if (reply == nullptr) continue; // holder died mid-scatter (elastic)
-        touched += reply->payload_as<PageInvalidateRangeResp>().touched;
-    }
-    return touched;
-}
-
-std::uint32_t PageOwner::revoke_range(ProcessSite& site, mem::Vaddr start,
-                                      mem::Vaddr end) {
+std::uint32_t PageOwner::sweep(ProcessSite& site, HomeRangeKind kind, mem::Vaddr start,
+                               mem::Vaddr end, topo::KernelId parting) {
     RKO_ASSERT(site.is_origin() || k_.home_map().sharded());
-    const std::uint64_t vpn_lo = mem::vpn_of(start);
-    const std::uint64_t vpn_hi = mem::vpn_of(mem::page_ceil(end));
+    RKO_ASSERT((kind == HomeRangeKind::kEvict) == (parting >= 0 && parting != k_.id()));
+    const topo::KernelId self = k_.id();
+    const PageDirEntry gone{PageDirEntry::State::kShared}; // no holder left
+    PageDirEntry owned; // Exclusive here
+    owned.owner = self;
+    constexpr std::size_t kNoPull = ~std::size_t{0};
+    struct Swept {
+        std::uint64_t vpn;
+        PageDirEntry post; ///< committed state; one with no holder erases the entry
+        std::size_t pull;  ///< reply part that brings the page's bytes, or kNoPull
+    };
+    std::vector<Swept> pages;
+    std::vector<std::uint64_t> local; // this kernel's legs
+    std::array<std::vector<std::uint64_t>, topo::kMaxKernels> ranged; // dataless legs
+    std::array<std::vector<std::size_t>, topo::kMaxKernels> pulls;    // pages indices
 
-    // Phase 1: claim every in-range entry's busy bit (waiting out live
-    // transactions), bucketing the holders for the ranged fan-out.
-    std::vector<std::pair<ProcessSite::DirShard*, std::uint64_t>> claimed;
-    std::vector<std::uint64_t> local_vpns;
-    std::array<std::vector<std::uint64_t>, topo::kMaxKernels> by_holder;
+    // Claim every entry in range (an eviction: every entry the parting
+    // kernel holds), waiting out live transactions, and plan its legs: the
+    // live holders whose copy the kind changes, and whether one of them
+    // must hand its bytes over first. vpn_of(end - 1) + 1 is
+    // vpn_of(page_ceil(end)) without overflow at the top of the space.
+    const std::uint64_t vpn_lo = mem::vpn_of(start);
+    const std::uint64_t vpn_hi = mem::vpn_of(end - 1) + 1;
     for (auto& shard : site.dir_shards()) {
         for (const std::uint64_t vpn : collect_vpns(shard, vpn_lo, vpn_hi)) {
             PageDirEntry snapshot;
             if (!claim_busy(k_.engine(), k_.node(), shard, vpn, &snapshot)) continue;
-            claimed.emplace_back(&shard, vpn);
-            for (topo::KernelMask mask = snapshot.holder_mask(); mask != 0;
-                 mask &= mask - 1) {
-                const auto holder =
-                    static_cast<topo::KernelId>(std::countr_zero(mask));
-                invalidations_.inc();
-                if (holder == k_.id()) {
-                    local_vpns.push_back(vpn);
+            if (kind == HomeRangeKind::kEvict && !snapshot.holds(parting)) {
+                release_claim(site, k_.node(), vpn);
+                continue;
+            }
+            Swept p{vpn, snapshot, kNoPull};
+            p.post.busy = false;
+            topo::KernelMask legs = snapshot.holder_mask();
+            bool pull = false;
+            switch (kind) {
+            case HomeRangeKind::kRevoke:
+                p.post = gone;
+                break;
+            case HomeRangeKind::kDowngrade:
+                // The owner's write bit goes; the bytes stay in place.
+                if (snapshot.state == PageDirEntry::State::kShared) {
+                    legs = 0;
                 } else {
-                    by_holder[static_cast<std::size_t>(holder)].push_back(vpn);
+                    p.post.state = PageDirEntry::State::kShared;
+                    p.post.sharers = legs;
+                    p.post.owner = -1;
+                }
+                break;
+            case HomeRangeKind::kSequester:
+                // Our own copy stays with no access; without one, another
+                // holder hands its bytes over.
+                legs &= ~topo::kbit(self);
+                pull = !snapshot.holds(self);
+                if (!pull) local.push_back(vpn);
+                p.post = owned;
+                break;
+            case HomeRangeKind::kEvict:
+                legs = topo::kbit(parting);
+                pull = snapshot.holder_mask() == legs; // the only copy
+                p.post.sharers &= ~legs;
+                if (pull) p.post = owned;
+                break;
+            }
+            for (; legs != 0; legs &= legs - 1) {
+                const auto holder = static_cast<topo::KernelId>(std::countr_zero(legs));
+                if (k_.node().peer_dead(holder)) continue;
+                if (kind != HomeRangeKind::kDowngrade) invalidations_.inc();
+                const auto h = static_cast<std::size_t>(holder);
+                if (holder == self) {
+                    local.push_back(vpn);
+                } else if (pull) {
+                    pulls[h].push_back(pages.size()); // the lowest live holder
+                    pull = false;
+                } else {
+                    ranged[h].push_back(vpn);
                 }
             }
+            if (pull) p.post = gone; // no live holder has the bytes
+            pages.push_back(p);
         }
     }
 
-    // Phase 2: one batched local drop (a single modeled shootdown for the
-    // whole range) plus one ranged RPC per holder chunk, every round trip
-    // overlapped — where the serial protocol paid (pages x holders) RPCs
-    // and a shootdown per page.
-    local_drop_range(site, local_vpns);
-    scatter_ranged(site, by_holder, InvalidateRangeOp::kDrop);
+    // This kernel's legs as one batched local op, then every remote leg in
+    // one scatter: per pull source, one dropping kPageFetch for each
+    // kMaxPages of its pages (one reply part per page), then each holder's
+    // kPageInvalidateRange chunks.
+    const InvalidateRangeOp op = kind == HomeRangeKind::kDowngrade
+                                     ? InvalidateRangeOp::kDowngrade
+                                     : InvalidateRangeOp::kDrop;
+    local_range(site, local,
+                kind == HomeRangeKind::kSequester ? InvalidateRangeOp::kProtNone : op);
+    std::vector<msg::Node::ScatterItem> posts;
+    std::size_t part = 0;
+    for (std::size_t h = 0; h < pulls.size(); ++h) {
+        for (std::size_t first = 0; first < pulls[h].size();
+             first += PageFetchReq::kMaxPages) {
+            PageFetchReq req{};
+            req.pid = site.pid();
+            req.drop = true;
+            while (req.count < PageFetchReq::kMaxPages &&
+                   first + req.count < pulls[h].size()) {
+                Swept& p = pages[pulls[h][first + req.count]];
+                p.pull = part++;
+                req.va[req.count++] = static_cast<mem::Vaddr>(p.vpn) << mem::kPageShift;
+            }
+            posts.push_back(
+                {static_cast<topo::KernelId>(h), fetch_request(req), req.count});
+        }
+    }
+    const std::size_t fetches = posts.size();
+    append_ranged_posts(site.pid(), ranged, op, &posts);
+    range_rpcs_.inc(posts.size() - fetches);
+    std::vector<msg::MessagePtr> replies;
+    if (!posts.empty()) replies = k_.node().rpc_scatter(std::move(posts));
 
-    // Phase 3: erase the claimed entries and release any waiters.
-    std::uint32_t revoked = 0;
-    for (const auto& [shard, vpn] : claimed) {
-        shard->lock.lock();
-        shard->entries.erase(vpn);
-        shard->busy_wait.notify_all();
-        shard->lock.unlock();
-        ++revoked;
+    // Land each pulled page straight from its reply part in a fresh local
+    // frame (a fresh map needs no shootdown). A holder that died or lost
+    // its copy, or a VMA a racing munmap took, leaves the data dead. A
+    // non-origin home's VMA replica may lack the mapping: fill it first
+    // (an RPC, so outside the mmap lock).
+    if (fetches != 0) {
+        const auto bytes = [&](const Swept& p) -> const std::byte* {
+            if (p.pull == kNoPull || replies[p.pull] == nullptr) return nullptr;
+            const auto& fetched = replies[p.pull]->payload_prefix_as<PageFetchResp>();
+            return fetched.had_page != 0 ? fetched.data.data() : nullptr;
+        };
+        for (const Swept& p : pages) {
+            if (site.is_origin() || bytes(p) == nullptr) continue;
+            mem::Vma vma;
+            k_.vma().ensure_vma(site, static_cast<mem::Vaddr>(p.vpn) << mem::kPageShift,
+                                &vma);
+        }
+        WriteGuard guard(site.space().mmap_lock());
+        for (Swept& p : pages) {
+            if (p.pull == kNoPull) continue;
+            const mem::Vaddr page = static_cast<mem::Vaddr>(p.vpn) << mem::kPageShift;
+            const mem::Vma* vma = site.space().vmas().find(page);
+            if (bytes(p) == nullptr || vma == nullptr) {
+                p.post = gone;
+                continue;
+            }
+            const mem::Paddr frame = k_.frames().alloc();
+            RKO_ASSERT(frame != 0);
+            std::memcpy(k_.phys().frame_ptr(frame), bytes(p), mem::kPageSize);
+            sim::current_actor().sleep_for(k_.costs().page_copy);
+            if (const mem::Pte* old = site.space().page_table().find(page);
+                old != nullptr && old->present) {
+                const mem::Pte cleared = site.space().page_table().clear(page);
+                site.space().bump_tlb_generation();
+                k_.frames().free(cleared.paddr);
+            }
+            site.space().page_table().map(
+                page, frame,
+                kind == HomeRangeKind::kSequester ? mem::kProtNone : vma->prot);
+        }
     }
 
-    if (check::enabled()) {
+    // Commit each page's post-state and release its claim.
+    for (const Swept& p : pages) release_claim(site, k_.node(), p.vpn, &p.post);
+
+    if (kind == HomeRangeKind::kRevoke && check::enabled()) {
         // Post-condition: no directory entry in the range survives. The
         // caller removed the VMA (under vma_op_lock) before revoking, so no
         // new entry can be born in the range concurrently. The sweep never
@@ -1180,188 +1283,25 @@ std::uint32_t PageOwner::revoke_range(ProcessSite& site, mem::Vaddr start,
         for (const auto& shard : site.dir_shards()) {
             for (const auto& [vpn, entry] : shard.entries) {
                 RKO_ASSERT_MSG(vpn < vpn_lo || vpn >= vpn_hi,
-                               "directory entry survived revoke_range");
+                               "directory entry survived a revoke");
             }
         }
     }
-    return revoked;
-}
-
-std::uint32_t PageOwner::downgrade_range(ProcessSite& site, mem::Vaddr start,
-                                         mem::Vaddr end) {
-    RKO_ASSERT(site.is_origin() || k_.home_map().sharded());
-    const std::uint64_t vpn_lo = mem::vpn_of(start);
-    const std::uint64_t vpn_hi = mem::vpn_of(mem::page_ceil(end));
-
-    struct Claim {
-        ProcessSite::DirShard* shard;
-        std::uint64_t vpn;
-        PageDirEntry updated;
-    };
-    std::vector<Claim> claimed;
-    std::vector<std::uint64_t> local_vpns;
-    std::array<std::vector<std::uint64_t>, topo::kMaxKernels> by_owner;
-    for (auto& shard : site.dir_shards()) {
-        for (const std::uint64_t vpn : collect_vpns(shard, vpn_lo, vpn_hi)) {
-            PageDirEntry snapshot;
-            if (!claim_busy(k_.engine(), k_.node(), shard, vpn, &snapshot)) continue;
-            PageDirEntry updated = snapshot;
-            updated.busy = false;
-            if (snapshot.state == PageDirEntry::State::kExclusive) {
-                // Exclusive demotes to Shared with the data left in place.
-                // The ranged kDowngrade carries no page bytes — the old
-                // per-page path fetched (and discarded) 4 KiB per page just
-                // to strip a write bit.
-                if (snapshot.owner == k_.id()) {
-                    local_vpns.push_back(vpn);
-                } else {
-                    by_owner[static_cast<std::size_t>(snapshot.owner)].push_back(vpn);
-                }
-                updated.state = PageDirEntry::State::kShared;
-                updated.sharers = topo::kbit(snapshot.owner);
-                updated.owner = -1;
-            }
-            claimed.push_back({&shard, vpn, updated});
-        }
-    }
-
-    local_downgrade_range(site, local_vpns);
-    scatter_ranged(site, by_owner, InvalidateRangeOp::kDowngrade);
-
-    std::uint32_t touched = 0;
-    for (const auto& c : claimed) {
-        c.shard->lock.lock();
-        c.shard->entries[c.vpn] = c.updated;
-        c.shard->busy_wait.notify_all();
-        c.shard->lock.unlock();
-        ++touched;
-    }
-    return touched;
-}
-
-std::uint32_t PageOwner::sequester_range(ProcessSite& site, mem::Vaddr start,
-                                         mem::Vaddr end) {
-    RKO_ASSERT(site.is_origin() || k_.home_map().sharded());
-    const std::uint64_t vpn_lo = mem::vpn_of(start);
-    const std::uint64_t vpn_hi = mem::vpn_of(mem::page_ceil(end));
-
-    struct SeqPage {
-        ProcessSite::DirShard* shard;
-        std::uint64_t vpn;
-        bool origin_holds = false;
-        bool have_data = false;
-        std::array<std::byte, mem::kPageSize> data;
-    };
-    std::vector<SeqPage> pages;
-    std::vector<std::size_t> post_page; // byte-source post index -> pages index
-    std::vector<msg::Node::ScatterItem> posts;
-    std::array<std::vector<std::uint64_t>, topo::kMaxKernels> drop_by_holder;
-
-    // Phase 1: claim everything in range. For each page the origin does
-    // not hold, ONE holder hands its copy over (a one-page dropping
-    // kPageFetch); every other holder lands in a ranged dataless drop. All
-    // of it ships in a single scatter below.
-    for (auto& shard : site.dir_shards()) {
-        for (const std::uint64_t vpn : collect_vpns(shard, vpn_lo, vpn_hi)) {
-            PageDirEntry snapshot;
-            if (!claim_busy(k_.engine(), k_.node(), shard, vpn, &snapshot)) continue;
-            SeqPage p;
-            p.shard = &shard;
-            p.vpn = vpn;
-            p.origin_holds = snapshot.holds(k_.id());
-            const mem::Vaddr page = static_cast<mem::Vaddr>(vpn) << mem::kPageShift;
-            topo::KernelMask rest = snapshot.holder_mask() & ~topo::kbit(k_.id());
-            if (!p.origin_holds && rest != 0) {
-                const auto source =
-                    static_cast<topo::KernelId>(std::countr_zero(rest));
-                rest &= rest - 1;
-                invalidations_.inc();
-                post_page.push_back(pages.size());
-                posts.push_back({source, fetch_request(site.pid(), page,
-                                                       /*downgrade=*/false,
-                                                       /*drop=*/true)});
-            }
-            for (topo::KernelMask mask = rest; mask != 0; mask &= mask - 1) {
-                const auto holder =
-                    static_cast<topo::KernelId>(std::countr_zero(mask));
-                invalidations_.inc();
-                drop_by_holder[static_cast<std::size_t>(holder)].push_back(vpn);
-            }
-            pages.push_back(p);
-        }
-    }
-
-    // Phase 2: one scatter for the whole range — byte-source fetches and
-    // ranged drops fly together.
-    const std::size_t nsources = posts.size();
-    append_ranged_posts(site.pid(), drop_by_holder, InvalidateRangeOp::kDrop, &posts);
-    range_rpcs_.inc(posts.size() - nsources);
-    if (!posts.empty()) {
-        auto replies = k_.node().rpc_scatter(std::move(posts));
-        for (std::size_t i = 0; i < nsources; ++i) {
-            if (replies[i] == nullptr) continue; // source died mid-scatter
-            const auto& fetched = replies[i]->payload_prefix_as<PageFetchResp>();
-            SeqPage& p = pages[post_page[i]];
-            if (fetched.had_page != 0) {
-                p.data = fetched.data;
-                p.have_data = true;
-            }
-        }
-    }
-
-    // Phase 3: batched local application. All PROT_NONE protects share one
-    // generation bump and one modeled shootdown; the fetched pages land in
-    // fresh origin frames mapped inaccessible (their copies may yield — the
-    // protect+bump no-yield window above is already closed by then).
-    {
-        WriteGuard guard(site.space().mmap_lock());
-        std::uint32_t protected_pages = 0;
-        for (const SeqPage& p : pages) {
-            if (!p.origin_holds) continue;
-            const mem::Vaddr page = static_cast<mem::Vaddr>(p.vpn) << mem::kPageShift;
-            site.space().page_table().protect(page, mem::kProtNone);
-            ++protected_pages;
-        }
-        if (protected_pages != 0) site.space().bump_tlb_generation();
-        for (const SeqPage& p : pages) {
-            if (p.origin_holds || !p.have_data) continue;
-            const mem::Vaddr page = static_cast<mem::Vaddr>(p.vpn) << mem::kPageShift;
-            const mem::Paddr frame = k_.frames().alloc();
-            RKO_ASSERT(frame != 0);
-            std::memcpy(k_.phys().frame_ptr(frame), p.data.data(), mem::kPageSize);
-            sim::current_actor().sleep_for(k_.costs().page_copy);
-            site.space().page_table().map(page, frame, mem::kProtNone);
-        }
-        if (protected_pages != 0) {
-            sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
-        }
-    }
-
-    // Phase 4: directory entries collapse to Exclusive-at-origin (or die if
-    // every holder had vanished — only possible transiently).
-    std::uint32_t touched = 0;
-    for (const SeqPage& p : pages) {
-        const bool keep = p.origin_holds || p.have_data;
-        p.shard->lock.lock();
-        if (keep) {
-            PageDirEntry updated;
-            updated.state = PageDirEntry::State::kExclusive;
-            updated.owner = k_.id();
-            updated.busy = false;
-            p.shard->entries[p.vpn] = updated;
-        } else {
-            p.shard->entries.erase(p.vpn);
-        }
-        p.shard->busy_wait.notify_all();
-        p.shard->lock.unlock();
-        ++touched;
-    }
-    return touched;
+    return static_cast<std::uint32_t>(pages.size());
 }
 
 // ---------------------------------------------------------------------------
 // Sharded-home maintenance (rko/home).
 // ---------------------------------------------------------------------------
+
+void PageOwner::wait_out_rebuilds(ProcessSite& site) {
+    for (int s = 0; s < k_.home_map().shards(); ++s) {
+        while (site.home_rebuilding(s)) {
+            if (k_.node().dead()) throw msg::LocalNodeDead{};
+            k_.engine().current().sleep_for(1000);
+        }
+    }
+}
 
 std::uint32_t PageOwner::home_range_fanout(ProcessSite& site, HomeRangeKind kind,
                                            mem::Vaddr start, mem::Vaddr end) {
@@ -1375,32 +1315,16 @@ std::uint32_t PageOwner::home_range_fanout(ProcessSite& site, HomeRangeKind kind
     // home that leaves.
     for (;;) {
         const topo::KernelMask homes = k_.home_map().eligible();
-        // Wait out a census rebuild of any shard we just inherited
-        // (elastic): sweeping mid-rebuild would miss the entries the census
-        // is about to install, and the holders they name would keep PTEs
-        // in the dead range. The rebuilder never takes the vma_op_lock our
+        // The holders a rebuilt entry names would otherwise keep PTEs in
+        // the dead range. The rebuilder never takes the vma_op_lock our
         // caller holds.
-        for (int s = 0; s < k_.home_map().shards(); ++s) {
-            while (site.home_rebuilding(s)) {
-                k_.engine().current().sleep_for(1000);
-            }
-        }
+        wait_out_rebuilds(site);
         // Local slice first (the origin always owns some shards), then one
         // kHomeRangeOp per other eligible home — their sweeps run
         // concurrently under rpc_scatter. The replica broadcast already
         // completed, so no kernel can validate a new fault in the range
         // while these run.
-        switch (kind) {
-        case HomeRangeKind::kRevoke:
-            touched += revoke_range(site, start, end);
-            break;
-        case HomeRangeKind::kDowngrade:
-            touched += downgrade_range(site, start, end);
-            break;
-        case HomeRangeKind::kSequester:
-            touched += sequester_range(site, start, end);
-            break;
-        }
+        touched += sweep(site, kind, start, end);
         std::vector<msg::Node::ScatterItem> posts;
         for (topo::KernelMask m = k_.home_map().eligible(); m != 0; m &= m - 1) {
             const auto h = static_cast<topo::KernelId>(std::countr_zero(m));
@@ -1425,31 +1349,15 @@ void PageOwner::on_home_range_op(msg::Node& node, msg::MessagePtr m) {
     HomeRangeOpResp resp{0};
     if (k_.has_site(req.pid)) {
         ProcessSite& site = k_.site(req.pid);
-        // Wait out a census rebuild of a shard this kernel just inherited
-        // (elastic): sweeping mid-rebuild finds no entries — the census
-        // installs them right after, and the origin's post-munmap audit
-        // would then see holders that were never invalidated.
-        for (int s = 0; s < k_.home_map().shards(); ++s) {
-            while (site.home_rebuilding(s)) {
-                k_.engine().current().sleep_for(1000);
-            }
-        }
+        // Otherwise the origin's post-munmap audit would see holders that
+        // were never invalidated.
+        wait_out_rebuilds(site);
         // The origin holds ITS vma_op_lock across the whole destructive op;
         // this guards the LOCAL slice against a concurrent local sweep
         // (drain eviction). Lock order is strictly origin -> home, so the
         // two-level hold cannot cycle.
         WriteGuard op_guard(site.vma_op_lock());
-        switch (req.kind) {
-        case HomeRangeKind::kRevoke:
-            resp.touched = revoke_range(site, req.start, req.end);
-            break;
-        case HomeRangeKind::kDowngrade:
-            resp.touched = downgrade_range(site, req.start, req.end);
-            break;
-        case HomeRangeKind::kSequester:
-            resp.touched = sequester_range(site, req.start, req.end);
-            break;
-        }
+        resp.touched = sweep(site, req.kind, req.start, req.end);
     }
     node.reply(*m, msg::make_message(msg::MsgType::kHomeRangeOp,
                                      msg::MsgKind::kReply, resp));
@@ -1669,183 +1577,41 @@ std::pair<std::uint32_t, std::uint32_t> PageOwner::rehome_dead(ProcessSite& site
     return {rehomed, lost};
 }
 
-std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) {
-    RKO_ASSERT(site.is_origin() || k_.home_map().sharded());
-    RKO_ASSERT(holder != k_.id());
-    // Serialize against the destructive ranged ops: like them, this claims
-    // MANY busy bits before releasing any, and two such sweeps interleaved
-    // could deadlock on each other's claims.
-    WriteGuard op_guard(site.vma_op_lock());
-
-    struct EvictPage {
-        ProcessSite::DirShard* shard;
-        std::uint64_t vpn;
-        bool sole = false; ///< the parting holder had the only copy
-        bool have_data = false;
-        std::array<std::byte, mem::kPageSize> data;
-    };
-    std::vector<EvictPage> pages;
-    std::vector<std::size_t> post_page; // pull post index -> pages index
-    std::vector<msg::Node::ScatterItem> posts;
-    std::array<std::vector<std::uint64_t>, topo::kMaxKernels> drop_by_holder;
-
-    // Phase 1: claim every entry the holder appears in. Sole copies are
-    // pulled home with a one-page dropping kPageFetch each; shared copies
-    // get a ranged dataless drop.
-    for (auto& shard : site.dir_shards()) {
-        for (const std::uint64_t vpn :
-             collect_vpns(shard, 0, std::numeric_limits<std::uint64_t>::max())) {
-            PageDirEntry snapshot;
-            if (!claim_busy(k_.engine(), k_.node(), shard, vpn, &snapshot)) continue;
-            if (!snapshot.holds(holder)) {
-                release_claim(site, k_.node(), vpn);
-                continue;
-            }
-            EvictPage p;
-            p.shard = &shard;
-            p.vpn = vpn;
-            p.sole = (snapshot.holder_mask() & ~topo::kbit(holder)) == 0;
-            const mem::Vaddr page = static_cast<mem::Vaddr>(vpn) << mem::kPageShift;
-            invalidations_.inc();
-            if (p.sole) {
-                post_page.push_back(pages.size());
-                posts.push_back({holder, fetch_request(site.pid(), page,
-                                                       /*downgrade=*/false,
-                                                       /*drop=*/true)});
-            } else {
-                drop_by_holder[static_cast<std::size_t>(holder)].push_back(vpn);
-            }
-            pages.push_back(p);
-        }
-    }
-
-    // Phase 2: one scatter for everything.
-    const std::size_t nsources = posts.size();
-    append_ranged_posts(site.pid(), drop_by_holder, InvalidateRangeOp::kDrop, &posts);
-    range_rpcs_.inc(posts.size() - nsources);
-    if (!posts.empty()) {
-        auto replies = k_.node().rpc_scatter(std::move(posts));
-        for (std::size_t i = 0; i < nsources; ++i) {
-            if (replies[i] == nullptr) continue; // holder died mid-drain
-            const auto& fetched = replies[i]->payload_prefix_as<PageFetchResp>();
-            EvictPage& p = pages[post_page[i]];
-            if (fetched.had_page != 0) {
-                p.data = fetched.data;
-                p.have_data = true;
-            }
-        }
-    }
-
-    // Sharded homes: we may be a non-origin home whose VMA replica has not
-    // fetched these mappings yet — fill the replica first (RPC, so outside
-    // the mmap lock) or the landing loop below would drop live data.
-    if (!site.is_origin()) {
-        for (EvictPage& p : pages) {
-            if (!p.sole || !p.have_data) continue;
-            mem::Vma vma;
-            k_.vma().ensure_vma(
-                site, static_cast<mem::Vaddr>(p.vpn) << mem::kPageShift, &vma);
-        }
-    }
-
-    // Phase 3: land the pulled-home bytes in fresh origin frames with the
-    // master VMA's protection (fresh maps need no shootdown).
-    {
-        WriteGuard guard(site.space().mmap_lock());
-        for (EvictPage& p : pages) {
-            if (!p.sole || !p.have_data) continue;
-            const mem::Vaddr page = static_cast<mem::Vaddr>(p.vpn) << mem::kPageShift;
-            const mem::Vma* vma = site.space().vmas().find(page);
-            if (vma == nullptr) {
-                p.have_data = false; // raced with munmap: the data is dead
-                continue;
-            }
-            const mem::Paddr frame = k_.frames().alloc();
-            RKO_ASSERT(frame != 0);
-            std::memcpy(k_.phys().frame_ptr(frame), p.data.data(), mem::kPageSize);
-            sim::current_actor().sleep_for(k_.costs().page_copy);
-            if (const mem::Pte* old = site.space().page_table().find(page);
-                old != nullptr && old->present) {
-                const mem::Pte cleared = site.space().page_table().clear(page);
-                site.space().bump_tlb_generation();
-                k_.frames().free(cleared.paddr);
-            }
-            site.space().page_table().map(page, frame, vma->prot);
-        }
-    }
-
-    // Phase 4: commit the directory updates and release the claims.
-    std::uint32_t stripped = 0;
-    for (const EvictPage& p : pages) {
-        p.shard->lock.lock();
-        if (p.sole) {
-            if (p.have_data) {
-                PageDirEntry updated;
-                updated.state = PageDirEntry::State::kExclusive;
-                updated.owner = k_.id();
-                updated.busy = false;
-                p.shard->entries[p.vpn] = updated;
-            } else {
-                p.shard->entries.erase(p.vpn);
-            }
-        } else {
-            auto it = p.shard->entries.find(p.vpn);
-            RKO_ASSERT(it != p.shard->entries.end());
-            it->second.sharers &= ~topo::kbit(holder);
-            it->second.busy = false;
-        }
-        p.shard->busy_wait.notify_all();
-        p.shard->lock.unlock();
-        ++stripped;
-    }
-    return stripped;
-}
-
 // ---------------------------------------------------------------------------
 // Batched local holder ops & the page-push pipeline.
 // ---------------------------------------------------------------------------
 
-std::uint32_t PageOwner::local_drop_range(ProcessSite& site,
-                                          const std::vector<std::uint64_t>& vpns) {
+std::uint32_t PageOwner::local_range(ProcessSite& site,
+                                     const std::vector<std::uint64_t>& vpns,
+                                     InvalidateRangeOp op) {
     if (vpns.empty()) return 0;
     WriteGuard guard(site.space().mmap_lock());
-    // INVARIANT (see serve_fetch): every PTE clear and the generation bump
-    // must share a no-yield window — so clear them ALL, bump once, and only
-    // then free the frames and pay the one modeled shootdown.
+    // INVARIANT (see serve_fetch): every PTE change and the generation bump
+    // must share a no-yield window — so change them ALL, bump once, and
+    // only then free the frames and pay the one modeled shootdown.
+    std::uint32_t changed = 0;
     std::vector<mem::Paddr> frames;
-    frames.reserve(vpns.size());
+    if (op == InvalidateRangeOp::kDrop) frames.reserve(vpns.size());
     for (const std::uint64_t vpn : vpns) {
         const mem::Vaddr page = static_cast<mem::Vaddr>(vpn) << mem::kPageShift;
         const mem::Pte* pte = site.space().page_table().find(page);
         if (pte == nullptr || !pte->present) continue;
-        frames.push_back(site.space().page_table().clear(page).paddr);
+        if (op == InvalidateRangeOp::kDrop) {
+            frames.push_back(site.space().page_table().clear(page).paddr);
+        } else {
+            const std::uint32_t prot = op == InvalidateRangeOp::kDowngrade
+                                           ? pte->prot & ~mem::kProtWrite
+                                           : mem::kProtNone;
+            if (prot == pte->prot) continue;
+            site.space().page_table().protect(page, prot);
+        }
+        ++changed;
     }
-    if (frames.empty()) return 0;
+    if (changed == 0) return 0;
     site.space().bump_tlb_generation();
     for (const mem::Paddr frame : frames) k_.frames().free(frame);
     sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
-    return static_cast<std::uint32_t>(frames.size());
-}
-
-std::uint32_t PageOwner::local_downgrade_range(
-    ProcessSite& site, const std::vector<std::uint64_t>& vpns) {
-    if (vpns.empty()) return 0;
-    WriteGuard guard(site.space().mmap_lock());
-    std::uint32_t touched = 0;
-    for (const std::uint64_t vpn : vpns) {
-        const mem::Vaddr page = static_cast<mem::Vaddr>(vpn) << mem::kPageShift;
-        const mem::Pte* pte = site.space().page_table().find(page);
-        if (pte == nullptr || !pte->present || (pte->prot & mem::kProtWrite) == 0) {
-            continue;
-        }
-        site.space().page_table().protect(page, pte->prot & ~mem::kProtWrite);
-        ++touched;
-    }
-    if (touched != 0) {
-        site.space().bump_tlb_generation();
-        sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
-    }
-    return touched;
+    return changed;
 }
 
 std::vector<mem::Vaddr> PageOwner::claim_push_pages(ProcessSite& site,
@@ -2294,9 +2060,7 @@ void PageOwner::on_page_invalidate_range(msg::Node& node, msg::MessagePtr m) {
         for (std::uint32_t i = 0; i < req.count; ++i) {
             vpns.push_back(req.base_vpn + req.vpn_offset[i]);
         }
-        resp.touched = req.op == InvalidateRangeOp::kDrop
-                           ? local_drop_range(site, vpns)
-                           : local_downgrade_range(site, vpns);
+        resp.touched = local_range(site, vpns, req.op);
     }
     node.reply(*m, msg::make_message(msg::MsgType::kPageInvalidateRange,
                                      msg::MsgKind::kReply, resp));

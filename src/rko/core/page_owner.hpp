@@ -14,7 +14,6 @@
 // vma_epoch so racing munmaps cannot resurrect dead pages.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -106,20 +105,27 @@ public:
     /// unmapped/SEGV.
     std::byte* ensure_readable(ProcessSite& site, mem::Vaddr page);
 
-    /// Origin-side munmap support: invalidates every copy of every page in
-    /// [start, end) machine-wide and erases the directory entries (the data
-    /// is dead). Returns pages revoked. Caller holds the vma_op_lock.
-    std::uint32_t revoke_range(ProcessSite& site, mem::Vaddr start, mem::Vaddr end);
-
-    /// Origin-side mprotect support when write permission is removed:
-    /// strips the write bit from every holder's PTE and demotes Exclusive
-    /// entries to Shared. Data is preserved in place.
-    std::uint32_t downgrade_range(ProcessSite& site, mem::Vaddr start, mem::Vaddr end);
-
-    /// Origin-side mprotect support for PROT_NONE: pulls every page's bytes
-    /// home to an origin frame mapped with no access, so the data survives
-    /// a later mprotect back to accessibility.
-    std::uint32_t sequester_range(ProcessSite& site, mem::Vaddr start, mem::Vaddr end);
+    /// The range sweep (DESIGN.md §10), run by a page's home with the
+    /// vma_op_lock held. Claims every directory entry in [start, end),
+    /// waiting out live transactions, plans each page's holder legs from
+    /// its snapshot (holders known dead get none), runs this kernel's legs
+    /// as one batched local op, posts every remote leg in one rpc_scatter,
+    /// lands pulled bytes in local frames and commits each page's
+    /// post-state, stripping holders that died meanwhile. By kind:
+    /// - kRevoke (munmap): every copy is dropped and the entry erased;
+    /// - kDowngrade (mprotect without write): an Exclusive owner loses its
+    ///   write bit and the page turns Shared, data in place;
+    /// - kSequester (PROT_NONE): every other copy is dropped and the bytes
+    ///   end in one frame here with no access, so they survive a later
+    ///   mprotect back to accessibility;
+    /// - kEvict (drain): only entries the live, parting kernel `parting`
+    ///   holds are claimed, and it drops its copy; a sole copy is pulled
+    ///   here first, with the VMA's protection.
+    /// Pulls travel as dropping kPageFetch, one per holder for each
+    /// kMaxFaultAround pages; drops and downgrades as kPageInvalidateRange.
+    /// Returns the entries swept.
+    std::uint32_t sweep(ProcessSite& site, HomeRangeKind kind, mem::Vaddr start,
+                        mem::Vaddr end, topo::KernelId parting = -1);
 
     // --- Elastic membership hooks (rko/elastic; origin-side) ---
 
@@ -133,23 +139,23 @@ public:
     std::pair<std::uint32_t, std::uint32_t> rehome_dead(ProcessSite& site,
                                                         topo::KernelId dead);
 
-    /// Drain support: evicts every page copy a LIVE, parting `holder` still
-    /// holds (kElasticEvict handler). Sole copies are pulled home into
-    /// origin frames (a dropping kPageFetch); shared copies get a ranged
-    /// dataless drop. Runs the full claim/scatter/commit shape, so it is
-    /// safe against concurrent faults. Returns entries stripped.
-    std::uint32_t evict_holder(ProcessSite& site, topo::KernelId holder);
-
     // --- Sharded homes (rko/home; only active with home_shards > 1) ---
 
     /// The kernel homing `page`'s directory entry: the origin when
     /// unsharded, else the home map's rendezvous owner of the page's shard.
     topo::KernelId home_of(ProcessSite& site, mem::Vaddr page) const;
 
+    /// Parks until no home shard of `site` is being rebuilt from a census
+    /// (elastic): a sweep that ran mid-rebuild would find the shard empty
+    /// and miss the entries the census installs right after. Throws
+    /// msg::LocalNodeDead once this kernel is killed, since its reaper will
+    /// never finish the rebuild.
+    void wait_out_rebuilds(ProcessSite& site);
+
     /// Destructive-op fan-out (origin side, vma_op_lock held, AFTER the
-    /// replica broadcast): runs the matching ranged sweep on the local
-    /// directory slice and scatters kHomeRangeOp to every other eligible
-    /// home. Returns total entries swept machine-wide.
+    /// replica broadcast): sweeps the local directory slice and scatters
+    /// kHomeRangeOp to every other eligible home. Returns total entries
+    /// swept machine-wide.
     std::uint32_t home_range_fanout(ProcessSite& site, HomeRangeKind kind,
                                     mem::Vaddr start, mem::Vaddr end);
 
@@ -177,9 +183,9 @@ public:
     /// requester's pushes, or the home's own fetched window).
     std::uint64_t prefetch_hit() const { return prefetch_hit_.value; }
     std::uint64_t prefetch_wasted() const { return prefetch_wasted_.value; }
-    /// kPageInvalidateRange RPCs posted: the ranged revoke/downgrade/
-    /// sequester/evict chunks (each replaces up to kMaxPages per-page round
-    /// trips) and a write transaction's one-offset drops.
+    /// kPageInvalidateRange RPCs posted: a range sweep's chunks (each
+    /// replaces up to kMaxPages per-page round trips) and a write
+    /// transaction's one-offset drops.
     std::uint64_t range_rpcs() const { return range_rpcs_.value; }
     const base::Histogram& remote_fault_latency() const { return remote_latency_; }
     /// Working-set pages this (home) kernel pushed to migration
@@ -247,21 +253,12 @@ private:
     /// own copy.
     void serve_fetch(ProcessSite& site, std::span<FetchPart> parts);
 
-    // Batched local holder ops: N PTE changes share one TLB-generation bump
-    // and one modeled shootdown instead of paying both per page. Return the
-    // number of pages actually present.
-    std::uint32_t local_drop_range(ProcessSite& site,
-                                   const std::vector<std::uint64_t>& vpns);
-    std::uint32_t local_downgrade_range(ProcessSite& site,
-                                        const std::vector<std::uint64_t>& vpns);
-
-    /// Chunks each holder's (sorted) VPN list into kPageInvalidateRange
-    /// requests and posts them all in ONE rpc_scatter — every holder works
-    /// concurrently. Returns the machine-wide pages touched.
-    std::uint32_t scatter_ranged(
-        ProcessSite& site,
-        const std::array<std::vector<std::uint64_t>, topo::kMaxKernels>& by_holder,
-        InvalidateRangeOp op);
+    /// The batched holder op behind kPageInvalidateRange and a range
+    /// sweep's own legs: applies `op` to every present page of `vpns` that
+    /// it changes, with one TLB-generation bump and one modeled shootdown
+    /// for the batch instead of both per page. Returns the pages changed.
+    std::uint32_t local_range(ProcessSite& site, const std::vector<std::uint64_t>& vpns,
+                              InvalidateRangeOp op);
 
     /// The fault-around stride detector both fault branches share: records
     /// this fault in `t`'s read or write streak and returns the window

@@ -1,5 +1,7 @@
 #include "rko/core/vma_server.hpp"
 
+#include <optional>
+
 #include "rko/check/gate.hpp"
 #include "rko/core/page_owner.hpp"
 #include "rko/kernel/kernel.hpp"
@@ -182,11 +184,12 @@ std::int64_t VmaServer::origin_destructive(ProcessSite& site, VmaOp op,
         ++site.vma_epoch;
     }
 
-    // Propagate to the page layer. munmap kills the data; mprotect must
-    // preserve it: removing write strips the write bit everywhere
-    // (Exclusive demotes to Shared), PROT_NONE pulls the bytes home to
-    // inaccessible origin frames, and *adding* permissions needs no page
-    // action at all (wider access simply faults in under the new VMA).
+    // Propagate to the page layer with one range sweep. munmap kills the
+    // data (kRevoke); mprotect must preserve it: removing write strips the
+    // write bit everywhere (kDowngrade: Exclusive demotes to Shared),
+    // PROT_NONE pulls the bytes home to inaccessible frames (kSequester),
+    // and *adding* permissions needs no page action at all (wider access
+    // simply faults in under the new VMA).
     //
     // Ordering differs by home configuration. Unsharded (the pre-home
     // protocol, kept verbatim): sweep the origin-resident directory, then
@@ -194,29 +197,25 @@ std::int64_t VmaServer::origin_destructive(ProcessSite& site, VmaOp op,
     // the range (and bumped its epoch), no kernel can validate a new fault
     // in it, so the per-home kHomeRangeOp sweeps that follow converge
     // without chasing freshly-born entries.
+    std::optional<HomeRangeKind> kind;
+    if (op == VmaOp::kMunmap) {
+        kind = HomeRangeKind::kRevoke;
+    } else if ((prot & mem::kProtRead) == 0) {
+        kind = HomeRangeKind::kSequester;
+    } else if ((prot & mem::kProtWrite) == 0) {
+        kind = HomeRangeKind::kDowngrade;
+    }
     if (!k_.home_map().sharded()) {
-        if (op == VmaOp::kMunmap) {
-            k_.pages().revoke_range(site, addr, end);
-        } else if ((prot & mem::kProtRead) == 0) {
-            k_.pages().sequester_range(site, addr, end);
-        } else if ((prot & mem::kProtWrite) == 0) {
-            k_.pages().downgrade_range(site, addr, end);
-        }
+        if (kind) k_.pages().sweep(site, *kind, addr, end);
         broadcast_update(site, op, addr, end, prot);
     } else {
         broadcast_update(site, op, addr, end, prot);
-        if (op == VmaOp::kMunmap) {
-            k_.pages().home_range_fanout(site, HomeRangeKind::kRevoke, addr, end);
-        } else if ((prot & mem::kProtRead) == 0) {
-            k_.pages().home_range_fanout(site, HomeRangeKind::kSequester, addr, end);
-        } else if ((prot & mem::kProtWrite) == 0) {
-            k_.pages().home_range_fanout(site, HomeRangeKind::kDowngrade, addr, end);
-        }
+        if (kind) k_.pages().home_range_fanout(site, *kind, addr, end);
     }
 
     if (op == VmaOp::kMunmap && check::enabled()) {
         // Post-condition while still serialized: no origin PTE survives in
-        // the dead range (revoke_range dropped every holder's copy).
+        // the dead range (the revoke dropped every holder's copy).
         site.space().page_table().for_each_present(
             addr, end, [](mem::Vaddr va, mem::Pte&) {
                 (void)va;

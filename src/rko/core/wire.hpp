@@ -166,6 +166,9 @@ struct PageInstalledMsg {
 enum class InvalidateRangeOp : std::uint32_t {
     kDrop = 0,      ///< clear the PTE and free the frame (munmap)
     kDowngrade = 1, ///< strip the write bit only (Exclusive -> Shared)
+    /// Keep the frame with no access: a PROT_NONE sweep's own copy at the
+    /// home (PageOwner::sweep); every other holder's copy is dropped.
+    kProtNone = 2,
 };
 
 /// One ranged invalidation RPC: `count` VPN offsets relative to base_vpn,
@@ -481,9 +484,11 @@ struct ElasticEvictResp {
 
 // --- Sharded directory homes (rko/home; kHomeRangeOp / kHomeRebuild) --------
 
-/// Which destructive sweep a non-origin home should run over its local
-/// directory slice (mirrors PageOwner::revoke/downgrade/sequester_range).
-enum class HomeRangeKind : std::uint32_t { kRevoke = 0, kDowngrade, kSequester };
+/// What one range sweep (PageOwner::sweep) does to the directory entries
+/// it claims: a destructive VMA op's three kinds, which kHomeRangeOp
+/// carries to every eligible home, or a drain's eviction of a parting
+/// holder (kElasticEvict).
+enum class HomeRangeKind : std::uint32_t { kRevoke = 0, kDowngrade, kSequester, kEvict };
 
 /// Origin -> every eligible home, after a destructive VMA op's replica
 /// broadcast: sweep your directory entries in [start, end). Only sent with

@@ -1,6 +1,7 @@
 #include "rko/elastic/elastic.hpp"
 
 #include <bit>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -256,14 +257,14 @@ void Elastic::on_evict(msg::Node& node, msg::MessagePtr m) {
     if (k_.has_site(req.pid)) {
         core::ProcessSite& site = k_.site(req.pid);
         if (site.is_origin() || k_.home_map().sharded()) {
-            // Wait out a census rebuild: sweeping mid-rebuild would miss
-            // the entries the census is about to install.
-            for (int s = 0; s < k_.home_map().shards(); ++s) {
-                while (site.home_rebuilding(s)) {
-                    k_.engine().current().sleep_for(1000);
-                }
-            }
-            resp.evicted = k_.pages().evict_holder(site, req.holder);
+            k_.pages().wait_out_rebuilds(site);
+            // Like the destructive VMA ops, the sweep claims MANY busy
+            // bits before releasing any; the vma_op_lock keeps two such
+            // sweeps from deadlocking on each other's claims.
+            sim::LockGuard op_guard(site.vma_op_lock());
+            resp.evicted = k_.pages().sweep(site, core::HomeRangeKind::kEvict, 0,
+                                            std::numeric_limits<mem::Vaddr>::max(),
+                                            req.holder);
         }
         if (site.is_origin()) {
             // The parting kernel drops its site next; stop broadcasting VMA
@@ -338,10 +339,14 @@ void Elastic::do_kill(sim::Actor& self) {
     // group messages) — the origin's reaper is the bookkeeper of record.
     if (thread_killer_) thread_killer_();
     if (k_.balancer() != nullptr) k_.balancer()->request_stop();
-    // Wait for the doomed fibers to drain, then free what they leave: the
-    // frames belong to this kernel's partition, so survivors never need
-    // them, but teardown audits expect dropped sites not to leak frames.
-    while (k_.live_task_count() > 0) self.park_for(balance_period());
+    // Wait for the doomed fibers to drain — guest threads, and handlers
+    // still running on kworkers, which may hold a site across a sleep —
+    // then free what they leave: the frames belong to this kernel's
+    // partition, so survivors never need them, but teardown audits expect
+    // dropped sites not to leak frames.
+    while (k_.live_task_count() > 0 || k_.node().handlers_running() > 0) {
+        self.park_for(balance_period());
+    }
     drop_all_sites();
 }
 

@@ -110,9 +110,4 @@ std::vector<Vma> VmaTree::snapshot() const {
     return all;
 }
 
-void VmaTree::clear() {
-    by_start_.clear();
-    mapped_bytes_ = 0;
-}
-
 } // namespace rko::mem

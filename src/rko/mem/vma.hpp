@@ -53,8 +53,6 @@ public:
     /// Snapshot in address order (replica reconciliation, tests).
     std::vector<Vma> snapshot() const;
 
-    void clear();
-
 private:
     // Key: start address. Invariant: entries are disjoint and sorted.
     std::map<Vaddr, Vma> by_start_;

@@ -478,6 +478,7 @@ void Node::worker_body(sim::Actor& self, Pool& pool) {
         const char* name = msg_type_name(message->hdr.type);
         trace::Span span(engine_, id_, name);
         note_flow_end(*message, name);
+        ++handlers_running_;
         try {
             entry.fn(*this, std::move(message));
         } catch (const LocalNodeDead&) {
@@ -485,6 +486,7 @@ void Node::worker_body(sim::Actor& self, Pool& pool) {
             // request it was serving dies with it.
             ++dead_letters_;
         }
+        --handlers_running_;
         (void)self;
     }
 }

@@ -172,6 +172,10 @@ public:
     /// keep draining so peers' send costs stay paid and teardown is normal.
     void set_dead();
     bool dead() const { return dead_; }
+    /// Handlers running on this node's kworkers right now. One may hold a
+    /// process site across a sleep, so a killed kernel frees its sites
+    /// only once this drops to zero.
+    int handlers_running() const { return handlers_running_; }
 
     /// Messages dropped because this node or the destination was dead.
     std::uint64_t dead_letters() const { return dead_letters_; }
@@ -273,6 +277,7 @@ private:
     std::unordered_set<KernelId> dead_peers_;
     bool dead_ = false;
     std::uint64_t dead_letters_ = 0;
+    int handlers_running_ = 0;
     std::uint64_t rpc_failures_ = 0;
 
     std::array<std::uint64_t, kNumMsgTypes> dispatched_{};

@@ -114,19 +114,6 @@ void RwLock::lock() {
     if (race::enabled()) race::on_lock_acquired(this, race::LockKind::kRwWriter);
 }
 
-bool RwLock::try_lock() {
-    Actor& self = current_actor();
-    if (writer_ != nullptr || readers_ > 0 || !waiters_.empty()) {
-        self.sleep_for(costs_.uncontended);
-        return false;
-    }
-    writer_ = &self;
-    // No order edge for a try: a failed probe cannot deadlock.
-    if (race::enabled()) race::on_lock_acquired(this, race::LockKind::kRwWriter);
-    self.sleep_for(costs_.uncontended);
-    return true;
-}
-
 void RwLock::unlock() {
     if (race::enabled()) race::on_lock_released(this, race::LockKind::kRwWriter);
     RKO_ASSERT(writer_ == current_engine()->current_or_null());

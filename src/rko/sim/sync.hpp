@@ -71,9 +71,6 @@ public:
     void lock();
     void unlock();
 
-    // std::shared_lock/std::unique_lock compatibility.
-    bool try_lock();
-
     int readers() const { return readers_; }
     bool write_held() const { return writer_ != nullptr; }
     Nanos wait_time() const { return wait_time_; }

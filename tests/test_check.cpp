@@ -187,6 +187,7 @@ TEST(Check, ScenarioRegistry) {
     EXPECT_NE(check::find_scenario("fault_munmap_race"), nullptr);
     EXPECT_NE(check::find_scenario("futex_ping"), nullptr);
     EXPECT_NE(check::find_scenario("mprotect_demote"), nullptr);
+    EXPECT_NE(check::find_scenario("sequester_race"), nullptr);
     EXPECT_NE(check::find_scenario("inject_lost_invalidate"), nullptr);
     EXPECT_NE(check::find_scenario("kill_storm"), nullptr);
     EXPECT_NE(check::find_scenario("join_storm"), nullptr);

@@ -246,6 +246,237 @@ TEST(RangedRevoke, ObservationallyEquivalentToPerPage) {
     EXPECT_TRUE(process.threads().back()->segfaulted());
 }
 
+/// A 4-kernel machine whose one home (kernel 0) serves every page, with
+/// the elastic failure detector on so kernels can be drained and killed.
+api::MachineConfig sweep_config() {
+    auto config = smp::popcorn_config(8, 4);
+    config.home_shards = 1;
+    config.balance.policy = balance::Policy::kIdleSteal;
+    config.balance.period = 20_us;
+    config.balance.min_residency = 50_us;
+    config.elastic.enabled = true;
+    config.elastic.lease_misses = 4;
+    return config;
+}
+
+constexpr std::uint64_t kSweepValue = 0x5eed00;
+
+/// Kernel 1 maps `pages` pages and writes page i with kSweepValue + i, so
+/// kernel 1 holds each page Exclusive.
+Thread& write_at_kernel1(api::Process& process, Vaddr* buf, int pages) {
+    return process.spawn(
+        [buf, pages](Guest& g) {
+            *buf = g.mmap(static_cast<std::uint64_t>(pages) * kPageSize);
+            for (int p = 0; p < pages; ++p) {
+                g.write<std::uint64_t>(*buf + static_cast<Vaddr>(p) * kPageSize,
+                                       kSweepValue + static_cast<std::uint64_t>(p));
+            }
+        },
+        1);
+}
+
+TEST(RangedSweep, DrainPullsSoleCopiesOneFetchPer32Pages) {
+    // Kernel 1 holds the only copy of 40 written pages when it drains. The
+    // home's eviction sweep pulls them with one dropping kPageFetch per 32
+    // pages, not one per page, and every value reads back at the home.
+    constexpr int kPages = 40;
+    Machine machine(sweep_config());
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    write_at_kernel1(process, &buf, kPages);
+    machine.run();
+    process.check_all_joined();
+    std::uint64_t sole = 0;
+    for (const auto& shard : machine.kernel(0).site(process.pid()).dir_shards()) {
+        for (const auto& [vpn, entry] : shard.entries) {
+            if (entry.holder_mask() == topo::kbit(1)) ++sole;
+        }
+    }
+    ASSERT_GE(sole, static_cast<std::uint64_t>(kPages));
+
+    const HolderCounts before = holder_counts(machine);
+    machine.drain_kernel(1);
+    machine.run();
+    const HolderCounts drain = holder_counts(machine) - before;
+    EXPECT_TRUE(machine.is_killed(1));
+    EXPECT_GT(drain.fetches[1], 0u);
+    EXPECT_LE(drain.fetches[1], (sole + 31) / 32) << sole << " sole pages";
+
+    std::vector<std::uint64_t> got(kPages);
+    process.spawn(
+        [&](Guest& g) {
+            for (int p = 0; p < kPages; ++p) {
+                got[static_cast<std::size_t>(p)] =
+                    g.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize);
+            }
+        },
+        0);
+    machine.run();
+    process.check_all_joined();
+    for (int p = 0; p < kPages; ++p) {
+        EXPECT_EQ(got[static_cast<std::size_t>(p)],
+                  kSweepValue + static_cast<std::uint64_t>(p))
+            << "page " << p;
+    }
+}
+
+TEST(RangedSweep, ProtNonePullsOneFetchPer32Pages) {
+    // 40 pages Exclusive at kernel 1 go PROT_NONE and back: the sequester
+    // sweep pulls them to the home with one dropping kPageFetch per 32
+    // pages, and every value reads back at the home and at kernel 1.
+    constexpr int kPages = 40;
+    Machine machine(sweep_config());
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    Thread& writer = write_at_kernel1(process, &buf, kPages);
+    HolderCounts sweep;
+    const auto read_back = [&](Guest& g) {
+        for (int p = 0; p < kPages; ++p) {
+            EXPECT_EQ(g.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize),
+                      kSweepValue + static_cast<std::uint64_t>(p))
+                << "page " << p << " at kernel " << g.kernel();
+        }
+    };
+    Thread& home = process.spawn(
+        [&](Guest& g) {
+            g.join(writer);
+            const HolderCounts before = holder_counts(machine);
+            EXPECT_EQ(g.mprotect(buf, kPages * kPageSize, mem::kProtNone), 0);
+            EXPECT_EQ(g.mprotect(buf, kPages * kPageSize,
+                                 mem::kProtRead | mem::kProtWrite),
+                      0);
+            sweep = holder_counts(machine) - before;
+            read_back(g);
+        },
+        0);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(home);
+            read_back(g);
+        },
+        1);
+    machine.run();
+    process.check_all_joined();
+    EXPECT_GT(sweep.fetches[1], 0u);
+    EXPECT_LE(sweep.fetches[1], (kPages + 31u) / 32u);
+}
+
+/// Which range sweep a kill lands in (RangedSweep.*SurvivesHolderDeath).
+enum class SweptBy { kReadOnly, kProtNone, kDrain };
+
+/// Runs one range sweep with kernel 1, a holder, killed at `kill_at` (0:
+/// never), after every kernel 1 thread has been joined, and returns the
+/// sweep's [start, end) in virtual time. kReadOnly and kProtNone:
+/// kernel 0 mprotects 16 pages Exclusive at kernel 1. kDrain: kernel 2
+/// writes 16 pages, kernel 1 reads the first 8 (Shared by both), and
+/// kernel 2 drains at 200 us: kernel 1 is the second sharer, not the
+/// parting kernel. Whatever the instant, the audits must stay clean, no
+/// pending install may survive, and each page reads back intact or, with
+/// its only copy gone, as zero.
+std::pair<Nanos, Nanos> sweep_with_kill(SweptBy by, Nanos kill_at) {
+    constexpr int kPages = 16;
+    constexpr Nanos kDrainAt = 200_us;
+    Machine machine(sweep_config());
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    std::pair<Nanos, Nanos> window{kDrainAt, 0};
+    Thread* holders = nullptr;
+    if (by == SweptBy::kDrain) {
+        Thread& writer = process.spawn(
+            [&](Guest& g) {
+                buf = g.mmap(kPages * kPageSize);
+                for (int p = 0; p < kPages; ++p) {
+                    g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize,
+                                           kSweepValue + static_cast<std::uint64_t>(p));
+                }
+            },
+            2);
+        holders = &process.spawn(
+            [&](Guest& g) {
+                g.join(writer);
+                for (int p = 0; p < kPages / 2; ++p) {
+                    (void)g.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize);
+                }
+            },
+            1);
+    } else {
+        holders = &write_at_kernel1(process, &buf, kPages);
+    }
+    process.spawn(
+        [&](Guest& g) {
+            g.join(*holders);
+            if (by == SweptBy::kDrain) return;
+            g.flush_timing();
+            window.first = g.now();
+            const std::uint32_t prot =
+                by == SweptBy::kReadOnly ? mem::kProtRead : mem::kProtNone;
+            EXPECT_EQ(g.mprotect(buf, kPages * kPageSize, prot), 0);
+            g.flush_timing();
+            window.second = g.now();
+        },
+        0);
+    // Keeps the survivor's failure detector ticking past the lease.
+    process.spawn([](Guest& g) { g.compute(2_ms); }, 0);
+    if (by == SweptBy::kDrain) {
+        machine.run_until(kDrainAt);
+        machine.drain_kernel(2);
+    }
+    if (kill_at != 0) {
+        machine.run_until(kill_at);
+        machine.kill_kernel(1);
+    } else if (by == SweptBy::kDrain) {
+        // The drain's sweep is over once kernel 2 has parted.
+        for (window.second = kDrainAt; !machine.is_killed(2); window.second += 100) {
+            machine.run_until(window.second);
+        }
+    }
+    machine.run();
+    process.check_all_joined();
+
+    // Back to accessible, then every page reads its value, or zero where its
+    // only copy died with kernel 1.
+    process.spawn(
+        [&](Guest& g) {
+            if (by != SweptBy::kDrain) {
+                EXPECT_EQ(g.mprotect(buf, kPages * kPageSize,
+                                     mem::kProtRead | mem::kProtWrite),
+                          0);
+            }
+            for (int p = 0; p < kPages; ++p) {
+                const std::uint64_t v =
+                    g.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize);
+                EXPECT_TRUE(v == 0 || v == kSweepValue + static_cast<std::uint64_t>(p))
+                    << "page " << p << " reads " << v << ", kill at " << kill_at;
+                EXPECT_TRUE(v != 0 || kill_at != 0) << "page " << p;
+            }
+        },
+        0);
+    machine.run();
+    process.check_all_joined();
+    for (topo::KernelId k = 0; k < machine.nkernels(); ++k) {
+        if (!machine.kernel(k).has_site(process.pid())) continue;
+        for (const auto& shard : machine.kernel(k).site(process.pid()).dir_shards()) {
+            EXPECT_TRUE(shard.pending.empty()) << "kill at " << kill_at << " ns";
+        }
+    }
+    const check::Report report = check::run_all(machine);
+    EXPECT_TRUE(report.ok()) << "kill at " << kill_at << " ns\n" << report.to_string();
+    return window;
+}
+
+/// Kills kernel 1 at 100 ns steps across the sweep `by` runs unharmed.
+void kill_across_sweep(SweptBy by) {
+    const auto [start, end] = sweep_with_kill(by, 0);
+    ASSERT_GT(end, start);
+    for (Nanos at = start; at <= end; at += 100) sweep_with_kill(by, at);
+}
+
+TEST(RangedSweep, ReadOnlySurvivesHolderDeath) { kill_across_sweep(SweptBy::kReadOnly); }
+
+TEST(RangedSweep, ProtNoneSurvivesHolderDeath) { kill_across_sweep(SweptBy::kProtNone); }
+
+TEST(RangedSweep, DrainSurvivesSharerDeath) { kill_across_sweep(SweptBy::kDrain); }
+
 // ---------------------------------------------------------------------------
 // Parallel invalidation fan-out.
 // ---------------------------------------------------------------------------
