@@ -10,6 +10,8 @@
 //       (no Shared state) on a read-mostly workload,
 //   (e) page-migration throughput vs. working-set size (streaming a
 //       region's ownership from one kernel to another).
+#include <vector>
+
 #include "harness.hpp"
 #include "report.hpp"
 #include "rko/api/machine.hpp"
@@ -400,6 +402,60 @@ int main(int argc, char** argv) {
                     "trip per page; with fault-around on, batched replies, "
                     "pushed pages or the home's scattered fetches amortize "
                     "that trip across the window.\n");
+
+        // home_spread: kernels 1, 2 and 3 write 32-page blocks in turn and
+        // the home (kernel 0) streams them back, so its windows and
+        // read-aheads past 32 pages fetch from several holders at once.
+        auto spread_once = [&](int pages) {
+            auto config = smp::popcorn_config(8, 4);
+            config.prefetch_window = 8;
+            Machine machine(config);
+            auto& process = machine.create_process(0);
+            const Vaddr buf = mem::kMmapBase;
+            Thread& mapper = process.spawn(
+                [pages](Guest& g) { g.mmap(static_cast<std::uint64_t>(pages) * kPageSize); },
+                0);
+            std::vector<Thread*> writers;
+            for (topo::KernelId k = 1; k <= 3; ++k) {
+                writers.push_back(&process.spawn(
+                    [&, k, pages](Guest& g) {
+                        g.join(mapper);
+                        for (int i = 0; i < pages; ++i) {
+                            if (1 + (i / 32) % 3 != k) continue;
+                            g.write<std::uint64_t>(buf + static_cast<Vaddr>(i) * kPageSize,
+                                                   static_cast<std::uint64_t>(i));
+                        }
+                    },
+                    k));
+            }
+            Nanos move = 0;
+            process.spawn(
+                [&, pages](Guest& g) {
+                    for (Thread* w : writers) g.join(*w);
+                    move = timed(g, [&] {
+                        for (int i = 0; i < pages; ++i) {
+                            (void)g.read<std::uint64_t>(buf +
+                                                        static_cast<Vaddr>(i) * kPageSize);
+                        }
+                    });
+                },
+                0);
+            machine.run();
+            process.check_all_joined();
+            return move;
+        };
+        Table spread({"working set", "prefetch move", "MB/s"});
+        for (const int pages : {64, 256, 1024}) {
+            const Nanos move = spread_once(pages);
+            const double mb = static_cast<double>(pages) * kPageSize / 1e6;
+            spread.add_row({fmt("%d pages", pages), fmt_ns(move),
+                            fmt("%.1f", mb / (static_cast<double>(move) / 1e9))});
+            report.add_gauge(fmt("stream.home_spread.%d.prefetch_move_ns", pages),
+                             static_cast<double>(move));
+        }
+        std::printf("\nHome reader, 32-page blocks written by kernels 1-3 in turn "
+                    "(window 8):\n");
+        spread.print();
     }
 
     bench::section("(f) sharded homes: fault throughput vs kernel count");

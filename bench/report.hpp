@@ -7,7 +7,8 @@
 //     "bench": "bench_migration",
 //     "schema": "rko-metrics-v1",
 //     "machines": [{"nkernels": 4, "home_shards": 1, "workset_push": 0,
-//                   "prefetch_window": 1}, ...],
+//                   "prefetch_window": 1, "balance": "none", "elastic": false,
+//                   "read_replication": true, "futex_hierarchy": true}, ...],
 //     "metrics": {
 //       "phase.checkpoint_ns": {"type": "histogram", "count": ..., "mean": ...,
 //                               "min": ..., "max": ..., "p50": ..., "p90": ...,
@@ -106,6 +107,10 @@ public:
             w.kv("home_shards", c.home_shards);
             w.kv("workset_push", c.workset_push);
             w.kv("prefetch_window", c.prefetch_window);
+            w.kv("balance", balance::policy_name(c.balance));
+            w.kv("elastic", c.elastic);
+            w.kv("read_replication", c.read_replication);
+            w.kv("futex_hierarchy", c.futex_hierarchy);
             w.end_object();
         }
         w.end_array();

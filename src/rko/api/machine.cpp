@@ -32,8 +32,10 @@ Machine::Machine(MachineConfig config)
       phys_(config.nkernels, config.frames_per_kernel) {
     RKO_ASSERT_MSG(config.nkernels <= topo::kMaxKernels,
                    "holder masks are topo::KernelMask bits wide");
-    const ConfigStamp stamp{config_.nkernels, config_.home_shards, config_.workset_push,
-                            config_.prefetch_window};
+    const ConfigStamp stamp{config_.nkernels,        config_.home_shards,
+                            config_.workset_push,    config_.prefetch_window,
+                            config_.balance.policy,  config_.elastic.enabled,
+                            config_.read_replication, config_.futex_hierarchy};
     auto& built = built_configs();
     if (std::find(built.begin(), built.end(), stamp) == built.end()) built.push_back(stamp);
     // Each machine gets a clean race-detector slate: one process often runs

@@ -113,6 +113,10 @@ struct ConfigStamp {
     int home_shards = 0;
     int workset_push = 0;
     int prefetch_window = 0;
+    balance::Policy balance = balance::Policy::kNone;
+    bool elastic = false;
+    bool read_replication = true;
+    bool futex_hierarchy = true;
     bool operator==(const ConfigStamp&) const = default;
 };
 

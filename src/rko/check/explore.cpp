@@ -735,6 +735,105 @@ ScenarioResult run_home_prefetch_race(const ExploreConfig& cfg) {
     return finish(machine);
 }
 
+/// A home read stream at full ramp (DESIGN.md §10): kernels 1, 2 and 3
+/// write 32-page blocks of a 256-page region in turn, and kernel 0 (the
+/// home) streams it back with prefetch_window=8, so its windows and
+/// read-aheads ramp to 128 pages and span holders. Kernel 2 rewrites pages
+/// ahead of the reader, so write faults meet read-ahead claims, and once
+/// the reader is half way through, kernel 3 cycles the 32-page tail
+/// (munmap, then a fresh mapping it fills), so revokes land on read-aheads
+/// in flight. Every read before the tail returns a page's first or
+/// rewritten value, and a last pass reads each one's final value
+/// (home_readahead_race.value_lost otherwise). The reader may legally
+/// segfault on the tail.
+ScenarioResult run_home_readahead_race(const ExploreConfig& cfg) {
+    constexpr int kBlock = 32;
+    constexpr int kPages = 8 * kBlock;
+    constexpr int kTail = 32;
+    constexpr int kKept = kPages - kTail;
+    const auto first = [](int p) { return 0x1000ULL + static_cast<std::uint64_t>(p); };
+    const auto rewritten = [](int p) { return 0x2000ULL + static_cast<std::uint64_t>(p); };
+    const auto is_rewritten = [](int p) { return p >= 64 && p < kKept && p % 7 == 0; };
+    MachineConfig mc = base_config(cfg);
+    mc.prefetch_window = 8;
+    Machine machine(mc);
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    int reached = -1; // the reader's furthest page (host-side progress flag)
+    int lost = 0;
+    const auto at = [&buf](int p) { return buf + static_cast<Vaddr>(p) * kPageSize; };
+    auto& init = process.spawn([&](Guest& g) { buf = g.mmap(kPages * kPageSize); }, 0);
+    std::vector<Thread*> writers;
+    for (int k = 1; k <= 3; ++k) {
+        writers.push_back(&process.spawn(
+            [&, k](Guest& g) {
+                g.join(init);
+                for (int p = 0; p < kPages; ++p) {
+                    if (1 + (p / kBlock) % 3 == k) g.write<std::uint64_t>(at(p), first(p));
+                }
+            },
+            static_cast<topo::KernelId>(k)));
+    }
+    const auto after_writers = [&](Guest& g) {
+        for (Thread* w : writers) g.join(*w);
+    };
+    auto& reader = process.spawn(
+        [&](Guest& g) {
+            after_writers(g);
+            for (int p = 0; p < kPages; ++p) {
+                reached = std::max(reached, p);
+                const std::uint64_t v = g.read<std::uint64_t>(at(p));
+                if (p < kKept && v != first(p) && v != rewritten(p)) ++lost;
+            }
+        },
+        0);
+    auto& rewriter = process.spawn(
+        [&](Guest& g) {
+            after_writers(g);
+            for (int p = 0; p < kKept; ++p) {
+                if (!is_rewritten(p)) continue;
+                g.write<std::uint64_t>(at(p), rewritten(p));
+                g.compute(1_us);
+            }
+        },
+        2);
+    auto& cycler = process.spawn(
+        [&](Guest& g) {
+            after_writers(g);
+            for (int i = 0; i < 400 && reached < kPages / 2; ++i) g.compute(1_us);
+            for (int c = 0; c < 3; ++c) {
+                g.munmap(at(kKept), kTail * kPageSize);
+                g.compute(2_us);
+                const Vaddr tail = g.mmap(kTail * kPageSize);
+                for (int p = 0; p < kTail; ++p) {
+                    g.write<std::uint64_t>(tail + static_cast<Vaddr>(p) * kPageSize,
+                                           static_cast<std::uint64_t>(0x3000 + p));
+                }
+                g.compute(3_us);
+            }
+        },
+        3);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(reader);
+            g.join(rewriter);
+            g.join(cycler);
+            for (int p = 0; p < kKept; ++p) {
+                if (g.read<std::uint64_t>(at(p)) != (is_rewritten(p) ? rewritten(p) : first(p))) {
+                    ++lost;
+                }
+            }
+        },
+        1);
+    machine.run();
+    ScenarioResult res = finish(machine);
+    if (lost != 0) {
+        res.report.fail("home_readahead_race.value_lost",
+                        std::to_string(lost) + " page reads returned a value never written");
+    }
+    return res;
+}
+
 /// The page-push pipeline (DESIGN.md §10, §15) under 4 sharded homes:
 /// most pages are homed away from the origin, which wrote them all, so a
 /// home's capture mixes local copies with one scatter of remote fetches.
@@ -1268,6 +1367,12 @@ const std::vector<Scenario>& scenarios() {
          "munmap of the tail",
          /*content_deterministic=*/false, /*expect_violation=*/false,
          &run_home_prefetch_race},
+        {"home_readahead_race",
+         "the home's read stream ramps to 128-page windows and read-aheads "
+         "over three holders while a writer rewrites pages ahead of it and "
+         "munmap cycles the tail",
+         /*content_deterministic=*/false, /*expect_violation=*/false,
+         &run_home_readahead_race},
         {"push_race_sharded",
          "pushed windows, boosted batches and pull rounds race write "
          "upgrades and munmap of the tail under 4 sharded homes",

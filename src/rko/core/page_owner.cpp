@@ -692,7 +692,7 @@ bool PageOwner::abandon_pending(ProcessSite& site, mem::Vaddr page,
 
 bool PageOwner::install_locally(ProcessSite& site, const mem::Vma& vma,
                                 mem::Vaddr page, std::uint32_t access,
-                                const PageFaultResp& resp) {
+                                const PageFaultResp& resp, mem::Paddr frame) {
     const bool want_write = (access & mem::kProtWrite) != 0 || resp.writable;
     WriteGuard guard(site.space().mmap_lock());
 
@@ -716,8 +716,9 @@ bool PageOwner::install_locally(ProcessSite& site, const mem::Vma& vma,
         return true;
     }
 
-    const mem::Paddr frame =
-        resp.zero_fill ? k_.frames().alloc_page_zeroed() : k_.frames().alloc();
+    if (frame == 0) {
+        frame = resp.zero_fill ? k_.frames().alloc_page_zeroed() : k_.frames().alloc();
+    }
     if (frame == 0) return false; // OOM: surface as a failed fix => SEGV path
     if (resp.data_included) {
         std::memcpy(k_.phys().frame_ptr(frame), resp.data.data(), mem::kPageSize);
@@ -770,12 +771,12 @@ FaultStatus PageOwner::guest_fault(ProcessSite& site, const mem::Vma& vma,
         // sharded, so the origin is always a second kernel.
         const bool peers = !site.is_origin() ||
                            (site.group().replica_mask & ~topo::kbit(k_.id())) != 0;
-        const std::uint32_t window = peers ? stride_window(vma, page, access, t) : 0;
+        if (!peers) return home_fault(site, vma, page, access, t);
+        if ((access & mem::kProtWrite) == 0) return home_read(site, vma, page, access, t);
         // A write streak at the home takes no window: its first touches
         // send no message, so there is no round trip to save.
-        return window >= 2 && (access & mem::kProtWrite) == 0
-                   ? home_window(site, vma, page, access, window, t)
-                   : home_fault(site, vma, page, access, t);
+        stride_window(site, vma, page, access, kMaxFaultAround, t);
+        return home_fault(site, vma, page, access, t);
     }
 
     remote_faults_.inc();
@@ -788,7 +789,7 @@ FaultStatus PageOwner::guest_fault(ProcessSite& site, const mem::Vma& vma,
     // write, also takes the untouched pages after it as a zero-fill run.
     // With the knob off (window <= 1) the fault carries no window and the
     // wire traffic is bit-identical to the plain protocol.
-    std::uint32_t window = stride_window(vma, page, access, t);
+    std::uint32_t window = stride_window(site, vma, page, access, kMaxFaultAround, t);
     // Post-migration boost (§15): a freshly migrated thread's remote read
     // faults batch from the FIRST touch (no min-run — the whole address
     // space is cold here, so any pattern benefits) with a full window.
@@ -866,16 +867,32 @@ void PageOwner::install_first_touch_run(ProcessSite& site, topo::KernelId home,
     }
 }
 
-std::uint32_t PageOwner::stride_window(const mem::Vma& vma, mem::Vaddr page,
-                                       std::uint32_t access, task::Task* t) {
+std::uint32_t PageOwner::stride_window(ProcessSite& site, const mem::Vma& vma,
+                                       mem::Vaddr page, std::uint32_t access,
+                                       std::uint32_t cap, task::Task* t) {
     if (prefetch_window_ <= 1 || t == nullptr) return 0;
     task::FaultStreak& streak =
         (access & mem::kProtWrite) != 0 ? t->write_streak : t->read_streak;
     // A stream continues at the next page, or inside or just past the last
     // window: the window's granted pages never fault, so the next fault of
     // a stream lands past its end (or on a page the home could not grant).
+    // It also continues past pages this kernel already maps, which the
+    // thread read through without faulting: a slice it holds, say.
+    const auto held_up_to = [&] {
+        const mem::Vaddr from = std::max(streak.last_page + mem::kPageSize, streak.window_end);
+        if (streak.run == 0 || page <= from ||
+            ((page - from) >> mem::kPageShift) > kMaxHomeWindow) {
+            return false;
+        }
+        const mem::PageTable& table = site.space().page_table();
+        for (mem::Vaddr va = from; va < page; va += mem::kPageSize) {
+            const mem::Pte* pte = table.find(va);
+            if (pte == nullptr || !pte->allows(access)) return false;
+        }
+        return true;
+    };
     if (streak.last_page + mem::kPageSize == page ||
-        (page > streak.last_page && page <= streak.window_end)) {
+        (page > streak.last_page && page <= streak.window_end) || held_up_to()) {
         ++streak.run;
     } else {
         streak.run = 1;
@@ -885,18 +902,16 @@ std::uint32_t PageOwner::stride_window(const mem::Vma& vma, mem::Vaddr page,
     if (streak.run < kPrefetchMinRun) return 0;
     // Ramp: each window that continues the stream doubles the next one.
     std::uint64_t want = static_cast<std::uint64_t>(prefetch_window_);
-    for (std::uint32_t run = kPrefetchMinRun; run < streak.run && want < kMaxFaultAround;
-         ++run) {
+    for (std::uint32_t run = kPrefetchMinRun; run < streak.run && want < cap; ++run) {
         want *= 2;
     }
     // Clip to the faulting kernel's VMA; the home re-clips against its own
     // tree and the directory entries it can grant.
     const std::uint64_t avail = (vma.end - page) >> mem::kPageShift;
-    const std::uint64_t cap =
-        std::min({want, static_cast<std::uint64_t>(kMaxFaultAround), avail});
-    if (cap < 2) return 0;
-    streak.window_end = page + cap * mem::kPageSize;
-    return static_cast<std::uint32_t>(cap);
+    const std::uint64_t pages = std::min({want, static_cast<std::uint64_t>(cap), avail});
+    if (pages < 2) return 0;
+    streak.window_end = page + pages * mem::kPageSize;
+    return static_cast<std::uint32_t>(pages);
 }
 
 std::byte* PageOwner::ensure_readable(ProcessSite& site, mem::Vaddr page) {
@@ -1090,11 +1105,12 @@ ReadSharePlan plan_read_share(ProcessSite& site, std::uint64_t vpn, topo::Kernel
     return plan;
 }
 
-/// The pages a fault-around window offers after its faulting page `first`:
-/// first+1 up to first+min(window, kMaxFaultAround)-1.
-std::vector<mem::Vaddr> window_pages(mem::Vaddr first, std::uint32_t window) {
+/// Pages `from` up to `to` (exclusive) of a window starting at `first`:
+/// from 1, the pages a window offers after its faulting page.
+std::vector<mem::Vaddr> window_pages(mem::Vaddr first, std::uint32_t from,
+                                     std::uint32_t to) {
     std::vector<mem::Vaddr> pages;
-    for (std::uint32_t i = 1; i < std::min(window, PageOwner::kMaxFaultAround); ++i) {
+    for (std::uint32_t i = from; i < to; ++i) {
         pages.push_back(first + static_cast<mem::Vaddr>(i) * mem::kPageSize);
     }
     return pages;
@@ -1122,6 +1138,9 @@ std::uint32_t PageOwner::sweep(ProcessSite& site, HomeRangeKind kind, mem::Vaddr
         std::uint64_t vpn;
         PageDirEntry post; ///< committed state; one with no holder erases the entry
         std::size_t pull;  ///< reply part that brings the page's bytes, or kNoPull
+        /// Live holders besides a pull's source: they keep their copies
+        /// until the bytes have landed, and hand them over if it fails.
+        topo::KernelMask spare = 0;
     };
     std::vector<Swept> pages;
     std::vector<std::uint64_t> local; // this kernel's legs
@@ -1146,7 +1165,8 @@ std::uint32_t PageOwner::sweep(ProcessSite& site, HomeRangeKind kind, mem::Vaddr
             Swept p{vpn, snapshot, kNoPull};
             p.post.busy = false;
             topo::KernelMask legs = snapshot.holder_mask();
-            bool pull = false;
+            bool pull = false;    // the page's bytes must come here
+            bool pulling = false; // a live holder was asked for them
             switch (kind) {
             case HomeRangeKind::kRevoke:
                 p.post = gone;
@@ -1186,6 +1206,9 @@ std::uint32_t PageOwner::sweep(ProcessSite& site, HomeRangeKind kind, mem::Vaddr
                 } else if (pull) {
                     pulls[h].push_back(pages.size()); // the lowest live holder
                     pull = false;
+                    pulling = true;
+                } else if (pulling) {
+                    p.spare |= topo::kbit(holder);
                 } else {
                     ranged[h].push_back(vpn);
                 }
@@ -1198,42 +1221,49 @@ std::uint32_t PageOwner::sweep(ProcessSite& site, HomeRangeKind kind, mem::Vaddr
     // This kernel's legs as one batched local op, then every remote leg in
     // one scatter: per pull source, one dropping kPageFetch for each
     // kMaxPages of its pages (one reply part per page), then each holder's
-    // kPageInvalidateRange chunks.
+    // kPageInvalidateRange chunks. A pulled page's spare holders keep their
+    // copies until its bytes have landed, so a source that died or lost its
+    // copy costs no data: the next round pulls from the next spare, or,
+    // once the bytes are in, drops the spares.
     const InvalidateRangeOp op = kind == HomeRangeKind::kDowngrade
                                      ? InvalidateRangeOp::kDowngrade
                                      : InvalidateRangeOp::kDrop;
     local_range(site, local,
                 kind == HomeRangeKind::kSequester ? InvalidateRangeOp::kProtNone : op);
-    std::vector<msg::Node::ScatterItem> posts;
-    std::size_t part = 0;
-    for (std::size_t h = 0; h < pulls.size(); ++h) {
-        for (std::size_t first = 0; first < pulls[h].size();
-             first += PageFetchReq::kMaxPages) {
-            PageFetchReq req{};
-            req.pid = site.pid();
-            req.drop = true;
-            while (req.count < PageFetchReq::kMaxPages &&
-                   first + req.count < pulls[h].size()) {
-                Swept& p = pages[pulls[h][first + req.count]];
-                p.pull = part++;
-                req.va[req.count++] = static_cast<mem::Vaddr>(p.vpn) << mem::kPageShift;
+    for (;;) {
+        std::vector<msg::Node::ScatterItem> posts;
+        std::size_t part = 0;
+        for (std::size_t h = 0; h < pulls.size(); ++h) {
+            for (std::size_t first = 0; first < pulls[h].size();
+                 first += PageFetchReq::kMaxPages) {
+                PageFetchReq req{};
+                req.pid = site.pid();
+                req.drop = true;
+                while (req.count < PageFetchReq::kMaxPages &&
+                       first + req.count < pulls[h].size()) {
+                    Swept& p = pages[pulls[h][first + req.count]];
+                    p.pull = part++;
+                    req.va[req.count++] = static_cast<mem::Vaddr>(p.vpn) << mem::kPageShift;
+                }
+                posts.push_back(
+                    {static_cast<topo::KernelId>(h), fetch_request(req), req.count});
             }
-            posts.push_back(
-                {static_cast<topo::KernelId>(h), fetch_request(req), req.count});
+            pulls[h].clear();
         }
-    }
-    const std::size_t fetches = posts.size();
-    append_ranged_posts(site.pid(), ranged, op, &posts);
-    range_rpcs_.inc(posts.size() - fetches);
-    std::vector<msg::MessagePtr> replies;
-    if (!posts.empty()) replies = k_.node().rpc_scatter(std::move(posts));
+        const std::size_t fetches = posts.size();
+        append_ranged_posts(site.pid(), ranged, op, &posts);
+        for (auto& vpns : ranged) vpns.clear();
+        range_rpcs_.inc(posts.size() - fetches);
+        if (posts.empty()) break;
+        const std::vector<msg::MessagePtr> replies = k_.node().rpc_scatter(std::move(posts));
+        if (fetches == 0) break;
 
-    // Land each pulled page straight from its reply part in a fresh local
-    // frame (a fresh map needs no shootdown). A holder that died or lost
-    // its copy, or a VMA a racing munmap took, leaves the data dead. A
-    // non-origin home's VMA replica may lack the mapping: fill it first
-    // (an RPC, so outside the mmap lock).
-    if (fetches != 0) {
+        // Land each pulled page straight from its reply part in a fresh
+        // local frame (a fresh map needs no shootdown). A holder that died
+        // or lost its copy leaves the pull to the next spare; a VMA a racing
+        // munmap took leaves the data dead. A non-origin home's VMA replica
+        // may lack the mapping: fill it first (an RPC, so outside the mmap
+        // lock).
         const auto bytes = [&](const Swept& p) -> const std::byte* {
             if (p.pull == kNoPull || replies[p.pull] == nullptr) return nullptr;
             const auto& fetched = replies[p.pull]->payload_prefix_as<PageFetchResp>();
@@ -1246,17 +1276,29 @@ std::uint32_t PageOwner::sweep(ProcessSite& site, HomeRangeKind kind, mem::Vaddr
                                 &vma);
         }
         WriteGuard guard(site.space().mmap_lock());
-        for (Swept& p : pages) {
+        for (std::size_t i = 0; i < pages.size(); ++i) {
+            Swept& p = pages[i];
             if (p.pull == kNoPull) continue;
             const mem::Vaddr page = static_cast<mem::Vaddr>(p.vpn) << mem::kPageShift;
             const mem::Vma* vma = site.space().vmas().find(page);
-            if (bytes(p) == nullptr || vma == nullptr) {
+            const std::byte* data = bytes(p);
+            p.pull = kNoPull;
+            if (data == nullptr && vma != nullptr && p.spare != 0) {
+                const auto next = static_cast<topo::KernelId>(std::countr_zero(p.spare));
+                p.spare &= ~topo::kbit(next);
+                pulls[static_cast<std::size_t>(next)].push_back(i);
+                continue;
+            }
+            for (; p.spare != 0; p.spare &= p.spare - 1) {
+                ranged[static_cast<std::size_t>(std::countr_zero(p.spare))].push_back(p.vpn);
+            }
+            if (data == nullptr || vma == nullptr) {
                 p.post = gone;
                 continue;
             }
             const mem::Paddr frame = k_.frames().alloc();
             RKO_ASSERT(frame != 0);
-            std::memcpy(k_.phys().frame_ptr(frame), bytes(p), mem::kPageSize);
+            std::memcpy(k_.phys().frame_ptr(frame), data, mem::kPageSize);
             sim::current_actor().sleep_for(k_.costs().page_copy);
             if (const mem::Pte* old = site.space().page_table().find(page);
                 old != nullptr && old->present) {
@@ -1617,7 +1659,7 @@ std::uint32_t PageOwner::local_range(ProcessSite& site,
 std::vector<mem::Vaddr> PageOwner::claim_push_pages(ProcessSite& site,
                                                     const std::vector<mem::Vaddr>& pages,
                                                     topo::KernelId requester,
-                                                    bool demand_first) {
+                                                    ClaimRule rule) {
     std::vector<mem::Vaddr> claimed;
     // Validate every page against this kernel's VMA tree (the master at the
     // origin): the requester's replica may be stale. The last readable VMA
@@ -1625,7 +1667,7 @@ std::vector<mem::Vaddr> PageOwner::claim_push_pages(ProcessSite& site,
     // window costs one lookup.
     mem::Vma cached;
     std::uint64_t cached_epoch = 0;
-    const auto try_claim = [&](mem::Vaddr page, bool demand) {
+    const auto try_claim = [&](mem::Vaddr page, bool skip_migratory) {
         if (!cached.contains(page) || site.vma_epoch != cached_epoch) {
             ReadGuard guard(site.space().mmap_lock());
             const mem::Vma* vma = site.space().vmas().find(page);
@@ -1645,7 +1687,7 @@ std::vector<mem::Vaddr> PageOwner::claim_push_pages(ProcessSite& site,
         shard.lock.lock();
         auto it = shard.entries.find(vpn);
         if (it == shard.entries.end() || it->second.busy ||
-            it->second.holds(requester) || (demand && it->second.migratory)) {
+            it->second.holds(requester) || (skip_migratory && it->second.migratory)) {
             shard.lock.unlock();
             return false;
         }
@@ -1654,8 +1696,8 @@ std::vector<mem::Vaddr> PageOwner::claim_push_pages(ProcessSite& site,
         return true;
     };
     for (const mem::Vaddr page : pages) {
-        const bool demand = demand_first && page == pages.front();
-        if (try_claim(page, demand)) {
+        const bool demand = rule == ClaimRule::kDemandFirst && page == pages.front();
+        if (try_claim(page, demand || rule == ClaimRule::kReadAhead)) {
             claimed.push_back(page);
         } else if (demand) {
             break; // nothing claimed: the fault runs its own transaction first
@@ -1666,12 +1708,11 @@ std::vector<mem::Vaddr> PageOwner::claim_push_pages(ProcessSite& site,
 
 void PageOwner::capture_pages(ProcessSite& site, const std::vector<mem::Vaddr>& claimed,
                               topo::KernelId requester, const CaptureSink& sink) {
-    RKO_ASSERT_MSG(claimed.size() <= PageFetchReq::kMaxPages,
-                   "a capture's pages must fit one kPageFetch per holder");
     std::vector<PushPage> work(claimed.size());
     // Local sources go to this kernel's holder batch; remote ones to one
-    // kPageFetch per source kernel, so each holder serves its whole list
-    // under one shootdown and every holder works concurrently.
+    // kPageFetch per source kernel for each kMaxPages of its pages, so each
+    // holder serves each list under one shootdown and every holder works
+    // concurrently.
     std::vector<FetchPart> local;
     std::vector<PushPage*> local_pages;
     struct SourceFetch {
@@ -1694,7 +1735,7 @@ void PageOwner::capture_pages(ProcessSite& site, const std::vector<mem::Vaddr>& 
         }
         fetches_.inc();
         auto it = std::find_if(remote.begin(), remote.end(), [&p](const SourceFetch& f) {
-            return f.source == p.plan.source;
+            return f.source == p.plan.source && f.req.count < PageFetchReq::kMaxPages;
         });
         if (it == remote.end()) {
             it = remote.insert(remote.end(), SourceFetch{p.plan.source, PageFetchReq{}, {}});
@@ -1782,10 +1823,59 @@ FaultStatus PageOwner::home_fault(ProcessSite& site, const mem::Vma& vma,
     return FaultStatus::kOk;
 }
 
+/// An in-flight read-ahead (PageOwner::read_ahead): the range it offered,
+/// and the faults waiting for its job to end.
+struct PageOwner::ReadAhead {
+    Pid pid = 0;
+    mem::Vaddr start = 0;
+    mem::Vaddr end = 0;
+    bool done = false;
+    sim::WaitList waiters;
+};
+
+std::shared_ptr<PageOwner::ReadAhead> PageOwner::read_ahead_at(Pid pid,
+                                                               mem::Vaddr page) const {
+    for (const auto& ahead : read_aheads_) {
+        if (ahead->pid == pid && page >= ahead->start && page < ahead->end) return ahead;
+    }
+    return nullptr;
+}
+
+FaultStatus PageOwner::home_read(ProcessSite& site, const mem::Vma& vma, mem::Vaddr page,
+                                 std::uint32_t access, task::Task* t) {
+    // A stream that caught up with its read-ahead waits for it to land; a
+    // kill ends the job too, so the wait always ends.
+    const std::shared_ptr<ReadAhead> ahead = read_ahead_at(site.pid(), page);
+    if (ahead != nullptr) {
+        while (!ahead->done) {
+            if (k_.node().dead()) throw msg::LocalNodeDead{};
+            ahead->waiters.wait(k_.engine());
+        }
+        if (k_.node().dead()) throw msg::LocalNodeDead{};
+    }
+    const std::uint32_t window = stride_window(site, vma, page, access, kMaxHomeWindow, t);
+    if (ahead != nullptr) {
+        const mem::Pte* pte = site.space().page_table().find(page);
+        if (pte != nullptr && pte->allows(mem::kProtRead)) {
+            // It brought the page in: keep one window in flight ahead.
+            if (window >= 2) read_ahead(site, vma, ahead->end, window, t);
+            return FaultStatus::kOk;
+        }
+        // Skipped or cancelled: the page takes the plain path.
+    }
+    if (window < 2) return home_fault(site, vma, page, access, t);
+    const FaultStatus status = home_window(site, vma, page, access, window, t);
+    if (status == FaultStatus::kOk) {
+        read_ahead(site, vma, page + static_cast<mem::Vaddr>(window) * mem::kPageSize, window,
+                   t);
+    }
+    return status;
+}
+
 FaultStatus PageOwner::home_window(ProcessSite& site, const mem::Vma& vma,
                                    mem::Vaddr page, std::uint32_t access,
                                    std::uint32_t window, task::Task* t) {
-    const std::vector<mem::Vaddr> rest = window_pages(page, window);
+    const std::vector<mem::Vaddr> rest = window_pages(page, 1, window);
     // The faulting page leads the claim only where its transaction would
     // plan a plain read share: the claim takes nothing when the page is
     // absent (zero-fill), busy, already held here or migratory, and without
@@ -1794,9 +1884,9 @@ FaultStatus PageOwner::home_window(ProcessSite& site, const mem::Vma& vma,
     if (read_replication_) {
         std::vector<mem::Vaddr> pages{page};
         pages.insert(pages.end(), rest.begin(), rest.end());
-        claimed = claim_push_pages(site, pages, k_.id(), /*demand_first=*/true);
+        claimed = claim_push_pages(site, pages, k_.id(), ClaimRule::kDemandFirst);
     }
-    // With demand_first the faulting page leads the claim, or nothing is
+    // With kDemandFirst the faulting page leads the claim, or nothing is
     // claimed.
     const bool folded = !claimed.empty();
     if (!folded) {
@@ -1807,13 +1897,35 @@ FaultStatus PageOwner::home_window(ProcessSite& site, const mem::Vma& vma,
         if (!installed) return status;
         claimed = claim_push_pages(site, rest, k_.id());
     }
-    bool demand_done = !folded;
+    // A folded page whose capture was cancelled (its source died or lost
+    // the copy) runs its own transaction; the window stays installed.
+    if (land_capture(site, vma, claimed, folded ? page : 0, access, t) || !folded) {
+        return FaultStatus::kOk;
+    }
+    return home_fault(site, vma, page, access, t);
+}
+
+bool PageOwner::land_capture(ProcessSite& site, const mem::Vma& vma,
+                             const std::vector<mem::Vaddr>& claimed, mem::Vaddr demand,
+                             std::uint32_t access, task::Task* t) {
+    bool demand_done = false;
+    // Frames come from one allocator operation at the first landing; a
+    // short bulk falls back to one frame per page, and frames a cancelled
+    // page left unused go back.
+    std::vector<mem::Paddr> frames;
+    std::size_t next_frame = 0;
+    bool allocated = false;
     // Each page installs and commits as soon as its bytes arrive, while the
-    // rest of the window is still in flight.
+    // rest of the capture is still in flight.
     capture_pages(site, claimed, k_.id(), [&](PushPage& p) {
         // The claim skipped pages the home holds: every source is remote.
         RKO_ASSERT(p.plan.source != k_.id());
-        const bool demand = p.push.va == page;
+        if (!allocated) {
+            frames = k_.frames().alloc_bulk(claimed.size());
+            allocated = true;
+        }
+        const mem::Paddr frame = next_frame < frames.size() ? frames[next_frame++] : 0;
+        const bool is_demand = p.push.va == demand;
         PageFaultResp resp{};
         resp.status = FaultStatus::kOk;
         resp.data_included = true;
@@ -1822,25 +1934,58 @@ FaultStatus PageOwner::home_window(ProcessSite& site, const mem::Vma& vma,
         PageDirEntry updated = p.plan.updated;
         // Detector input, as the transaction records it: if the home
         // upgrades this page next, kernels take turns on it (§17).
-        if (demand && p.plan.downgrade) updated.reader = static_cast<std::int8_t>(k_.id());
+        if (is_demand && p.plan.downgrade) updated.reader = static_cast<std::int8_t>(k_.id());
         // A racing munmap/mprotect waits on this busy bit, then treats the
-        // home as a holder, so installing against the faulting VMA is safe.
+        // home as a holder, so installing against the claim's VMA is safe.
         park_pending(site, mem::vpn_of(p.push.va), updated, k_.id());
-        const bool installed = install_locally(site, vma, p.push.va,
-                                               demand ? access : mem::kProtRead, resp);
+        const bool installed = install_locally(
+            site, vma, p.push.va, is_demand ? access : mem::kProtRead, resp, frame);
         commit_install(site, p.push.va, k_.id(), installed);
-        if (demand) {
+        if (is_demand) {
             demand_done = true;
-            if (installed) attribute_fault(t, page, resp.source);
+            if (installed) attribute_fault(t, demand, resp.source);
             return;
         }
         prefetch_issued_.inc();
         (installed ? prefetch_hit_ : prefetch_wasted_).inc();
     });
-    // A folded page whose capture was cancelled (its source died or lost
-    // the copy) runs its own transaction; the window stays installed.
-    if (!demand_done) return home_fault(site, vma, page, access, t);
-    return FaultStatus::kOk;
+    for (; next_frame < frames.size(); ++next_frame) k_.frames().free(frames[next_frame]);
+    return demand_done;
+}
+
+void PageOwner::read_ahead(ProcessSite& site, const mem::Vma& vma, mem::Vaddr start,
+                           std::uint32_t window, task::Task* t) {
+    if (start >= vma.end) return;
+    const auto pages = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(window, (vma.end - start) >> mem::kPageShift));
+    // The stream's next fault continues the run past the read-ahead, landed
+    // or not.
+    t->read_streak.window_end = start + static_cast<mem::Vaddr>(pages) * mem::kPageSize;
+    std::vector<mem::Vaddr> claimed = claim_push_pages(
+        site, window_pages(start, 0, pages), k_.id(), ClaimRule::kReadAhead);
+    if (claimed.empty()) return;
+    auto ahead = std::make_shared<ReadAhead>();
+    ahead->pid = site.pid();
+    ahead->start = start;
+    ahead->end = t->read_streak.window_end;
+    read_aheads_.push_back(ahead);
+    k_.node().post_local([this, &site, vma, claimed = std::move(claimed), ahead] {
+        // Every way out, a kill's unwind included, ends the read-ahead and
+        // wakes the faults waiting for it.
+        const auto end = [&] {
+            ahead->done = true;
+            ahead->waiters.notify_all();
+            std::erase(read_aheads_, ahead);
+        };
+        try {
+            // A killed kernel may have dropped the site already.
+            if (!k_.node().dead()) land_capture(site, vma, claimed, 0, mem::kProtRead, nullptr);
+        } catch (const msg::LocalNodeDead&) {
+            end();
+            throw;
+        }
+        end();
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1988,7 +2133,9 @@ void PageOwner::on_page_fault(msg::Node& node, msg::MessagePtr m) {
     // must upgrade at once.
     std::vector<mem::Vaddr> claimed;
     if (site != nullptr && req.window >= 2 && (req.access & mem::kProtWrite) == 0) {
-        claimed = claim_push_pages(*site, window_pages(req.va, req.window), req.requester);
+        claimed = claim_push_pages(
+            *site, window_pages(req.va, 1, std::min<std::uint32_t>(req.window, kMaxFaultAround)),
+            req.requester);
     }
     const auto push = [&] {
         if (!claimed.empty()) push_window(*site, claimed, req.requester, req.workset);

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -35,10 +36,14 @@ namespace rko::core {
 class PageOwner {
 public:
     /// Hard cap on a fault-around window (pages, including the faulting
-    /// one): a stream's ramp, a first-touch run and a post-migration
+    /// one): a remote stream's ramp, a first-touch run and a post-migration
     /// boosted batch (DESIGN.md §15) all stop here, so one capture fits one
     /// kPageFetch per holder.
     static constexpr std::uint32_t kMaxFaultAround = 32;
+    /// Hard cap on a read stream's window at the page's home: its ramp keeps
+    /// doubling past kMaxFaultAround, and its capture posts one kPageFetch
+    /// per holder for each kMaxFaultAround pages (DESIGN.md §10).
+    static constexpr std::uint32_t kMaxHomeWindow = 128;
     /// Consecutive +1-page faults a thread must string together before a
     /// fault carries a fault-around window.
     static constexpr std::uint32_t kPrefetchMinRun = 3;
@@ -62,9 +67,11 @@ public:
 
     /// Fault-around prefetch window (pages): the first window of a stream.
     /// Each window that continues the stream doubles the next one, up to
-    /// kMaxFaultAround. <= 1 disables the stride detector: no fault carries
-    /// a window, no kPagePush traffic or first-touch run exists and runs are
-    /// bit-identical to the plain demand-fault protocol.
+    /// kMaxFaultAround (kMaxHomeWindow for a read stream at the home, which
+    /// also reads one window ahead). <= 1 disables the stride detector: no
+    /// fault carries a window, no kPagePush traffic, first-touch run or
+    /// read-ahead exists and runs are bit-identical to the plain
+    /// demand-fault protocol.
     void set_prefetch_window(int pages) { prefetch_window_ = pages; }
     int prefetch_window() const { return prefetch_window_; }
 
@@ -230,8 +237,11 @@ private:
 
     /// Requester-side: installs the transaction result into the local
     /// address space. Returns false if the local VMA vanished meanwhile.
+    /// `frame`, when set, is a frame taken ahead (a bulk landing), used
+    /// instead of allocating one.
     bool install_locally(ProcessSite& site, const mem::Vma& vma, mem::Vaddr page,
-                         std::uint32_t access, const PageFaultResp& resp);
+                         std::uint32_t access, const PageFaultResp& resp,
+                         mem::Paddr frame = 0);
 
     // Local holder ops, used both by leaf handlers (for remote requests)
     // and directly when the origin itself is the holder.
@@ -264,9 +274,12 @@ private:
     /// this fault in `t`'s read or write streak and returns the window
     /// (pages, including `page`, clipped to `vma`) the fault should batch,
     /// or 0. A stream's first window is prefetch_window; each window that
-    /// continues it doubles the next, up to kMaxFaultAround.
-    std::uint32_t stride_window(const mem::Vma& vma, mem::Vaddr page,
-                                std::uint32_t access, task::Task* t);
+    /// continues it doubles the next, up to `cap`. A stream continues at
+    /// the next page, inside or just past its last window, or past up to
+    /// kMaxHomeWindow pages this kernel maps with `access` (the thread read
+    /// through them without faulting). Charges no virtual time.
+    std::uint32_t stride_window(ProcessSite& site, const mem::Vma& vma, mem::Vaddr page,
+                                std::uint32_t access, std::uint32_t cap, task::Task* t);
 
     /// Runs `leg(home)`, a fault leg aimed at the page's current home,
     /// until it settles. A kRetry answer (a shard being rebuilt, a home
@@ -281,25 +294,34 @@ private:
                             mem::Vaddr page, std::uint32_t access, task::Task* t);
 
     // The page-push pipeline (home side, DESIGN.md §10). Fault-around
-    // windows, post-migration boosted batches and kWorksetPull rounds all
-    // run it: claim_push_pages try-claims a page list for `requester`
-    // (skipping absent, busy and requester-held entries; never waiting);
-    // capture_pages plans each claimed page's read share and copies its
-    // bytes — local copies in one holder batch, remote ones with one
-    // kPageFetch per source kernel, all in one streaming rpc_scatter —
-    // releasing the claim of any page whose source died or lost its copy,
-    // and hands every other page to `sink` as soon as its bytes are in;
-    // push_window's sink parks each page's pending state and ships it as
-    // kPagePush, which the requester's kPageInstalled confirm commits.
-    // `demand_first`: pages.front() is a guest read fault's own page, also
-    // skipped when migratory (its read is an ownership grant, §17); when it
-    // cannot be claimed, nothing is.
+    // windows, read-aheads, post-migration boosted batches and kWorksetPull
+    // rounds all run it: claim_push_pages try-claims a page list for
+    // `requester` (skipping absent, busy and requester-held entries; never
+    // waiting); capture_pages plans each claimed page's read share and
+    // copies its bytes — local copies in one holder batch, remote ones with
+    // one kPageFetch per source kernel for each kMaxFaultAround pages, all
+    // in one streaming rpc_scatter — releasing the claim of any page whose
+    // source died or lost its copy, and hands every other page to `sink` as
+    // soon as its bytes are in; push_window's sink parks each page's
+    // pending state and ships it as kPagePush, which the requester's
+    // kPageInstalled confirm commits.
     struct PushPage;
     using CaptureSink = std::function<void(PushPage& page)>;
+    /// Which pages of a list a claim skips beyond absent, busy and
+    /// requester-held ones.
+    enum class ClaimRule {
+        kWindow, ///< none
+        /// pages.front() is a guest read fault's own page, also skipped when
+        /// migratory (its read is an ownership grant, §17); when it cannot
+        /// be claimed, nothing is
+        kDemandFirst,
+        /// every migratory page, so each is still granted on its own fault
+        kReadAhead,
+    };
     std::vector<mem::Vaddr> claim_push_pages(ProcessSite& site,
                                              const std::vector<mem::Vaddr>& pages,
                                              topo::KernelId requester,
-                                             bool demand_first = false);
+                                             ClaimRule rule = ClaimRule::kWindow);
     void capture_pages(ProcessSite& site, const std::vector<mem::Vaddr>& claimed,
                        topo::KernelId requester, const CaptureSink& sink);
     /// Captures `claimed` and pushes each page to `requester` as it
@@ -315,16 +337,48 @@ private:
                            std::uint32_t access, task::Task* t,
                            bool* installed = nullptr);
 
+    /// A guest read fault AT the page's home from a process another kernel
+    /// may hold pages of (DESIGN.md §10). A fault inside an in-flight
+    /// read-ahead waits for it to land; if that brought the page in, the
+    /// stream posts its next read-ahead and the fault is done. Otherwise
+    /// the stride detector picks a window: none demand-faults (home_fault),
+    /// one runs home_window and then reads one window ahead.
+    FaultStatus home_read(ProcessSite& site, const mem::Vma& vma, mem::Vaddr page,
+                          std::uint32_t access, task::Task* t);
+
     /// A read streak AT the home: claims `page` with the rest of its window
-    /// for this kernel and captures them (every source is remote, so one
-    /// rpc_scatter with one kPageFetch per holder), installing and
-    /// committing each page locally as its bytes land. The faulting page
+    /// for this kernel and lands them (land_capture). The faulting page
     /// leads the claim only where its transaction would plan a plain read
     /// share; otherwise it demand-faults first (home_fault) and the rest of
     /// the window follows, and a folded page whose capture was cancelled
     /// demand-faults last.
     FaultStatus home_window(ProcessSite& site, const mem::Vma& vma, mem::Vaddr page,
                             std::uint32_t access, std::uint32_t window, task::Task* t);
+
+    /// The home's sink for `claimed`, pages this kernel claimed for itself:
+    /// captures them (every source is remote, since the claim skipped pages
+    /// held here) and installs and commits each page as its bytes land, in
+    /// frames from one bulk allocation. `demand`, when not 0, is the
+    /// faulting page folded into the capture, installed with `access` and
+    /// attributed to `t`; every other page maps read-only and counts as a
+    /// prefetch. Returns whether `demand` landed.
+    bool land_capture(ProcessSite& site, const mem::Vma& vma,
+                      const std::vector<mem::Vaddr>& claimed, mem::Vaddr demand,
+                      std::uint32_t access, task::Task* t);
+
+    /// A home read stream's next window, [start, start + window) clipped to
+    /// `vma`: moves `t`'s stream past it, claims its pages like a window's
+    /// tail (ClaimRule::kReadAhead) and lands them in a background job
+    /// (msg::Node::post_local) while the thread reads on. The claims pin
+    /// the site until the job releases them, and the job touches nothing
+    /// of the thread; a job that starts on a killed kernel leaves its
+    /// claims to leak as that kernel's other busy bits do.
+    struct ReadAhead;
+    void read_ahead(ProcessSite& site, const mem::Vma& vma, mem::Vaddr start,
+                    std::uint32_t window, task::Task* t);
+    /// The in-flight read-ahead of process `pid` whose range holds `page`,
+    /// or null.
+    std::shared_ptr<ReadAhead> read_ahead_at(Pid pid, mem::Vaddr page) const;
 
     /// A fault taken away from the page's `home`: one kPageFault round trip
     /// (carrying the fault-around `window`, 0 for none, and the
@@ -394,13 +448,17 @@ private:
     trace::Counter& migratory_reverts_;
     trace::Counter& first_touch_grants_;
     base::Histogram& remote_latency_;
+    /// Read-aheads whose job has not ended, in post order.
+    std::vector<std::shared_ptr<ReadAhead>> read_aheads_;
 };
 
-// A capture (a window, or a kWorksetPull round) fits one kPageFetch per
-// holder.
+// A remote window, a boosted batch and a kWorksetPull round fit one
+// kPageFetch per holder; a home window takes one per kMaxPages pages.
 static_assert(PageFetchReq::kMaxPages == PageOwner::kMaxFaultAround &&
                   PageFetchReq::kMaxPages >= task::kMaxWorkset,
-              "one kPageFetch carries a whole capture's pages from one holder");
+              "one kPageFetch carries a remote window's pages from one holder");
+static_assert(PageOwner::kMaxHomeWindow >= PageOwner::kMaxFaultAround,
+              "a home window is at least a remote one");
 static_assert(PageOwner::kMaxFaultAround <= 0xff,
               "a window fits PageFaultReq::window and a run PageFaultResp::run");
 

@@ -55,7 +55,24 @@ Paddr FrameAllocator::alloc(int order) {
     RKO_ASSERT(order >= 0 && order <= kMaxOrder);
     sim::LockGuard guard(lock_);
     sim::current_actor().sleep_for(costs_.frame_alloc_path);
+    return take(order);
+}
 
+std::vector<Paddr> FrameAllocator::alloc_bulk(std::size_t n) {
+    std::vector<Paddr> frames;
+    if (n == 0) return frames;
+    frames.reserve(n);
+    sim::LockGuard guard(lock_);
+    sim::current_actor().sleep_for(costs_.frame_alloc_path);
+    while (frames.size() < n) {
+        const Paddr frame = take(0);
+        if (frame == 0) break;
+        frames.push_back(frame);
+    }
+    return frames;
+}
+
+Paddr FrameAllocator::take(int order) {
     int found = -1;
     for (int o = order; o <= kMaxOrder; ++o) {
         if (free_lists_[static_cast<std::size_t>(o)] != kNil) {

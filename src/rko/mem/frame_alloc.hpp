@@ -32,6 +32,11 @@ public:
     /// Convenience: one zeroed frame (charges the zeroing cost too).
     Paddr alloc_page_zeroed();
 
+    /// Up to `n` single frames from one allocator operation: one lock hold
+    /// and one allocator path charge, like Linux's alloc_pages_bulk. Fewer
+    /// come back when the partition runs out.
+    std::vector<Paddr> alloc_bulk(std::size_t n);
+
     void free(Paddr paddr, int order = 0);
 
     std::size_t free_frames() const { return free_frames_; }
@@ -44,6 +49,9 @@ private:
     std::size_t buddy_of(std::size_t index, int order) const {
         return index ^ (static_cast<std::size_t>(1) << order);
     }
+    /// Unlinks one 2^order block (lock held, nothing charged); 0 when none
+    /// is left.
+    Paddr take(int order);
     void push_free(std::size_t index, int order);
     void remove_free(std::size_t index, int order);
 

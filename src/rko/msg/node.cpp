@@ -65,6 +65,7 @@ void Node::request_stop() {
     dispatcher_->unpark();
     blocking_pool_.idle.notify_all();
     leaf_pool_.idle.notify_all();
+    jobs_idle_.notify_all();
 }
 
 bool Node::stopped() const {
@@ -72,7 +73,8 @@ bool Node::stopped() const {
     const auto finished = [](const auto& w) { return w->finished(); };
     return std::all_of(blocking_pool_.workers.begin(), blocking_pool_.workers.end(),
                        finished) &&
-           std::all_of(leaf_pool_.workers.begin(), leaf_pool_.workers.end(), finished);
+           std::all_of(leaf_pool_.workers.begin(), leaf_pool_.workers.end(), finished) &&
+           std::all_of(job_workers_.begin(), job_workers_.end(), finished);
 }
 
 bool Node::is_leaf_worker(const sim::Actor* actor) const {
@@ -488,6 +490,35 @@ void Node::worker_body(sim::Actor& self, Pool& pool) {
         }
         --handlers_running_;
         (void)self;
+    }
+}
+
+void Node::post_local(std::function<void()> job) {
+    RKO_ASSERT(job != nullptr);
+    jobs_.push_back(std::move(job));
+    if (jobs_idle_.notify_one()) return;
+    job_workers_.push_back(std::make_unique<sim::Actor>(
+        engine_, "k" + std::to_string(id_) + "/kjob" + std::to_string(job_workers_.size()),
+        [this](sim::Actor&) { job_worker_body(); }));
+    job_workers_.back()->start();
+}
+
+void Node::job_worker_body() {
+    for (;;) {
+        if (jobs_.empty()) {
+            if (stop_requested_) break;
+            jobs_idle_.wait(engine_);
+            continue;
+        }
+        const std::function<void()> job = std::move(jobs_.front());
+        jobs_.pop_front();
+        ++handlers_running_;
+        try {
+            job();
+        } catch (const LocalNodeDead&) {
+            // Killed while the job awaited a reply: it unwound.
+        }
+        --handlers_running_;
     }
 }
 

@@ -153,6 +153,15 @@ public:
     void rpc_scatter(std::vector<ScatterItem> items, const PartSink& on_part,
                      RpcStatus* status = nullptr);
 
+    /// Runs `job` in the background on a job worker of this node, started
+    /// for it when none is idle, so a job never queues behind handlers
+    /// parked on state it holds. A job runs under a blocking handler's
+    /// rules: it may rpc() to inline and leaf handlers, it counts in
+    /// handlers_running(), and a LocalNodeDead it throws ends it. It runs
+    /// even once this node is dead (its first rpc throws), so it can
+    /// always release what it holds.
+    void post_local(std::function<void()> job);
+
     // --- Elastic membership hooks (rko/elastic) ---
 
     /// Marks `dead` unreachable: future rpc/send to it fail immediately and
@@ -225,6 +234,7 @@ private:
 
     void dispatcher_body(sim::Actor& self);
     void worker_body(sim::Actor& self, Pool& pool);
+    void job_worker_body();
     MessagePtr scan_inbound();
     Nanos earliest_pending() const;
     void route(MessagePtr message);
@@ -267,6 +277,9 @@ private:
     bool dispatcher_idle_ = false;
     Pool blocking_pool_;
     Pool leaf_pool_;
+    std::deque<std::function<void()>> jobs_;
+    std::vector<std::unique_ptr<sim::Actor>> job_workers_;
+    sim::WaitList jobs_idle_;
     bool in_nb_handler_ = false;
 
     std::uint64_t next_ticket_ = 1;

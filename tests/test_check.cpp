@@ -194,6 +194,7 @@ TEST(Check, ScenarioRegistry) {
     EXPECT_NE(check::find_scenario("home_storm"), nullptr);
     EXPECT_NE(check::find_scenario("prefetch_race"), nullptr);
     EXPECT_NE(check::find_scenario("home_prefetch_race"), nullptr);
+    EXPECT_NE(check::find_scenario("home_readahead_race"), nullptr);
     EXPECT_NE(check::find_scenario("first_touch_race"), nullptr);
     EXPECT_NE(check::find_scenario("push_race_sharded"), nullptr);
     EXPECT_NE(check::find_scenario("migratory_race"), nullptr);

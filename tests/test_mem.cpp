@@ -77,6 +77,37 @@ TEST(FrameAllocator, AllocatesDistinctFrames) {
     });
 }
 
+TEST(Frames, BulkAllocIsOneOperation) {
+    in_sim([](Actor& self) {
+        PhysMem phys(1, 64);
+        topo::CostModel costs;
+        FrameAllocator alloc(phys, 0, costs);
+        // 40 frames cost one lock acquisition and one allocator path charge,
+        // where 40 alloc() calls cost 40 of each.
+        const Nanos t0 = self.now();
+        const std::vector<Paddr> bulk = alloc.alloc_bulk(40);
+        EXPECT_EQ(self.now() - t0, costs.frame_alloc_path + sim::LockCosts{}.uncontended);
+        EXPECT_EQ(alloc.lock().acquisitions(), 1u);
+        ASSERT_EQ(bulk.size(), 40u);
+        std::set<Paddr> seen;
+        for (const Paddr p : bulk) {
+            ASSERT_NE(p, 0u);
+            EXPECT_TRUE(seen.insert(p).second);
+        }
+        EXPECT_EQ(alloc.alloc_count(), 40u);
+        EXPECT_EQ(alloc.free_frames(), 24u);
+        // Short when the partition runs out, still in one operation.
+        const std::vector<Paddr> rest = alloc.alloc_bulk(30);
+        EXPECT_EQ(rest.size(), 24u);
+        EXPECT_EQ(alloc.lock().acquisitions(), 2u);
+        for (const Paddr p : rest) EXPECT_TRUE(seen.insert(p).second);
+        EXPECT_EQ(alloc.free_frames(), 0u);
+        EXPECT_TRUE(alloc.alloc_bulk(1).empty());
+        for (const Paddr p : seen) alloc.free(p);
+        EXPECT_EQ(alloc.free_frames(), 64u);
+    });
+}
+
 TEST(FrameAllocator, FreeMergesBuddiesBack) {
     in_sim([](Actor&) {
         PhysMem phys(1, 64);

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
 #include <vector>
 
 #include "rko/api/machine.hpp"
+#include "rko/balance/balance.hpp"
 #include "rko/check/invariants.hpp"
 #include "rko/core/page_owner.hpp"
 #include "rko/core/wire.hpp"
@@ -362,17 +364,19 @@ TEST(RangedSweep, ProtNonePullsOneFetchPer32Pages) {
 }
 
 /// Which range sweep a kill lands in (RangedSweep.*SurvivesHolderDeath).
-enum class SweptBy { kReadOnly, kProtNone, kDrain };
+enum class SweptBy { kReadOnly, kProtNone, kProtNoneShared, kDrain };
 
 /// Runs one range sweep with kernel 1, a holder, killed at `kill_at` (0:
 /// never), after every kernel 1 thread has been joined, and returns the
 /// sweep's [start, end) in virtual time. kReadOnly and kProtNone:
-/// kernel 0 mprotects 16 pages Exclusive at kernel 1. kDrain: kernel 2
-/// writes 16 pages, kernel 1 reads the first 8 (Shared by both), and
-/// kernel 2 drains at 200 us: kernel 1 is the second sharer, not the
-/// parting kernel. Whatever the instant, the audits must stay clean, no
-/// pending install may survive, and each page reads back intact or, with
-/// its only copy gone, as zero.
+/// kernel 0 mprotects 16 pages Exclusive at kernel 1. kProtNoneShared:
+/// kernel 2 reads them first, so kernel 1, the sweep's byte source, is
+/// not their only holder. kDrain: kernel 2 writes 16 pages, kernel 1 reads
+/// the first 8 (Shared by both), and kernel 2 drains at 200 us: kernel 1
+/// is the second sharer, not the parting kernel. Whatever the instant,
+/// the audits must stay clean, no pending install may survive, and each
+/// page reads back intact or, with its only copy gone, as zero; a page
+/// kernel 2 also held always reads back intact.
 std::pair<Nanos, Nanos> sweep_with_kill(SweptBy by, Nanos kill_at) {
     constexpr int kPages = 16;
     constexpr Nanos kDrainAt = 200_us;
@@ -401,6 +405,17 @@ std::pair<Nanos, Nanos> sweep_with_kill(SweptBy by, Nanos kill_at) {
             1);
     } else {
         holders = &write_at_kernel1(process, &buf, kPages);
+    }
+    if (by == SweptBy::kProtNoneShared) {
+        Thread& writer = *holders;
+        holders = &process.spawn(
+            [&](Guest& g) {
+                g.join(writer);
+                for (int p = 0; p < kPages; ++p) {
+                    (void)g.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize);
+                }
+            },
+            2);
     }
     process.spawn(
         [&](Guest& g) {
@@ -447,7 +462,8 @@ std::pair<Nanos, Nanos> sweep_with_kill(SweptBy by, Nanos kill_at) {
                     g.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize);
                 EXPECT_TRUE(v == 0 || v == kSweepValue + static_cast<std::uint64_t>(p))
                     << "page " << p << " reads " << v << ", kill at " << kill_at;
-                EXPECT_TRUE(v != 0 || kill_at != 0) << "page " << p;
+                EXPECT_TRUE(v != 0 || (kill_at != 0 && by != SweptBy::kProtNoneShared))
+                    << "page " << p << ", kill at " << kill_at;
             }
         },
         0);
@@ -474,6 +490,10 @@ void kill_across_sweep(SweptBy by) {
 TEST(RangedSweep, ReadOnlySurvivesHolderDeath) { kill_across_sweep(SweptBy::kReadOnly); }
 
 TEST(RangedSweep, ProtNoneSurvivesHolderDeath) { kill_across_sweep(SweptBy::kProtNone); }
+
+TEST(RangedSweep, ProtNoneSurvivesByteSourceDeath) {
+    kill_across_sweep(SweptBy::kProtNoneShared);
+}
 
 TEST(RangedSweep, DrainSurvivesSharerDeath) { kill_across_sweep(SweptBy::kDrain); }
 
@@ -932,16 +952,21 @@ TEST(Prefetch, StreamContinuesPastEachWindow) {
 
 TEST(Prefetch, StreamWindowRamps) {
     RKO_SKIP_IF_SHARDED(); // kernel 0 must home every page
-    // Each window that continues a stream doubles the next, up to 32
-    // pages. A 256-page stream at window 8 takes windows of 8, 16 and then
-    // 32 pages: three faults start the run, then one per window — faults at
-    // pages 0, 1, 2, 10, 26, 58, ..., 250, 12 in all, where fixed windows
-    // of 8 take 34. The remote reader also faults on pages whose push is
-    // still in flight behind the reply: 30 faults, where fixed windows take
-    // 66.
+    // Each window that continues a stream doubles the next, up to 32 pages
+    // for a remote reader and 128 at the home. The home reads one window
+    // ahead, and the reader catches up with each read-ahead in flight, so
+    // every later fault waits for one window and posts the next: a 256-page
+    // stream at window 8 faults at pages 0, 1 and 2 (window [2, 10), then
+    // read-aheads of 8, 16, 32, 64 and 126 pages), 10, 18, 34, 66 and 130,
+    // 8 in all, where fixed windows of 8 take 34 and windows of at most 32
+    // without read-ahead 12. Every page but the first three faults' lands
+    // ahead of its read. The remote reader also faults on pages whose push
+    // is still in flight behind the reply: 30 faults, where fixed windows
+    // take 66.
     const StreamRun home = stream_pages(256, 8, Reader::kHome);
-    EXPECT_EQ(home.demand_faults, 12u);
-    EXPECT_EQ(home.issued, 256u - home.demand_faults);
+    EXPECT_EQ(home.demand_faults, 8u);
+    EXPECT_EQ(home.issued, 256u - 3u);
+    EXPECT_EQ(home.issued, home.hit);
     const StreamRun remote = stream_pages(256, 8, Reader::kRemote);
     EXPECT_LE(remote.demand_faults, 32u);
     EXPECT_EQ(remote.fault_requests, remote.remote_faults);
@@ -1132,20 +1157,30 @@ TEST(Prefetch, HomeReaderBatchesRemoteOwnedPages) {
 
 TEST(Prefetch, HomeWindowIsOneFetchPerHolder) {
     RKO_SKIP_IF_SHARDED(); // kernel 0 must home every page
-    // Kernel 1 owns all 64 pages Exclusive while the home streams them with
-    // a window of 8. Each home fault costs kernel 1 exactly one kPageFetch:
-    // a streaking fault folds its own page into its window's request, so
-    // it sends no separate single-page fetch, and kernel 1 serves the
-    // whole list under one shootdown. One fetch and one shootdown per page
-    // would be 64 of each.
-    const StreamRun run = stream_pages(64, 8, Reader::kHome);
-    EXPECT_LE(run.demand_faults, 10u);
-    EXPECT_EQ(run.holder_fetches, run.demand_faults);
-    EXPECT_EQ(run.holder_tlb_bumps, run.holder_fetches);
-    EXPECT_EQ(run.shared_by_both, 64);
-    // Every page the home did not fault on was granted ahead of its fault.
-    EXPECT_EQ(run.issued, run.hit);
-    EXPECT_EQ(run.issued, 64u - run.demand_faults);
+    // Kernel 1 owns every page Exclusive while the home streams them with
+    // a window of 8; windows and read-aheads ramp to 128 pages. Each
+    // capture costs kernel 1 one kPageFetch per 32 pages, served under one
+    // shootdown: a streaking fault folds its own page into its window's
+    // request, so it sends no separate single-page fetch. The two demand
+    // faults that start the stream fetch one page each. One fetch and one
+    // shootdown per page would be one of each per page.
+    for (const int pages : {64, 256}) {
+        const StreamRun run = stream_pages(pages, 8, Reader::kHome);
+        EXPECT_LE(run.demand_faults, 8u) << pages << " pages";
+        // Captures: the first window, then one read-ahead per later fault.
+        const std::uint64_t captures = run.demand_faults - 2;
+        EXPECT_LE(run.holder_fetches,
+                  2 + captures + static_cast<std::uint64_t>(pages) / 32)
+            << pages << " pages";
+        EXPECT_GE(run.holder_fetches, 2 + static_cast<std::uint64_t>(pages - 2 + 31) / 32)
+            << pages << " pages";
+        EXPECT_EQ(run.holder_tlb_bumps, run.holder_fetches) << pages << " pages";
+        EXPECT_EQ(run.shared_by_both, pages);
+        // Every page the first three faults did not bring was granted ahead
+        // of its read.
+        EXPECT_EQ(run.issued, run.hit) << pages << " pages";
+        EXPECT_EQ(run.issued, static_cast<std::uint64_t>(pages) - 3u) << pages << " pages";
+    }
 }
 
 TEST(Prefetch, PushFetchesRemoteSourcesInOneScatter) {
@@ -1259,6 +1294,414 @@ TEST(Prefetch, HomeWindowSurvivesSourceDeath) {
     ASSERT_GT(start, 0);
     for (Nanos offset = 1_us; offset <= 40_us; offset += 1_us) run(start + offset);
     for (Nanos offset = 45_us; offset <= 100_us; offset += 5_us) run(start + offset);
+}
+
+/// Home read-stream machines (DESIGN.md §10): kernel 0 homes every page,
+/// and the elastic failure detector is on so a holder can be killed.
+api::MachineConfig home_stream_config(int cores = 4, int kernels = 2) {
+    auto config = smp::popcorn_config(cores, kernels);
+    config.home_shards = 1;
+    config.prefetch_window = 8;
+    config.balance.policy = balance::Policy::kIdleSteal;
+    config.balance.period = 20_us;
+    config.balance.min_residency = 50_us;
+    config.elastic.enabled = true;
+    config.elastic.lease_misses = 4;
+    return config;
+}
+
+Vaddr stream_page(int i) { return mem::kMmapBase + static_cast<Vaddr>(i) * kPageSize; }
+
+constexpr std::uint64_t kStreamValue = 0x700;
+
+/// Asserts that no kernel holds a parked install and that the audits pass.
+void expect_settled(Machine& machine, api::Process& process, const std::string& where) {
+    for (topo::KernelId k = 0; k < machine.nkernels(); ++k) {
+        if (!machine.kernel(k).has_site(process.pid())) continue;
+        for (const auto& shard : machine.kernel(k).site(process.pid()).dir_shards()) {
+            EXPECT_TRUE(shard.pending.empty()) << where;
+        }
+    }
+    const check::Report report = check::run_all(machine);
+    EXPECT_TRUE(report.ok()) << where << "\n" << report.to_string();
+}
+
+TEST(Prefetch, HomeStreamSpansHolders) {
+    // Kernels 1, 2 and 3 write 32-page blocks in turn, and the home streams
+    // all 256 pages back. Its windows and read-aheads ramp past one holder's
+    // 32 pages, up to 128: one capture posts one kPageFetch per holder for
+    // each 32 of its pages, all in one scatter. Any 65 pages of this layout
+    // span three holders, so a scatter of three or more fetches reaches
+    // three holders; windows of at most 32 pages reach two.
+    constexpr int kBlock = 32;
+    constexpr int kPages = 8 * kBlock;
+    Machine machine(home_stream_config(8, 4));
+    auto& process = machine.create_process(0);
+    const auto holder_of = [](int i) { return static_cast<topo::KernelId>(1 + (i / kBlock) % 3); };
+    auto& mapper = process.spawn([](Guest& g) { g.mmap(kPages * kPageSize); }, 0);
+    std::vector<Thread*> writers;
+    for (topo::KernelId k = 1; k <= 3; ++k) {
+        writers.push_back(&process.spawn(
+            [&, k](Guest& g) {
+                g.join(mapper);
+                for (int i = 0; i < kPages; ++i) {
+                    if (holder_of(i) == k) g.write<std::uint64_t>(stream_page(i), kStreamValue + i);
+                }
+            },
+            k));
+    }
+    std::uint64_t faults = 0;
+    Nanos fanout0 = 0;
+    std::array<std::uint64_t, 4> fetches{};
+    process.spawn(
+        [&](Guest& g) {
+            for (Thread* w : writers) g.join(*w);
+            const HolderCounts before = holder_counts(machine);
+            fanout0 = machine.kernel(0).node().scatter_fanout().max();
+            const std::uint64_t faults0 = machine.kernel(0).pages().local_faults();
+            for (int i = 0; i < kPages; ++i) {
+                EXPECT_EQ(g.read<std::uint64_t>(stream_page(i)), kStreamValue + i)
+                    << "page " << i;
+            }
+            faults = machine.kernel(0).pages().local_faults() - faults0;
+            fetches = (holder_counts(machine) - before).fetches;
+        },
+        0);
+    machine.run();
+    process.check_all_joined();
+    ASSERT_LT(fanout0, 3) << "a scatter before the stream already fanned out";
+    EXPECT_GE(machine.kernel(0).node().scatter_fanout().max(), 3)
+        << "no capture reached three holders";
+    // Each request carries at most 32 pages (kPageFetch asserts it), so each
+    // holder serves at least one per 32 of its pages.
+    for (std::size_t k = 1; k <= 3; ++k) {
+        std::uint64_t held = 0;
+        for (int i = 0; i < kPages; ++i) held += holder_of(i) == static_cast<topo::KernelId>(k);
+        EXPECT_GE(fetches[k], (held + 31) / 32) << "kernel " << k;
+    }
+    // Windows of at most 32 pages without read-ahead took 12 faults.
+    EXPECT_LE(faults, 8u);
+    expect_settled(machine, process, "after the stream");
+}
+
+TEST(Prefetch, StreamContinuesThroughHeldPages) {
+    // The reader's kernel wrote every other 32-page block of a 256-page
+    // region homed at kernel 0 and the other kernel the rest; then the
+    // reader streams all of it. The blocks its kernel already maps never
+    // fault, so the stream's next fault lands past them: the run continues
+    // instead of restarting with three demand faults and a ramp after each
+    // block. At the home (kernel 0) that took 20 faults and now takes 8,
+    // partly because read-aheads span the held blocks too. A remote reader
+    // (kernel 1), whose windows stop at 32 pages and never read ahead, took
+    // 32 and now takes 23.
+    constexpr int kBlock = 32;
+    constexpr int kPages = 8 * kBlock;
+    const auto faults_of = [](topo::KernelId reader) {
+        Machine machine(home_stream_config());
+        auto& process = machine.create_process(0);
+        const topo::KernelId other = reader == 0 ? 1 : 0;
+        const auto reader_holds = [](int i) { return (i / kBlock) % 2 == 0; };
+        auto& mapper = process.spawn([](Guest& g) { g.mmap(kPages * kPageSize); }, 0);
+        const auto fill = [&](bool mine) {
+            return [&, mine](Guest& g) {
+                g.join(mapper);
+                for (int i = 0; i < kPages; ++i) {
+                    if (reader_holds(i) == mine) {
+                        g.write<std::uint64_t>(stream_page(i), kStreamValue + i);
+                    }
+                }
+            };
+        };
+        auto& own = process.spawn(fill(true), reader);
+        auto& theirs = process.spawn(fill(false), other);
+        std::uint64_t faults = 0;
+        process.spawn(
+            [&](Guest& g) {
+                g.join(own);
+                g.join(theirs);
+                const core::PageOwner& pages = machine.kernel(reader).pages();
+                const std::uint64_t faults0 = pages.local_faults() + pages.remote_faults();
+                for (int i = 0; i < kPages; ++i) {
+                    EXPECT_EQ(g.read<std::uint64_t>(stream_page(i)), kStreamValue + i)
+                        << "page " << i << ", reader on kernel " << reader;
+                }
+                faults = pages.local_faults() + pages.remote_faults() - faults0;
+            },
+            reader);
+        machine.run();
+        process.check_all_joined();
+        expect_settled(machine, process, "reader on kernel " + std::to_string(reader));
+        return faults;
+    };
+    EXPECT_LE(faults_of(0), 8u);
+    EXPECT_LE(faults_of(1), 26u);
+}
+
+/// One home stream over kReadAheadPages pages kernel 1 wrote, read in order
+/// by a kernel-0 thread, for the read-ahead lifetime tests below. The
+/// stream's read-aheads are in flight for most of it: 7 faults in all,
+/// where windows of at most 32 pages without read-ahead take 8.
+constexpr int kReadAheadPages = 128;
+
+struct ReadAheadRun {
+    Nanos start = 0;    ///< when the reader began
+    Nanos end = 0;      ///< when it finished
+    std::uint64_t faults = 0;
+};
+
+TEST(Prefetch, HomeReadAheadSurvivesMunmap) {
+    // Another kernel-0 thread unmaps the last 32 pages, at one instant per
+    // 1 us across the stream, so the munmap lands inside read-aheads in
+    // flight. Its sweep waits on their claims and drops the copies they
+    // landed. No pending install survives, the audits stay clean, and the
+    // first 96 pages read back. The reader may segfault on the tail.
+    constexpr int kTail = 32;
+    const auto run = [](Nanos unmap_after) {
+        Machine machine(home_stream_config());
+        auto& process = machine.create_process(0);
+        Thread& writer = map_and_fill(process, Reader::kHome, kReadAheadPages,
+                                      [](int i) { return kStreamValue + i; });
+        ReadAheadRun out;
+        process.spawn(
+            [&](Guest& g) {
+                g.join(writer);
+                g.flush_timing();
+                out.start = g.now();
+                const std::uint64_t faults0 = machine.kernel(0).pages().local_faults();
+                for (int i = 0; i < kReadAheadPages; ++i) {
+                    const std::uint64_t v = g.read<std::uint64_t>(stream_page(i));
+                    if (i < kReadAheadPages - kTail) {
+                        EXPECT_EQ(v, kStreamValue + i) << "page " << i;
+                    }
+                }
+                g.flush_timing();
+                out.end = g.now();
+                out.faults = machine.kernel(0).pages().local_faults() - faults0;
+            },
+            0);
+        if (unmap_after != 0) {
+            process.spawn(
+                [&](Guest& g) {
+                    g.join(writer);
+                    g.compute(unmap_after);
+                    g.munmap(stream_page(kReadAheadPages - kTail), kTail * kPageSize);
+                },
+                0);
+        }
+        machine.run();
+        process.check_all_joined();
+        const std::string where = "munmap after " + std::to_string(unmap_after) + " ns";
+        process.spawn(
+            [&](Guest& g) {
+                for (int i = 0; i < kReadAheadPages - kTail; ++i) {
+                    EXPECT_EQ(g.read<std::uint64_t>(stream_page(i)), kStreamValue + i)
+                        << "page " << i << ", " << where;
+                }
+            },
+            0);
+        machine.run();
+        process.check_all_joined();
+        expect_settled(machine, process, where);
+        return out;
+    };
+    const ReadAheadRun clean = run(0);
+    EXPECT_LE(clean.faults, 7u);
+    ASSERT_GT(clean.end, clean.start);
+    for (Nanos after = 1_us; after <= clean.end - clean.start; after += 1_us) run(after);
+}
+
+TEST(Prefetch, HomeReadAheadSurvivesHolderDeath) {
+    // Kernel 1, the only holder, dies at one instant per 1 us across the
+    // stream. A read-ahead page kernel 1 never answered cancels its claim
+    // and its fault takes the plain path, which zero-fills it; a page whose
+    // reply part reached the home before the kill lands and reads back
+    // intact. No pending install survives and the audits stay clean.
+    const auto run = [](Nanos kill_at, ReadAheadRun* out) {
+        Machine machine(home_stream_config());
+        auto& process = machine.create_process(0);
+        Thread& writer = map_and_fill(process, Reader::kHome, kReadAheadPages,
+                                      [](int i) { return kStreamValue + i; });
+        std::uint64_t fetches0 = 0;
+        std::uint64_t kept = 0;
+        process.spawn(
+            [&](Guest& g) {
+                g.join(writer);
+                g.flush_timing();
+                out->start = g.now();
+                fetches0 = machine.kernel(0).node().dispatched(msg::MsgType::kPageFetch);
+                const std::uint64_t faults0 = machine.kernel(0).pages().local_faults();
+                for (int i = 0; i < kReadAheadPages; ++i) {
+                    const std::uint64_t v = g.read<std::uint64_t>(stream_page(i));
+                    // A page whose only copy died with kernel 1 reads zero.
+                    EXPECT_TRUE(v == 0 || v == kStreamValue + i)
+                        << "page " << i << ", kill at " << kill_at;
+                    if (v != 0) ++kept;
+                }
+                g.flush_timing();
+                out->end = g.now();
+                out->faults = machine.kernel(0).pages().local_faults() - faults0;
+            },
+            0);
+        // Keeps the survivor's failure detector ticking past the lease.
+        process.spawn([](Guest& g) { g.compute(2_ms); }, 0);
+        // Reply parts kernel 1 had sent the home when it died: each page's
+        // bytes were in, so it must read back intact.
+        std::uint64_t arrived = 0;
+        if (kill_at != 0) {
+            machine.run_until(kill_at);
+            arrived = machine.kernel(0).node().dispatched(msg::MsgType::kPageFetch) - fetches0;
+            machine.kill_kernel(1);
+        }
+        machine.run();
+        process.check_all_joined();
+        const std::string where = "kill at " + std::to_string(kill_at) + " ns";
+        EXPECT_GE(kept, arrived) << where;
+        expect_settled(machine, process, where);
+    };
+    ReadAheadRun clean;
+    run(0, &clean);
+    EXPECT_LE(clean.faults, 7u);
+    ASSERT_GT(clean.end, clean.start);
+    ReadAheadRun killed;
+    for (Nanos at = clean.start + 1_us; at <= clean.end; at += 1_us) run(at, &killed);
+}
+
+TEST(Prefetch, HomeReadAheadSurvivesReaderExit) {
+    // The reader reads the first 64 pages and exits while the read-ahead of
+    // the next 64 is in flight; the host stops the machine `linger` after
+    // the exit and destroys the process. The job lands its pages with the
+    // reader gone, the teardown's munmap waits on its claims, and nothing
+    // it touches afterwards belongs to the reader or the process
+    // (scripts/check.sh runs this under ASan and UBSan).
+    constexpr int kRead = 64;
+    const auto run = [](Nanos linger) {
+        Machine machine(home_stream_config());
+        auto& process = machine.create_process(0);
+        Thread& writer = map_and_fill(process, Reader::kHome, 4 * kRead,
+                                      [](int i) { return kStreamValue + i; });
+        Thread& reader = process.spawn(
+            [&](Guest& g) {
+                g.join(writer);
+                for (int i = 0; i < kRead; ++i) {
+                    EXPECT_EQ(g.read<std::uint64_t>(stream_page(i)), kStreamValue + i)
+                        << "page " << i;
+                }
+            },
+            0);
+        Nanos at = 0;
+        while (!reader.finished()) machine.run_until(at += 100);
+        machine.run_until(at + linger);
+        const std::uint64_t landed = machine.kernel(0).pages().prefetch_hit();
+        process.destroy();
+        const std::string where = "stop " + std::to_string(linger) + " ns after the exit";
+        // The read-ahead past the reader's last page landed after it exited.
+        EXPECT_GT(machine.kernel(0).pages().prefetch_hit(), landed) << where;
+        for (const auto& shard : machine.kernel(0).site(process.pid()).dir_shards()) {
+            EXPECT_TRUE(shard.entries.empty()) << where;
+        }
+        expect_settled(machine, process, where);
+    };
+    for (const Nanos linger : {0_us, 1_us, 2_us, 4_us, 8_us, 16_us}) run(linger);
+}
+
+TEST(Prefetch, HomeReadAheadSurvivesReaderMigration) {
+    // The reader reads the first 64 pages at the home, migrates to kernel 1
+    // while the read-ahead of the next 64 is in flight, and reads the rest
+    // there. The job lands at the home with the reader gone; the reader's
+    // remote faults meet its claims as busy entries and wait them out.
+    constexpr int kPages = 256;
+    constexpr int kHere = 64;
+    Machine machine(home_stream_config());
+    auto& process = machine.create_process(0);
+    Thread& writer = map_and_fill(process, Reader::kHome, kPages,
+                                  [](int i) { return kStreamValue + i; });
+    // Pages the home installed for itself ahead of their reads.
+    const auto landed_at_home = [&machine] { return machine.kernel(0).pages().prefetch_hit(); };
+    std::uint64_t landed_at_move = 0;
+    process.spawn(
+        [&](Guest& g) {
+            g.join(writer);
+            for (int i = 0; i < kPages; ++i) {
+                if (i == kHere) {
+                    landed_at_move = landed_at_home();
+                    g.migrate(1);
+                    EXPECT_EQ(g.kernel(), 1);
+                }
+                EXPECT_EQ(g.read<std::uint64_t>(stream_page(i)), kStreamValue + i)
+                    << "page " << i;
+            }
+        },
+        0);
+    machine.run();
+    process.check_all_joined();
+    // The home kept landing its read-ahead after the reader left.
+    EXPECT_GT(landed_at_home(), landed_at_move);
+    expect_settled(machine, process, "after the migration");
+}
+
+TEST(Prefetch, HomeReadAheadSurvivesHomeDeath) {
+    // Four sharded homes: kernel 2 homes about a quarter of a 512-page
+    // region kernel 1 wrote, and a kernel-2 thread streams it, taking home
+    // windows and read-aheads for the pages it homes (three read-aheads,
+    // of 6 to 24 pages). Kernel 2 dies at one instant per 5 us across the
+    // stream. A read-ahead job then unwinds
+    // (LocalNodeDead) or, not yet started, returns at once, and the faults
+    // waiting on it unwind with the reader; its claims die with kernel 2's
+    // directory slice, which a survivor rebuilds from the PTE census. No
+    // survivor keeps a pending install and the audits stay clean.
+    constexpr int kPages = 512;
+    const auto run = [](Nanos kill_at, ReadAheadRun* out) {
+        auto config = home_stream_config(8, 4);
+        config.home_shards = 4;
+        Machine machine(config);
+        auto& process = machine.create_process(0);
+        auto& mapper = process.spawn([](Guest& g) { g.mmap(kPages * kPageSize); }, 0);
+        auto& writer = process.spawn(
+            [&](Guest& g) {
+                g.join(mapper);
+                for (int i = 0; i < kPages; ++i) {
+                    g.write<std::uint64_t>(stream_page(i), kStreamValue + i);
+                }
+            },
+            1);
+        process.spawn(
+            [&](Guest& g) {
+                g.join(writer);
+                g.flush_timing();
+                out->start = g.now();
+                for (int i = 0; i < kPages; ++i) {
+                    EXPECT_EQ(g.read<std::uint64_t>(stream_page(i)), kStreamValue + i)
+                        << "page " << i << ", kill at " << kill_at;
+                }
+                g.flush_timing();
+                out->end = g.now();
+            },
+            2);
+        // Keeps the survivors' failure detectors ticking past the lease.
+        process.spawn(
+            [&](Guest& g) {
+                g.join(writer);
+                g.compute(2_ms);
+            },
+            0);
+        if (kill_at != 0) {
+            machine.run_until(kill_at);
+            machine.kill_kernel(2);
+        }
+        machine.run();
+        for (const topo::KernelId k : {0, 1, 3}) {
+            for (const auto& shard : machine.kernel(k).site(process.pid()).dir_shards()) {
+                EXPECT_TRUE(shard.pending.empty()) << "kernel " << k << ", kill at " << kill_at;
+            }
+        }
+        const check::Report report = check::run_all(machine);
+        EXPECT_TRUE(report.ok()) << "kill at " << kill_at << " ns\n" << report.to_string();
+    };
+    ReadAheadRun clean;
+    run(0, &clean);
+    ASSERT_GT(clean.end, clean.start);
+    ReadAheadRun killed;
+    for (Nanos at = clean.start + 1_us; at <= clean.end; at += 5_us) run(at, &killed);
 }
 
 TEST(Prefetch, SameSeedRunsAreBitIdentical) {

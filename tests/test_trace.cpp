@@ -12,9 +12,11 @@
 #include <vector>
 
 #include "rko/api/machine.hpp"
+#include "rko/balance/balance.hpp"
 #include "rko/core/migration.hpp"
 #include "rko/sim/actor.hpp"
 #include "rko/sim/engine.hpp"
+#include "rko/smp/smp.hpp"
 #include "rko/trace/metrics.hpp"
 #include "rko/trace/trace.hpp"
 
@@ -372,6 +374,25 @@ TEST(Trace, MachineMigrationProducesPhaseSpansAndFlows) {
     EXPECT_GE(merged.find_counter("msg.sent")->value, 1u);
     ASSERT_NE(merged.find_histogram("migration.total_ns"), nullptr);
     EXPECT_EQ(merged.find_histogram("migration.total_ns")->count(), 1u);
+}
+
+TEST(Trace, ConfigStampTellsBalancePoliciesApart) {
+    // Bench JSON records one entry per distinct machine a bench built. Two
+    // machines that differ only in balance policy are two machines.
+    auto config = smp::popcorn_config(6, 3);
+    config.prefetch_window = 7; // a window no other machine in the suite uses
+    config.balance.policy = balance::Policy::kNone;
+    const std::size_t before = api::Machine::process_configs().size();
+    { const api::Machine machine(config); }
+    config.balance.policy = balance::Policy::kAffinity;
+    { const api::Machine machine(config); }
+    const auto& stamps = api::Machine::process_configs();
+    ASSERT_EQ(stamps.size(), before + 2);
+    EXPECT_EQ(stamps[before].balance, balance::Policy::kNone);
+    EXPECT_EQ(stamps[before + 1].balance, balance::Policy::kAffinity);
+    EXPECT_EQ(stamps[before + 1].elastic, config.elastic.enabled);
+    EXPECT_EQ(stamps[before + 1].read_replication, config.read_replication);
+    EXPECT_EQ(stamps[before + 1].futex_hierarchy, config.futex_hierarchy);
 }
 
 TEST(Trace, ConfigFromEnvSemantics) {
