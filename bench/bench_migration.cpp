@@ -5,9 +5,10 @@
 //   (a) phase breakdown (checkpoint / transfer+instantiate / resume) for a
 //       first visit vs. a revisit (shadow reactivation),
 //   (b) cost of re-establishing the working set after migration (the lazy
-//       address-space consistency tail) vs. working-set size,
+//       address-space consistency tail) vs. working-set size, with
+//       working-set push off (workset_push = 0) and at the default,
 //   (c) comparison anchors: migration vs. spawning a fresh thread locally
-//       and remotely.
+//       and remotely (workset_push = 0: the context transfer alone).
 #include "harness.hpp"
 #include "report.hpp"
 #include "rko/api/machine.hpp"
@@ -84,49 +85,65 @@ int main(int argc, char** argv) {
 
     bench::section("(b) post-migration working-set re-establishment");
     {
-        Table table({"working set", "migrate", "first re-touch", "per page"});
+        Table table({"working set", "workset_push", "migrate", "first re-touch",
+                     "per page"});
         for (const int pages : {4, 16, 64, 256}) {
-            Machine machine(smp::popcorn_config(8, 4));
-            auto& process = machine.create_process(0);
-            Nanos migrate_cost = 0, retouch_cost = 0;
-            process.spawn(
-                [&](Guest& g) {
-                    const auto buf = g.mmap(static_cast<std::uint64_t>(pages) *
-                                            mem::kPageSize);
-                    for (int p = 0; p < pages; ++p) {
-                        g.write<std::uint64_t>(
-                            buf + static_cast<mem::Vaddr>(p) * mem::kPageSize, p);
-                    }
-                    g.flush_timing();
-                    migrate_cost = g.migrate(1).total;
-                    const Nanos t0 = g.now();
-                    std::uint64_t sum = 0;
-                    for (int p = 0; p < pages; ++p) {
-                        sum += g.read<std::uint64_t>(
-                            buf + static_cast<mem::Vaddr>(p) * mem::kPageSize);
-                    }
-                    g.flush_timing();
-                    retouch_cost = g.now() - t0;
-                    RKO_ASSERT(sum == static_cast<std::uint64_t>(pages) * (pages - 1) / 2);
-                },
-                0);
-            machine.run();
-            process.check_all_joined();
-            table.add_row({fmt("%d pages", pages), fmt_ns(migrate_cost),
-                           fmt_ns(retouch_cost), fmt_ns(retouch_cost / pages)});
-            report.add_gauge(fmt("workset.%d.migrate_ns", pages),
-                             static_cast<double>(migrate_cost));
-            report.add_gauge(fmt("workset.%d.retouch_ns", pages),
-                             static_cast<double>(retouch_cost));
+            // The demand-only ablation first (key prefix "off_"), then the
+            // default pre-copy budget.
+            for (const bool push : {false, true}) {
+                auto config = smp::popcorn_config(8, 4);
+                if (!push) config.workset_push = 0;
+                Machine machine(config);
+                auto& process = machine.create_process(0);
+                Nanos migrate_cost = 0, retouch_cost = 0;
+                process.spawn(
+                    [&](Guest& g) {
+                        const auto buf = g.mmap(static_cast<std::uint64_t>(pages) *
+                                                mem::kPageSize);
+                        for (int p = 0; p < pages; ++p) {
+                            g.write<std::uint64_t>(
+                                buf + static_cast<mem::Vaddr>(p) * mem::kPageSize, p);
+                        }
+                        g.flush_timing();
+                        migrate_cost = g.migrate(1).total;
+                        const Nanos t0 = g.now();
+                        std::uint64_t sum = 0;
+                        for (int p = 0; p < pages; ++p) {
+                            sum += g.read<std::uint64_t>(
+                                buf + static_cast<mem::Vaddr>(p) * mem::kPageSize);
+                        }
+                        g.flush_timing();
+                        retouch_cost = g.now() - t0;
+                        RKO_ASSERT(sum ==
+                                   static_cast<std::uint64_t>(pages) * (pages - 1) / 2);
+                    },
+                    0);
+                machine.run();
+                process.check_all_joined();
+                table.add_row({fmt("%d pages", pages), fmt("%d", config.workset_push),
+                               fmt_ns(migrate_cost), fmt_ns(retouch_cost),
+                               fmt_ns(retouch_cost / pages)});
+                const char* prefix = push ? "" : "off_";
+                report.add_gauge(fmt("workset.%d.%smigrate_ns", pages, prefix),
+                                 static_cast<double>(migrate_cost));
+                report.add_gauge(fmt("workset.%d.%sretouch_ns", pages, prefix),
+                                 static_cast<double>(retouch_cost));
+            }
         }
         table.print();
-        std::printf("\nMigration itself is O(context); the address space follows "
-                    "lazily at ~one remote fault per touched page.\n");
+        std::printf("\nMigration itself is O(context); without working-set push "
+                    "the address space follows lazily, one fault-around window "
+                    "per remote fault. The push pre-copies the hottest pages in "
+                    "one pull round before the thread resumes.\n");
     }
 
     bench::section("(c) anchors: migration vs thread creation");
     {
-        Machine machine(smp::popcorn_config(8, 4));
+        // The anchor prices the context transfer alone, so no working set
+        // rides along.
+        auto config = smp::popcorn_config(8, 4);
+        config.workset_push = 0;
+        Machine machine(config);
         auto& process = machine.create_process(0);
         base::Summary local_spawn, remote_spawn, migration;
         process.spawn(

@@ -9,7 +9,9 @@
 //   (d) protocol ablation: MSI-with-replication vs. migrate-on-any-fault
 //       (no Shared state) on a read-mostly workload,
 //   (e) page-migration throughput vs. working-set size (streaming a
-//       region's ownership from one kernel to another).
+//       region's ownership from one kernel to another), demand faults vs.
+//       fault-around,
+//   (f) sharded homes: directory fault throughput vs. kernel count.
 #include <vector>
 
 #include "harness.hpp"
@@ -30,6 +32,15 @@ using bench::fmt_ns;
 using bench::Table;
 using mem::kPageSize;
 using mem::Vaddr;
+
+/// The demand-fault ablation (prefetch_window = 1): sections (a)-(d) and
+/// (f) price one protocol action per fault, so no fault may carry a
+/// fault-around window; section (e) measures the window itself.
+api::MachineConfig demand_config(int ncores, int nkernels) {
+    api::MachineConfig config = smp::popcorn_config(ncores, nkernels);
+    config.prefetch_window = 1;
+    return config;
+}
 
 /// Measures one guest operation with exact timing.
 template <typename Fn>
@@ -52,7 +63,7 @@ int main(int argc, char** argv) {
 
     bench::section("(a) fault-type latency (4 kernels, origin = k0)");
     {
-        Machine machine(smp::popcorn_config(8, 4));
+        Machine machine(demand_config(8, 4));
         auto& process = machine.create_process(0);
         base::Summary zero_local, zero_remote, read_remote, write_steal, upgrade;
         Vaddr region = 0;
@@ -96,7 +107,7 @@ int main(int argc, char** argv) {
         process.check_all_joined();
 
         // (5) write-steal measured on a fresh machine: k1 owns, k2 writes.
-        Machine machine2(smp::popcorn_config(8, 4));
+        Machine machine2(demand_config(8, 4));
         auto& p2 = machine2.create_process(0);
         Vaddr region2 = 0;
         auto& owner = p2.spawn(
@@ -142,7 +153,7 @@ int main(int argc, char** argv) {
         for (const int sharers : {1, 2, 3, 4, 5, 7}) {
             const int nk = sharers + 1;
             if (nk > 8) break;
-            Machine machine(smp::popcorn_config(std::max(8, nk * 2), nk));
+            Machine machine(demand_config(std::max(8, nk * 2), nk));
             auto& process = machine.create_process(0);
             Vaddr page_region = 0;
             base::Summary latency;
@@ -204,7 +215,7 @@ int main(int argc, char** argv) {
 
     bench::section("(c) false-sharing ping-pong (2 kernels, one page)");
     {
-        Machine machine(smp::popcorn_config(4, 2));
+        Machine machine(demand_config(4, 2));
         auto& process = machine.create_process(0);
         Vaddr page = 0;
         const int rounds = reps * 4;
@@ -250,7 +261,7 @@ int main(int argc, char** argv) {
         // each kernel faults once per page; without it (no Shared state)
         // every read steals exclusive ownership and the pages thrash.
         auto read_mostly = [&](bool replicate) {
-            auto config = smp::popcorn_config(8, 4);
+            auto config = demand_config(8, 4);
             config.read_replication = replicate;
             Machine machine(config);
             auto& process = machine.create_process(0);
@@ -480,7 +491,7 @@ int main(int argc, char** argv) {
             std::uint64_t messages = 0;
         };
         auto storm = [&](int nk, int shards) {
-            auto config = smp::popcorn_config(nk, nk);
+            auto config = demand_config(nk, nk);
             config.home_shards = shards;
             Machine machine(config);
             auto& process = machine.create_process(0);

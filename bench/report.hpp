@@ -6,8 +6,8 @@
 //   {
 //     "bench": "bench_migration",
 //     "schema": "rko-metrics-v1",
-//     "machines": [{"nkernels": 4, "home_shards": 1, "workset_push": 0,
-//                   "prefetch_window": 1, "balance": "none", "elastic": false,
+//     "machines": [{"nkernels": 4, "home_shards": 1, "workset_push": 32,
+//                   "prefetch_window": 8, "balance": "none", "elastic": false,
 //                   "read_replication": true, "futex_hierarchy": true}, ...],
 //     "metrics": {
 //       "phase.checkpoint_ns": {"type": "histogram", "count": ..., "mean": ...,

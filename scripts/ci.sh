@@ -7,8 +7,9 @@
 #                inline protocol assertion (busy-bit audits, waiter dedup,
 #                post-revoke sweeps) — keeps the soak/invariant results of
 #                later stages trustworthy; then once more with sharded homes
-#                and working-set push both on (RKO_HOME_SHARDS=4
-#                RKO_WORKSET_PUSH=32), a flag pair that once aborted
+#                (RKO_HOME_SHARDS=4, with the default working-set push, a
+#                pair that once aborted), and once with working-set push off
+#                (RKO_WORKSET_PUSH=0), the pre-copy ablation
 #   3. race:     the suite again with RKO_RACE=1 RKO_CHECK=1 (lockset /
 #                lock-order / await-atomicity detector armed; a finding
 #                fails the run via the "race" invariant family), plus a
@@ -18,11 +19,10 @@
 #   5. asan/tsan: scripts/check.sh (ASan+UBSan tree, then TSan tree)
 #   6. explore:  400-seed schedule-exploration sweep over every scenario
 #                with invariant audits armed (RKO_CHECK=1), then a 50-seed
-#                sweep with sharded homes and working-set push on
-#                (RKO_HOME_SHARDS=4 RKO_WORKSET_PUSH=32) — the only sweep
-#                whose faults meet shard rebuilds and moving homes (the
-#                kRetry paths); failures print the offending seed and its
-#                repro line
+#                sweep with sharded homes (RKO_HOME_SHARDS=4) — the only
+#                sweep whose faults meet shard rebuilds and moving homes
+#                (the kRetry paths); failures print the offending seed and
+#                its repro line
 #   7. bench:    quick page-fault + rebalance + futex + migration +
 #                mmap-scale + apps benches vs the committed baselines —
 #                virtual time is exactly reproducible, so any >10% drift in
@@ -68,11 +68,13 @@ cmake --build build -j "$JOBS" || fail tier-1 "cmake --build build -j"
 ctest --test-dir build --output-on-failure -j "$JOBS" \
   || fail tier-1 "ctest --test-dir build --output-on-failure"
 
-echo "=== ci.sh stage 2/7: tier-1 tests with RKO_CHECK=1, then shards=4 + workset=32 ==="
+echo "=== ci.sh stage 2/7: tier-1 tests with RKO_CHECK=1, then shards=4, then workset=0 ==="
 RKO_CHECK=1 ctest --test-dir build --output-on-failure -j "$JOBS" \
   || fail checked "RKO_CHECK=1 ctest --test-dir build --output-on-failure"
-RKO_HOME_SHARDS=4 RKO_WORKSET_PUSH=32 ctest --test-dir build --output-on-failure -j "$JOBS" \
-  || fail checked "RKO_HOME_SHARDS=4 RKO_WORKSET_PUSH=32 ctest --test-dir build --output-on-failure"
+RKO_HOME_SHARDS=4 ctest --test-dir build --output-on-failure -j "$JOBS" \
+  || fail checked "RKO_HOME_SHARDS=4 ctest --test-dir build --output-on-failure"
+RKO_WORKSET_PUSH=0 ctest --test-dir build --output-on-failure -j "$JOBS" \
+  || fail checked "RKO_WORKSET_PUSH=0 ctest --test-dir build --output-on-failure"
 
 echo "=== ci.sh stage 3/7: race detector (RKO_RACE=1) ==="
 RKO_RACE=1 RKO_CHECK=1 ctest --test-dir build --output-on-failure -j "$JOBS" \
@@ -93,9 +95,8 @@ fi
 echo "=== ci.sh stage 6/7: ${EXPLORE_SEEDS}-seed schedule exploration, then ${SHARDED_SEEDS} sharded ==="
 RKO_CHECK=1 ./build/tools/rko_explore --seeds "$EXPLORE_SEEDS" \
   || fail explore "RKO_CHECK=1 ./build/tools/rko_explore --seeds $EXPLORE_SEEDS"
-RKO_HOME_SHARDS=4 RKO_WORKSET_PUSH=32 RKO_CHECK=1 \
-  ./build/tools/rko_explore --seeds "$SHARDED_SEEDS" \
-  || fail explore "RKO_HOME_SHARDS=4 RKO_WORKSET_PUSH=32 RKO_CHECK=1 ./build/tools/rko_explore --seeds $SHARDED_SEEDS"
+RKO_HOME_SHARDS=4 RKO_CHECK=1 ./build/tools/rko_explore --seeds "$SHARDED_SEEDS" \
+  || fail explore "RKO_HOME_SHARDS=4 RKO_CHECK=1 ./build/tools/rko_explore --seeds $SHARDED_SEEDS"
 
 echo "=== ci.sh stage 7/7: bench regression gate ==="
 mkdir -p build/bench_out
@@ -120,9 +121,9 @@ scripts/bench_compare.py bench/baselines/bench_futex_quick.json \
     build/bench_out/bench_futex_quick.json \
     --key "wake.*_ns" --key "mutex.*_ns_per_acq" \
   || fail bench "scripts/bench_compare.py bench/baselines/bench_futex_quick.json build/bench_out/bench_futex_quick.json --key 'wake.*_ns' --key 'mutex.*_ns_per_acq'"
-RKO_WORKSET_PUSH=32 ./build/bench/bench_migration --quick \
+./build/bench/bench_migration --quick \
     --json=build/bench_out/bench_migration_quick.json >/dev/null \
-  || fail bench "RKO_WORKSET_PUSH=32 ./build/bench/bench_migration --quick --json=..."
+  || fail bench "./build/bench/bench_migration --quick --json=..."
 scripts/bench_compare.py bench/baselines/bench_migration_quick.json \
     build/bench_out/bench_migration_quick.json \
     --key "workset.*_ns" \

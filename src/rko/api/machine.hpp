@@ -48,10 +48,11 @@ struct MachineConfig {
     /// stride carries a window, which the home grants in one transaction
     /// round — read shares pushed behind a read, and the untouched pages
     /// after a first touch as zero-fill. Each window that continues the
-    /// stream doubles the next, up to 32 pages. <= 1 disables the detector
-    /// entirely: runs are bit-identical to the pre-prefetch protocol (no
-    /// fault carries a window).
-    int prefetch_window = 1;
+    /// stream doubles the next, up to 32 pages. <= 1 is the measured
+    /// demand-fault ablation (bench_pagefault): it disables the detector
+    /// entirely, so no fault carries a window and each page costs one
+    /// round trip.
+    int prefetch_window = 8;
     /// Hierarchical futex (DESIGN.md §13): remote waiters on the same
     /// (pid, uaddr) aggregate into a per-kernel convoy, the origin fans
     /// wakes out as batched kFutexGrantBatch RPCs, and granted kernels
@@ -77,10 +78,10 @@ struct MachineConfig {
     /// checkpoint piggybacks up to this many of its hottest page numbers;
     /// the destination pulls them from their homes in one scatter round
     /// before resuming, and a short post-copy boost widens fault-around
-    /// for the tail. 0 disables: the tracker never ships, no kWorksetPull
-    /// rounds or workset pushes exist on the wire, and runs are
-    /// bit-identical to the pre-workset protocol. Defaults to the
-    /// RKO_WORKSET_PUSH environment variable when set.
+    /// for the tail. 0 is the measured demand-only ablation (bench_migration
+    /// (b), (c)): the tracker never ships and no kWorksetPull rounds or
+    /// workset pushes exist on the wire. Defaults to the RKO_WORKSET_PUSH
+    /// environment variable when set, else 32.
     int workset_push = core::workset_push_from_env();
     /// Tracing & metrics; defaults follow the RKO_TRACE environment
     /// variable (see trace::TraceConfig::from_env). Metrics are collected

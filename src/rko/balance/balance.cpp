@@ -194,10 +194,7 @@ void Balancer::decide() {
     // Working-set tracker aging (DESIGN.md §15): every policy — including
     // kNone — rides the balancer period as its decay tick, halving each
     // tracked page's heat so phase shifts age out of the pre-copy set.
-    // Gated so disabled-workset runs touch nothing.
-    if (k_.pages().workset_push() > 0) {
-        k_.for_each_live_task([](task::Task& t) { t.workset_decay(); });
-    }
+    k_.for_each_live_task([](task::Task& t) { t.workset_decay(); });
 }
 
 void Balancer::decide_push() {

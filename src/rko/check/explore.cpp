@@ -31,7 +31,10 @@ using namespace rko::time_literals;
 // ---------------------------------------------------------------------------
 // Hashing. FNV-1a/64 over the guest-visible end state: one copy of every
 // directory-backed page's bytes (replicas are byte-identical or the pages
-// checker already failed) plus each thread's exit record.
+// checker already failed) plus each thread's exit record. An all-zero page
+// hashes like an absent one, since a guest reads both as zeros: a
+// first-touch run may grant a page no thread wrote in one schedule and
+// not in another.
 // ---------------------------------------------------------------------------
 
 struct Fnv {
@@ -78,6 +81,10 @@ std::uint64_t content_hash(Machine& m) {
         });
     }
     for (const auto& [key, frame] : pages) {
+        if (std::all_of(frame, frame + kPageSize,
+                        [](std::byte b) { return b == std::byte{0}; })) {
+            continue;
+        }
         h.u64(static_cast<std::uint64_t>(key.first));
         h.u64(key.second);
         h.bytes(frame, kPageSize);

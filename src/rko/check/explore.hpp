@@ -30,9 +30,9 @@ struct ExploreConfig {
 };
 
 struct ScenarioResult {
-    /// Guest-visible final state: every directory-backed page's bytes plus
-    /// each thread's exit status. Equal across seeds for scenarios marked
-    /// content_deterministic.
+    /// Guest-visible final state: every directory-backed page's bytes
+    /// (an all-zero page counts as absent) plus each thread's exit status.
+    /// Equal across seeds for scenarios marked content_deterministic.
     std::uint64_t content_hash = 0;
     /// content_hash folded with virtual time and message totals. Equal
     /// across two runs of the *same* seed (bit-reproducibility), not

@@ -298,8 +298,7 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
     const bool take_exclusive = want_write || !read_replication_;
 
     for (int attempt = 0; attempt < 64; ++attempt) {
-        if (k_.home_map().sharded() &&
-            site.home_rebuilding(k_.home_map().shard_of(vpn))) {
+        if (site.home_rebuilding(k_.home_map().shard_of(vpn))) {
             // This shard just failed over to us and its census is still
             // being pulled; the requester backs off and refaults.
             out.status = FaultStatus::kRetry;
@@ -797,7 +796,7 @@ FaultStatus PageOwner::guest_fault(ProcessSite& site, const mem::Vma& vma,
     // shootdown, and replies after the pushes, so the window lands
     // installed before the guest resumes.
     bool boosted = false;
-    if (workset_push_ > 0 && t != nullptr && (access & mem::kProtWrite) == 0 &&
+    if (t != nullptr && (access & mem::kProtWrite) == 0 &&
         t->workset_boost_until > k_.engine().now()) {
         const std::uint64_t avail = (vma.end - page) >> mem::kPageShift;
         const std::uint64_t cap = std::min<std::uint64_t>(kMaxFaultAround, avail);
@@ -1678,7 +1677,7 @@ std::vector<mem::Vaddr> PageOwner::claim_push_pages(ProcessSite& site,
         // Sharded homes: a list's pages hash to different shards. Only the
         // ones homed HERE can be claimed; the rest demand-fault at their own
         // homes.
-        if (k_.home_map().sharded() && home_of(site, page) != k_.id()) return false;
+        if (home_of(site, page) != k_.id()) return false;
         const std::uint64_t vpn = mem::vpn_of(page);
         auto& shard = site.dir_shard(vpn);
         // Try-claim only: a page that is absent (never touched — zero-fill
@@ -1996,7 +1995,7 @@ void PageOwner::workset_prefault(ProcessSite& site, task::Task& t) {
     const std::uint32_t count =
         std::min<std::uint32_t>(t.pending_workset_count, task::kMaxWorkset);
     t.pending_workset_count = 0;
-    if (count == 0 || workset_push_ <= 0) return;
+    if (count == 0) return;
     // Group the shipped list by home and post ONE kWorksetPull per home,
     // all in a single scatter round. Pages homed HERE are skipped — their
     // faults never cross the fabric, so pushing them buys nothing.
@@ -2055,7 +2054,7 @@ ProcessSite* PageOwner::serve_fault(const PageFaultReq& req, PageFaultResp& out)
         return nullptr;
     }
     ProcessSite& site = k_.site(req.pid);
-    if (k_.home_map().sharded() && home_of(site, req.va) != k_.id()) {
+    if (home_of(site, req.va) != k_.id()) {
         // Stale routing: the requester aimed at a home that has since moved
         // (membership change in flight). Back off and re-route.
         out.status = FaultStatus::kRetry;
@@ -2103,9 +2102,8 @@ std::uint32_t PageOwner::grant_first_touch_run(ProcessSite& site, mem::Vaddr pag
     std::uint32_t run = 0;
     for (mem::Vaddr va = page + mem::kPageSize; va < end; va += mem::kPageSize) {
         const std::uint64_t vpn = mem::vpn_of(va);
-        if (k_.home_map().sharded() &&
-            (home_of(site, va) != k_.id() ||
-             site.home_rebuilding(k_.home_map().shard_of(vpn)))) {
+        if (home_of(site, va) != k_.id() ||
+            site.home_rebuilding(k_.home_map().shard_of(vpn))) {
             break;
         }
         auto& shard = site.dir_shard(vpn);
@@ -2264,8 +2262,7 @@ void PageOwner::on_page_push(msg::Node& node, msg::MessagePtr m) {
 void PageOwner::on_workset_pull(msg::Node& node, msg::MessagePtr m) {
     const auto& req = m->payload_prefix_as<WorksetPullReq>();
     WorksetPullResp resp{};
-    if (k_.has_site(req.pid) && !k_.node().peer_dead(req.requester) &&
-        workset_push_ > 0) {
+    if (k_.has_site(req.pid) && !k_.node().peer_dead(req.requester)) {
         ProcessSite& site = k_.site(req.pid);
         std::vector<mem::Vaddr> pages;
         for (std::uint32_t i = 0; i < req.count && i < task::kMaxWorkset; ++i) {

@@ -68,18 +68,17 @@ public:
     /// Fault-around prefetch window (pages): the first window of a stream.
     /// Each window that continues the stream doubles the next one, up to
     /// kMaxFaultAround (kMaxHomeWindow for a read stream at the home, which
-    /// also reads one window ahead). <= 1 disables the stride detector: no
-    /// fault carries a window, no kPagePush traffic, first-touch run or
-    /// read-ahead exists and runs are bit-identical to the plain
-    /// demand-fault protocol.
+    /// also reads one window ahead). <= 1, the measured demand-fault
+    /// ablation, disables the stride detector: no fault carries a window
+    /// and no kPagePush traffic, first-touch run or read-ahead exists.
     void set_prefetch_window(int pages) { prefetch_window_ = pages; }
     int prefetch_window() const { return prefetch_window_; }
 
     /// Working-set migration (DESIGN.md §15): how many hot pages a
     /// migration pre-copies (top-K of the task tracker, <= kMaxWorkset).
-    /// <= 0 disables the whole feature — no workset tail on kMigrate, no
-    /// kWorksetPull rounds or workset pushes, no post-copy boost — and runs
-    /// are bit-identical to the plain demand-fault protocol.
+    /// <= 0, the measured demand-only ablation, disables the whole feature:
+    /// no workset tail on kMigrate, no kWorksetPull rounds or workset
+    /// pushes, no post-copy boost.
     void set_workset_push(int k) { workset_push_ = k; }
     int workset_push() const { return workset_push_; }
 
@@ -429,8 +428,8 @@ private:
     kernel::Kernel& k_;
     bool read_replication_ = true;
     bool inject_lost_invalidate_ = false;
-    int prefetch_window_ = 1;
-    int workset_push_ = 0;
+    int prefetch_window_ = 8;
+    int workset_push_ = 32;
     // Registry-backed ("pages.*" in the kernel's MetricsRegistry).
     trace::Counter& local_faults_;
     trace::Counter& remote_faults_;

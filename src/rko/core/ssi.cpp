@@ -92,17 +92,6 @@ void Ssi::on_load_gossip(msg::Node& node, msg::MessagePtr m) {
     if (gossip_hook_) gossip_hook_();
 }
 
-bool Ssi::table_fresh(Nanos now, Nanos max_age) const {
-    table_shadow_.on_read(); // kRacyOk: recorded, never flagged
-    for (topo::KernelId peer = 0; peer < k_.fabric().nkernels(); ++peer) {
-        if (peer == k_.id()) continue;
-        if (!peer_alive(k_, peer)) continue; // dead/parted rows never refresh
-        const LoadEntry& e = table_[static_cast<std::size_t>(peer)];
-        if (e.stamp < 0 || now - e.stamp > max_age) return false;
-    }
-    return true;
-}
-
 Nanos Ssi::table_age(Nanos now) const {
     Nanos oldest = 0;
     for (topo::KernelId peer = 0; peer < k_.fabric().nkernels(); ++peer) {
@@ -113,22 +102,6 @@ Nanos Ssi::table_age(Nanos now) const {
         oldest = std::max(oldest, now - e.stamp);
     }
     return oldest;
-}
-
-std::vector<KernelLoad> Ssi::table_snapshot() const {
-    // Same ordering as load_snapshot() (self first, then ascending peers)
-    // so the rotor tie-break walks an identically shaped vector.
-    std::vector<KernelLoad> loads;
-    table_shadow_.on_read();
-    const CensusResp mine = local_census(0);
-    loads.push_back(KernelLoad{k_.id(), mine.ntasks, mine.nrunnable, mine.idle_cores});
-    for (topo::KernelId peer = 0; peer < k_.fabric().nkernels(); ++peer) {
-        if (peer == k_.id()) continue;
-        if (!peer_alive(k_, peer)) continue;
-        const LoadEntry& e = table_[static_cast<std::size_t>(peer)];
-        loads.push_back(KernelLoad{peer, e.ntasks, e.nrunnable, e.idle_cores});
-    }
-    return loads;
 }
 
 CensusResp Ssi::local_census(Pid pid) const {
@@ -184,16 +157,14 @@ std::vector<KernelLoad> Ssi::load_snapshot() {
         loads.push_back(KernelLoad{peers[i], resp.ntasks, resp.nrunnable,
                                    resp.idle_cores});
         // A census reply is at least as fresh as any gossip row; re-stamp
-        // the table so the next least_loaded_kernel() can skip the RPC.
+        // the table the balancer's push decisions read.
         note_load(peers[i], resp.ntasks, resp.nrunnable, resp.idle_cores, now);
     }
     return loads;
 }
 
 topo::KernelId Ssi::least_loaded_kernel() {
-    const bool fresh = balance_period_ > 0 &&
-                       table_fresh(k_.engine().now(), balance_period_);
-    const auto loads = fresh ? table_snapshot() : load_snapshot();
+    const auto loads = load_snapshot();
     // Rotate the scan start so simultaneous queries spread over equally
     // idle kernels instead of herding onto the lowest id.
     const std::size_t start = rotor_++ % loads.size();

@@ -49,11 +49,8 @@ public:
     std::vector<KernelLoad> load_snapshot();
 
     /// The kernel with the most idle cores (rotating tie-break); the simple
-    /// migration policy bench_rebalance exercises. When the balancer is
-    /// running (balance_period set) and every peer's table entry is younger
-    /// than one balance period, the answer comes from the gossip table with
-    /// no messaging; otherwise it falls back to a census broadcast, which
-    /// also re-stamps the table.
+    /// migration policy bench_rebalance exercises. Asks with a census
+    /// broadcast, which also re-stamps the load table.
     topo::KernelId least_loaded_kernel();
 
     /// Folds one gossip row (or self-report) into the load table, keeping
@@ -62,11 +59,10 @@ public:
     void note_load(topo::KernelId kernel, std::uint32_t ntasks,
                    std::uint32_t nrunnable, std::uint32_t idle_cores, Nanos stamp);
 
-    /// Enables the freshness-gated table path of least_loaded_kernel();
-    /// called by the balancer when it boots. 0 = disabled (default), which
-    /// keeps the pre-balancer broadcast behavior bit-identical.
+    /// Sets the balance period, which bounds the age of the rows
+    /// hot_word_owner() accepts; called by the balancer when it boots.
+    /// 0 (default) accepts rows of any age.
     void set_balance_period(Nanos period) { balance_period_ = period; }
-    Nanos balance_period() const { return balance_period_; }
 
     const LoadEntry& table_entry(topo::KernelId kernel) const {
         return table_[static_cast<std::size_t>(kernel)];
@@ -101,11 +97,6 @@ private:
     void on_load_gossip(msg::Node& node, msg::MessagePtr m);
     CensusResp local_census(Pid pid) const;
     TaskListResp local_task_list(Pid pid) const;
-    /// True when every peer row is younger than `max_age` at `now`.
-    bool table_fresh(Nanos now, Nanos max_age) const;
-    /// Table view in the same order load_snapshot() produces (self first,
-    /// then peers ascending) so the rotor tie-break stays comparable.
-    std::vector<KernelLoad> table_snapshot() const;
 
     kernel::Kernel& k_;
     std::size_t rotor_ = 0; ///< tie-break rotation for least_loaded_kernel

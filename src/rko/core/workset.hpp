@@ -12,10 +12,11 @@ namespace rko::core {
 
 /// Default pre-copy budget for MachineConfig: the RKO_WORKSET_PUSH
 /// environment variable when set (pages per migration, clamped to
-/// [0, task::kMaxWorkset]), else 0 (working-set migration off).
+/// [0, task::kMaxWorkset]; 0 turns working-set migration off), else
+/// task::kMaxWorkset.
 inline int workset_push_from_env() {
     const char* env = std::getenv("RKO_WORKSET_PUSH");
-    if (env == nullptr || *env == '\0') return 0;
+    if (env == nullptr || *env == '\0') return static_cast<int>(task::kMaxWorkset);
     const int pages = std::atoi(env);
     if (pages < 0) return 0;
     return pages > static_cast<int>(task::kMaxWorkset)

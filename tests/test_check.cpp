@@ -230,6 +230,23 @@ TEST(Check, TieShuffleActuallyPerturbsSchedules) {
     EXPECT_TRUE(schedule_varies);
 }
 
+// sequester_race leaves page 7 of its region untouched. A first-touch run
+// grants it (all zeros) in some schedules and not in others; the content
+// hash must read both as the zeros a guest would see. Hashing the zero
+// page makes seeds 4 and 11-14 differ from seed 1.
+TEST(Check, SequesterRaceContentIsScheduleIndependent) {
+    const check::Scenario* s = check::find_scenario("sequester_race");
+    ASSERT_NE(s, nullptr);
+    ASSERT_TRUE(s->content_deterministic);
+    const check::ScenarioResult base = s->run(check::ExploreConfig{1, 2000, true});
+    EXPECT_TRUE(base.report.ok()) << base.report.to_string();
+    for (const std::uint64_t seed : {4, 11, 12, 13, 14}) {
+        const check::ScenarioResult r = s->run(check::ExploreConfig{seed, 2000, true});
+        EXPECT_EQ(r.content_hash, base.content_hash) << "seed " << seed;
+        EXPECT_TRUE(r.report.ok()) << "seed " << seed << ": " << r.report.to_string();
+    }
+}
+
 // Satellite coverage: munmap-vs-remote-fault races stay invariant-clean
 // and per-seed reproducible across a seed window.
 TEST(Check, MunmapFaultRaceSeeds) {

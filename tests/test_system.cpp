@@ -3,6 +3,7 @@
 // consistency, and distributed futexes across kernels.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <vector>
 
 #include "rko/api/machine.hpp"
@@ -12,6 +13,7 @@
 #include "rko/core/ssi.hpp"
 #include "rko/core/thread_group.hpp"
 #include "rko/core/vma_server.hpp"
+#include "rko/smp/smp.hpp"
 
 namespace rko::api {
 namespace {
@@ -28,6 +30,60 @@ MachineConfig small_config(int ncores, int nkernels) {
     config.nkernels = nkernels;
     config.frames_per_kernel = 4096; // 16 MiB per kernel is plenty for tests
     return config;
+}
+
+// The library default is the protocol perfbench measures: fault-around
+// windows and working-set push. A read stream from a replica kernel takes
+// windows, and a migration pre-copies the pages the thread just touched.
+TEST(Config, DefaultIsTheBenchmarkedProtocol) {
+    if (std::getenv("RKO_WORKSET_PUSH") != nullptr) {
+        GTEST_SKIP() << "RKO_WORKSET_PUSH overrides the default pre-copy budget";
+    }
+    constexpr int kPages = 64;
+    constexpr topo::KernelId kReader = 1;
+    Machine machine(smp::popcorn_config(8, 4));
+    auto& process = machine.create_process(0);
+    // kPageFault requests the homes served: the reader's own kernel
+    // dispatches only their replies.
+    const auto faults_served = [&machine] {
+        std::uint64_t n = 0;
+        for (topo::KernelId k = 0; k < machine.nkernels(); ++k) {
+            if (k == kReader) continue;
+            n += machine.kernel(k).node().dispatched(msg::MsgType::kPageFault);
+        }
+        return n;
+    };
+    Vaddr buf = 0;
+    auto& writer = process.spawn(
+        [&](Guest& g) {
+            buf = g.mmap(kPages * kPageSize);
+            for (int i = 0; i < kPages; ++i) {
+                g.write<std::uint64_t>(buf + static_cast<Vaddr>(i) * kPageSize,
+                                       static_cast<std::uint64_t>(i));
+            }
+        },
+        0);
+    std::uint64_t stream_faults = 0;
+    process.spawn(
+        [&](Guest& g) {
+            g.join(writer);
+            const std::uint64_t before = faults_served();
+            std::uint64_t sum = 0;
+            for (int i = 0; i < kPages; ++i) {
+                sum += g.read<std::uint64_t>(buf + static_cast<Vaddr>(i) * kPageSize);
+            }
+            stream_faults = faults_served() - before;
+            EXPECT_EQ(sum, static_cast<std::uint64_t>(kPages) * (kPages - 1) / 2);
+            g.migrate(2); // the stream's pages are this thread's working set
+        },
+        kReader);
+    machine.run();
+    process.check_all_joined();
+    EXPECT_LT(stream_faults, static_cast<std::uint64_t>(kPages));
+    auto metrics = machine.collect_metrics();
+    const trace::Counter* pushed = metrics.find_counter("migration.workset.pushed");
+    ASSERT_NE(pushed, nullptr);
+    EXPECT_GT(pushed->value, 0u);
 }
 
 TEST(System, SingleThreadComputes) {
