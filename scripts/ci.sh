@@ -2,7 +2,8 @@
 # The full CI gauntlet, loudest-failure-first. Each stage prints an exact
 # repro command when it fails so a red run is immediately actionable.
 #
-#   1. tier-1:   plain build + ctest (the correctness floor)
+#   1. tier-1:   plain build + ctest (the correctness floor); a build that
+#                prints a compiler warning fails the stage
 #   2. checked:  the same ctest suite with RKO_CHECK=1, arming every gated
 #                inline protocol assertion (busy-bit audits, waiter dedup,
 #                post-revoke sweeps) — keeps the soak/invariant results of
@@ -64,7 +65,12 @@ fail() {
 
 echo "=== ci.sh stage 1/7: tier-1 build + tests ==="
 cmake -B build -S . >/dev/null || fail tier-1 "cmake -B build -S ."
-cmake --build build -j "$JOBS" || fail tier-1 "cmake --build build -j"
+cmake --build build -j "$JOBS" >build/ci_build.log 2>&1 \
+  || { cat build/ci_build.log; fail tier-1 "cmake --build build -j"; }
+cat build/ci_build.log
+if grep -q "warning:" build/ci_build.log; then
+  fail tier-1 "cmake --build build -j (the build printed a warning; see above)"
+fi
 ctest --test-dir build --output-on-failure -j "$JOBS" \
   || fail tier-1 "ctest --test-dir build --output-on-failure"
 

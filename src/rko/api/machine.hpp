@@ -77,11 +77,12 @@ struct MachineConfig {
     /// Working-set migration (DESIGN.md §15): a migrating thread's
     /// checkpoint piggybacks up to this many of its hottest page numbers;
     /// the destination pulls them from their homes in one scatter round
-    /// before resuming, and a short post-copy boost widens fault-around
-    /// for the tail. 0 is the measured demand-only ablation (bench_migration
-    /// (b), (c)): the tracker never ships and no kWorksetPull rounds or
-    /// workset pushes exist on the wire. Defaults to the RKO_WORKSET_PUSH
-    /// environment variable when set, else 32.
+    /// before resuming, and the thread's read streak arrives primed, so
+    /// fault-around streams the tail from the first read fault. 0 is the
+    /// measured demand-only ablation (bench_migration (b), (c)): the
+    /// tracker never ships and no kWorksetPull rounds or workset pushes
+    /// exist on the wire. Defaults to the RKO_WORKSET_PUSH environment
+    /// variable when set, else 32.
     int workset_push = core::workset_push_from_env();
     /// Tracing & metrics; defaults follow the RKO_TRACE environment
     /// variable (see trace::TraceConfig::from_env). Metrics are collected

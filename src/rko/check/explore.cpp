@@ -846,13 +846,13 @@ ScenarioResult run_home_readahead_race(const ExploreConfig& cfg) {
 /// home's capture mixes local copies with one scatter of remote fetches.
 /// A reader on kernel 1 streams a 24-page region with prefetch_window=8,
 /// migrates to kernel 3 with workset_push=8, and streams it again: the
-/// arrival's kWorksetPull rounds and the post-copy boosted batches push the
+/// arrival's kWorksetPull rounds and the primed post-copy stream push the
 /// region back. A writer on kernel 2 re-dirties the middle of the region
 /// during the first pass, so streaming pushes race write upgrades. Once the
 /// second pass is under way an unmapper on the origin cycles the 6-page
-/// tail and refills each fresh mapping, so boosted pushes of the tail race
-/// revokes fanned out to every home (some land after the VMA vanished and
-/// must be dropped, their busy bits still released). The reader may
+/// tail and refills each fresh mapping, so the stream's pushes of the tail
+/// race revokes fanned out to every home (some land after the VMA vanished
+/// and must be dropped, their busy bits still released). The reader may
 /// legally segfault; audits + reproducibility only.
 ScenarioResult run_push_race_sharded(const ExploreConfig& cfg) {
     constexpr int kPages = 24;
@@ -1158,7 +1158,7 @@ ScenarioResult run_home_storm(const ExploreConfig& cfg) {
 /// each round with pre-copy armed. Every arrival's pull round races the
 /// sharers' write upgrades: the home-side try-claims skip busy entries, a
 /// pushed Shared copy can be invalidated while the install is still in
-/// flight, and the post-copy boost widens fault batches over pages the
+/// flight, and the primed post-copy stream pushes windows over pages the
 /// sharers are concurrently stealing back. All three write disjoint words,
 /// so the final content is schedule-independent and hashed across seeds.
 ScenarioResult run_migrate_under_write_sharing(const ExploreConfig& cfg) {
@@ -1381,8 +1381,8 @@ const std::vector<Scenario>& scenarios() {
          /*content_deterministic=*/false, /*expect_violation=*/false,
          &run_home_readahead_race},
         {"push_race_sharded",
-         "pushed windows, boosted batches and pull rounds race write "
-         "upgrades and munmap of the tail under 4 sharded homes",
+         "pushed windows, post-migration streams and pull rounds race "
+         "write upgrades and munmap of the tail under 4 sharded homes",
          /*content_deterministic=*/false, /*expect_violation=*/false,
          &run_push_race_sharded},
         {"kill_storm",

@@ -208,17 +208,20 @@ void Migration::on_migrate(msg::Node& node, msg::MessagePtr m) {
     t->read_streak = {};
     t->write_streak = {};
     // Working-set migration (§15): restart the tracker seeded with the
-    // shipped hot set, queue it for the post-resume pull round, and arm
-    // the post-copy boost window so the tail outside the top-K streams.
+    // shipped hot set and queue it for the post-resume pull round.
     t->workset_size = 0;
     for (std::uint32_t i = 0; i < shipped; ++i) {
         t->workset[t->workset_size++] = task::WorksetEntry{req.workset_vpn[i], 1};
         t->pending_workset[i] = req.workset_vpn[i];
     }
     t->pending_workset_count = shipped;
-    t->workset_boost_until = k_.pages().workset_push() > 0
-                                 ? k_.engine().now() + PageOwner::kWorksetBoostNs
-                                 : 0;
+    // Post-copy: the pull round counts as the read stream's first window.
+    // Every page above 0 lies inside it, so the thread's first read fault
+    // continues the stream and opens its second window, and the tail
+    // outside the top-K streams in from the first touch.
+    if (k_.pages().workset_push() > 0) {
+        t->read_streak = {0, PageOwner::kPrefetchMinRun, ~mem::Vaddr{0}};
+    }
     // Unpacking the context costs one pass over the save area.
     sim::current_actor().sleep_for(k_.costs().copy_cost(sizeof req.ctx));
 

@@ -174,6 +174,42 @@ void park_first_touch(ProcessSite::DirShard& shard, std::uint64_t vpn,
     shard.shadow.on_write();
 }
 
+/// How a page replicates to a reader: the MSI read share (paper §IV-C).
+struct ReadSharePlan {
+    /// Kernel whose copy supplies the bytes; -1: no holder is left, so the
+    /// requester zero-fills.
+    topo::KernelId source = -1;
+    bool downgrade = false; ///< source is the Exclusive owner: drop its write bit
+    PageDirEntry updated;   ///< directory state once the requester installs
+};
+
+/// Plans the read share from `entry`, a snapshot of the page's directory
+/// entry that `requester` does not hold. A demand read fault and every
+/// pushed page make this one transition.
+ReadSharePlan plan_read_share(const PageDirEntry& entry, topo::KernelId self,
+                              topo::KernelId requester) {
+    ReadSharePlan plan;
+    plan.updated = entry;
+    plan.updated.busy = false;
+    if (entry.state == PageDirEntry::State::kExclusive) {
+        // Downgrade the owner: both copies end Shared.
+        plan.source = entry.owner;
+        plan.downgrade = true;
+        plan.updated.state = PageDirEntry::State::kShared;
+        plan.updated.sharers = topo::kbit(entry.owner) | topo::kbit(requester);
+        plan.updated.owner = -1;
+    } else if (entry.sharers != 0) {
+        // Our own copy is the cheapest source; else the lowest sharer.
+        plan.source = entry.holds(self)
+                          ? self
+                          : static_cast<topo::KernelId>(std::countr_zero(entry.sharers));
+        plan.updated.sharers = entry.sharers | topo::kbit(requester);
+    } else {
+        plan.updated.sharers = topo::kbit(requester);
+    }
+    return plan;
+}
+
 } // namespace
 
 PageOwner::PageOwner(kernel::Kernel& k)
@@ -275,6 +311,25 @@ void PageOwner::serve_fetch(ProcessSite& site, std::span<FetchPart> parts) {
     if (copy_cost != 0) sim::current_actor().sleep_for(copy_cost);
     for (const mem::Paddr frame : dropped) k_.frames().free(frame);
     if (narrowed) sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
+}
+
+bool PageOwner::fetch_page(ProcessSite& site, mem::Vaddr page, topo::KernelId source,
+                           bool downgrade, std::byte* out) {
+    if (source == k_.id()) {
+        FetchPart own{page, downgrade, out};
+        serve_fetch(site, std::span(&own, 1));
+        return own.had_page != 0;
+    }
+    if (k_.node().peer_dead(source)) return false;
+    fetches_.inc();
+    msg::RpcStatus status = msg::RpcStatus::kOk;
+    const msg::MessagePtr reply =
+        k_.node().rpc(source, fetch_request(site.pid(), page, downgrade), &status);
+    if (reply == nullptr) return false;
+    const auto& fetched = reply->payload_prefix_as<PageFetchResp>();
+    if (fetched.had_page == 0) return false;
+    std::memcpy(out, fetched.data.data(), mem::kPageSize);
+    return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -403,109 +458,32 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                 // noticing an ownership change (racing install); tell it to
                 // refault if it cannot recover locally.
                 out.upgrade = true;
-            } else if (snapshot.state == PageDirEntry::State::kShared) {
-                // Copy from the most convenient live sharer. A sharer that
-                // died mid-transaction (elastic) returns a null reply; its
-                // copy died with it, so try the next one. With every sharer
-                // dead the data is lost and the requester zero-fills.
-                bool have_data = false;
-                topo::KernelMask live = snapshot.sharers;
-                // Our own copy can be gone despite the directory listing us:
-                // a munmap's replica sweep drops PTEs without waiting on the
-                // busy bit. Fall through to the remote sharers if so.
-                FetchPart own{page, false, out.data.data()};
-                if (snapshot.holds(k_.id())) serve_fetch(site, std::span(&own, 1));
-                if (own.had_page != 0) {
-                    out.source = static_cast<std::uint8_t>(k_.id());
-                    have_data = true;
-                } else {
-                    for (topo::KernelMask mask = snapshot.sharers; mask != 0;
-                         mask &= mask - 1) {
-                        const auto source =
-                            static_cast<topo::KernelId>(std::countr_zero(mask));
-                        if (source == k_.id()) {
-                            live &= ~topo::kbit(source); // local copy gone
-                            continue;
-                        }
-                        if (k_.node().peer_dead(source)) {
-                            live &= ~topo::kbit(source);
-                            continue;
-                        }
-                        fetches_.inc();
-                        msg::RpcStatus st = msg::RpcStatus::kOk;
-                        auto reply = k_.node().rpc( // rko-lint: allow(serial-fanout): one sharer supplies the bytes; the next is asked only if it failed
-                            source, fetch_request(site.pid(), page, false), &st);
-                        if (reply == nullptr) {
-                            live &= ~topo::kbit(source);
-                            continue;
-                        }
-                        const auto& fetched = reply->payload_prefix_as<PageFetchResp>();
-                        if (fetched.had_page == 0) {
-                            // The sharer dropped its copy between our
-                            // snapshot and the fetch (a munmap's replica
-                            // sweep is not gated on our busy bit) — same
-                            // transient the write path tolerates from its
-                            // byte source. Try the next sharer.
-                            live &= ~topo::kbit(source);
-                            continue;
-                        }
-                        out.data = fetched.data;
-                        out.source = static_cast<std::uint8_t>(source);
-                        have_data = true;
-                        break;
-                    }
-                }
-                if (have_data) {
-                    out.data_included = true;
-                    updated.sharers = live | topo::kbit(requester);
-                } else {
-                    out.zero_fill = true;
-                    out.source = static_cast<std::uint8_t>(requester);
-                    updated.sharers = topo::kbit(requester);
-                }
             } else {
-                // Exclusive elsewhere: downgrade the owner, go Shared. A
-                // dead owner took the only copy with it — zero-fill.
-                bool have_data = false;
-                if (snapshot.owner == k_.id()) {
-                    // Our exclusive copy can be gone despite the directory:
-                    // munmap's replica sweep is not gated on the busy bit.
-                    // Zero-fill like a dead owner if so.
-                    FetchPart own{page, true, out.data.data()};
-                    serve_fetch(site, std::span(&own, 1));
-                    have_data = own.had_page != 0;
-                } else if (!k_.node().peer_dead(snapshot.owner)) {
-                    fetches_.inc();
-                    msg::RpcStatus st = msg::RpcStatus::kOk;
-                    auto reply = k_.node().rpc( // rko-lint: allow(serial-fanout): the one owner fetch of this attempt
-                        snapshot.owner, fetch_request(site.pid(), page, true), &st);
-                    if (reply != nullptr) {
-                        const auto& fetched = reply->payload_prefix_as<PageFetchResp>();
-                        // No copy: the owner dropped the page between our
-                        // snapshot and the fetch (munmap replica sweep) —
-                        // transient, fall through to zero-fill like a dead
-                        // owner.
-                        if (fetched.had_page != 0) {
-                            out.data = fetched.data;
-                            have_data = true;
-                        }
-                    }
+                // The read share: copy from the plan's source. A source that
+                // died (elastic), or lost its copy despite the directory (a
+                // munmap's replica sweep drops PTEs without waiting on the
+                // busy bit), leaves the holder set and the plan runs again.
+                // With no holder left the data is lost: zero-fill.
+                PageDirEntry holders = snapshot;
+                ReadSharePlan plan = plan_read_share(holders, k_.id(), requester);
+                while (plan.source >= 0 &&
+                       !fetch_page(site, page, plan.source, plan.downgrade, out.data.data())) {
+                    holders.sharers = holders.holder_mask() & ~topo::kbit(plan.source);
+                    holders.state = PageDirEntry::State::kShared;
+                    holders.owner = -1;
+                    plan = plan_read_share(holders, k_.id(), requester);
                 }
-                if (have_data) {
+                updated = plan.updated;
+                if (plan.source >= 0) {
                     out.data_included = true;
-                    out.source = static_cast<std::uint8_t>(snapshot.owner);
-                    updated.state = PageDirEntry::State::kShared;
-                    updated.sharers = topo::kbit(snapshot.owner) | topo::kbit(requester);
-                    updated.owner = -1;
-                    // Detector input: if this reader upgrades next, kernels
-                    // are taking turns to read then write the page.
-                    if (!peek) updated.reader = static_cast<std::int8_t>(requester);
+                    out.source = static_cast<std::uint8_t>(plan.source);
                 } else {
                     out.zero_fill = true;
-                    out.source = static_cast<std::uint8_t>(requester);
-                    updated.state = PageDirEntry::State::kShared;
-                    updated.sharers = topo::kbit(requester);
-                    updated.owner = -1;
+                }
+                // Detector input: if this reader upgrades next, kernels are
+                // taking turns to read then write the page.
+                if (plan.downgrade && !peek) {
+                    updated.reader = static_cast<std::int8_t>(requester);
                 }
             }
         } else {
@@ -786,32 +764,19 @@ FaultStatus PageOwner::guest_fault(ProcessSite& site, const mem::Vma& vma,
     // pushes the window's remaining pages unsolicited (kPagePush), turning
     // one RTT per page into one RTT per window; a first touch, read or
     // write, also takes the untouched pages after it as a zero-fill run.
-    // With the knob off (window <= 1) the fault carries no window and the
-    // wire traffic is bit-identical to the plain protocol.
-    std::uint32_t window = stride_window(site, vma, page, access, kMaxFaultAround, t);
-    // Post-migration boost (§15): a freshly migrated thread's remote read
-    // faults batch from the FIRST touch (no min-run — the whole address
-    // space is cold here, so any pattern benefits) with a full window.
-    // The home recognizes the flag, batches its downgrades under one
-    // shootdown, and replies after the pushes, so the window lands
-    // installed before the guest resumes.
-    bool boosted = false;
-    if (t != nullptr && (access & mem::kProtWrite) == 0 &&
-        t->workset_boost_until > k_.engine().now()) {
-        const std::uint64_t avail = (vma.end - page) >> mem::kPageShift;
-        const std::uint64_t cap = std::min<std::uint64_t>(kMaxFaultAround, avail);
-        if (cap >= 2 && cap > window) {
-            window = static_cast<std::uint32_t>(cap);
-            boosted = true;
-        }
-    }
-    return remote_fault(site, vma, home, page, access, window, boosted, t);
+    // A thread that just migrated with working-set push on starts with its
+    // read streak primed (Migration::on_migrate), so its first read fault
+    // already continues a stream. With the knob off (window <= 1) the fault
+    // carries no window and the wire traffic is bit-identical to the plain
+    // protocol.
+    const std::uint32_t window = stride_window(site, vma, page, access, kMaxFaultAround, t);
+    return remote_fault(site, vma, home, page, access, window, t);
 }
 
 FaultStatus PageOwner::remote_fault(ProcessSite& site, const mem::Vma& vma,
                                     topo::KernelId home, mem::Vaddr page,
                                     std::uint32_t access, std::uint32_t window,
-                                    bool workset, task::Task* t) {
+                                    task::Task* t) {
     const Nanos t0 = k_.engine().now();
     const GrantInFlight in_flight(site, home);
     msg::RpcStatus rpc_status = msg::RpcStatus::kOk;
@@ -820,7 +785,7 @@ FaultStatus PageOwner::remote_fault(ProcessSite& site, const mem::Vma& vma,
         msg::make_message(msg::MsgType::kPageFault, msg::MsgKind::kRequest,
                           PageFaultReq{site.pid(), page, access,
                                        static_cast<std::int16_t>(k_.id()),
-                                       static_cast<std::uint8_t>(window), workset}),
+                                       static_cast<std::uint8_t>(window)}),
         &rpc_status);
     remote_latency_.add(k_.engine().now() - t0);
     // The home died mid-fault (impossible unsharded: the origin is
@@ -937,7 +902,7 @@ std::byte* PageOwner::ensure_readable(ProcessSite& site, mem::Vaddr page) {
         const FaultStatus status = settle_fault(site, page, [&](topo::KernelId home) {
             return home == k_.id()
                        ? home_fault(site, vma, page, kPeek, nullptr)
-                       : remote_fault(site, vma, home, page, kPeek, 0, false, nullptr);
+                       : remote_fault(site, vma, home, page, kPeek, 0, nullptr);
         });
         if (status == FaultStatus::kSegv) return nullptr;
     }
@@ -1065,17 +1030,8 @@ void park_pending(ProcessSite& site, std::uint64_t vpn, const PageDirEntry& upda
     shard.lock.unlock();
 }
 
-/// How one claimed page replicates to `requester`: the transitions a
-/// demand read fault makes, minus the dead-holder fallbacks (a dead or
-/// copy-less source cancels the claim instead).
-struct ReadSharePlan {
-    topo::KernelId source = -1; ///< kernel whose copy supplies the bytes
-    bool downgrade = false;     ///< source is the Exclusive owner: drop its write bit
-    PageDirEntry updated;       ///< directory state once the requester installs
-};
-
-ReadSharePlan plan_read_share(ProcessSite& site, std::uint64_t vpn, topo::KernelId self,
-                              topo::KernelId requester) {
+/// A snapshot of `vpn`'s entry, which this kernel has claimed (busy).
+PageDirEntry claimed_entry(ProcessSite& site, std::uint64_t vpn) {
     auto& shard = site.dir_shard(vpn);
     shard.lock.lock();
     auto it = shard.entries.find(vpn);
@@ -1083,25 +1039,7 @@ ReadSharePlan plan_read_share(ProcessSite& site, std::uint64_t vpn, topo::Kernel
                    "page transfer lost its claimed entry");
     const PageDirEntry snapshot = it->second;
     shard.lock.unlock();
-
-    ReadSharePlan plan;
-    plan.updated = snapshot;
-    plan.updated.busy = false;
-    if (snapshot.state == PageDirEntry::State::kShared) {
-        // Our own copy is the cheapest source; else the lowest sharer.
-        plan.source = snapshot.holds(self) ? self
-                                           : static_cast<topo::KernelId>(
-                                                 std::countr_zero(snapshot.sharers));
-        plan.updated.sharers = snapshot.sharers | topo::kbit(requester);
-    } else {
-        // Exclusive elsewhere (the claim excluded requester-held pages).
-        plan.source = snapshot.owner;
-        plan.downgrade = true;
-        plan.updated.state = PageDirEntry::State::kShared;
-        plan.updated.sharers = topo::kbit(snapshot.owner) | topo::kbit(requester);
-        plan.updated.owner = -1;
-    }
-    return plan;
+    return snapshot;
 }
 
 /// Pages `from` up to `to` (exclusive) of a window starting at `first`:
@@ -1722,7 +1660,8 @@ void PageOwner::capture_pages(ProcessSite& site, const std::vector<mem::Vaddr>& 
     std::vector<SourceFetch> remote;
     for (std::size_t i = 0; i < claimed.size(); ++i) {
         PushPage& p = work[i];
-        p.plan = plan_read_share(site, mem::vpn_of(claimed[i]), k_.id(), requester);
+        p.plan = plan_read_share(claimed_entry(site, mem::vpn_of(claimed[i])), k_.id(),
+                                 requester);
         p.push.pid = site.pid();
         p.push.va = claimed[i];
         p.push.data_included = true;
@@ -2135,22 +2074,14 @@ void PageOwner::on_page_fault(msg::Node& node, msg::MessagePtr m) {
             *site, window_pages(req.va, 1, std::min<std::uint32_t>(req.window, kMaxFaultAround)),
             req.requester);
     }
-    const auto push = [&] {
-        if (!claimed.empty()) push_window(*site, claimed, req.requester, req.workset);
-    };
-    // Boosted window (§15): push FIRST, reply last. The channel is FIFO, so
-    // every pushed page is already installed when the demand reply unblocks
-    // the guest; it resumes into a warm window instead of re-faulting page
-    // by page into busy directory entries while the pushes are in flight.
-    if (req.workset) push();
     // Dataless outcomes (SEGV, retry, zero-fill, upgrade) ship 8 bytes, not
-    // 8 + 4 KiB — the wire carries only what the requester will read.
+    // 8 + 4 KiB — the wire carries only what the requester will read. The
+    // reply goes first, so the requester installs the demand page while the
+    // pushes are still being generated behind it.
     node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageFault,
                                             msg::MsgKind::kReply, resp,
                                             wire_bytes(resp)));
-    // Streaming window: reply first, so the requester installs the demand
-    // page while the pushes are still being generated behind it.
-    if (!req.workset) push();
+    if (!claimed.empty()) push_window(*site, claimed, req.requester, /*workset=*/false);
 }
 
 void PageOwner::on_page_fetch(msg::Node& node, msg::MessagePtr m) {

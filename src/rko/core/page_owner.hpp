@@ -36,9 +36,8 @@ namespace rko::core {
 class PageOwner {
 public:
     /// Hard cap on a fault-around window (pages, including the faulting
-    /// one): a remote stream's ramp, a first-touch run and a post-migration
-    /// boosted batch (DESIGN.md §15) all stop here, so one capture fits one
-    /// kPageFetch per holder.
+    /// one): a remote stream's ramp and a first-touch run stop here, so one
+    /// capture fits one kPageFetch per holder.
     static constexpr std::uint32_t kMaxFaultAround = 32;
     /// Hard cap on a read stream's window at the page's home: its ramp keeps
     /// doubling past kMaxFaultAround, and its capture posts one kPageFetch
@@ -47,10 +46,6 @@ public:
     /// Consecutive +1-page faults a thread must string together before a
     /// fault carries a fault-around window.
     static constexpr std::uint32_t kPrefetchMinRun = 3;
-    /// How long (virtual ns) after arrival a migrated thread keeps its
-    /// post-copy boost: remote read faults batch from the first touch
-    /// (min-run 1) with a full kMaxFaultAround window.
-    static constexpr Nanos kWorksetBoostNs = 2'000'000;
 
     explicit PageOwner(kernel::Kernel& k);
 
@@ -78,7 +73,7 @@ public:
     /// migration pre-copies (top-K of the task tracker, <= kMaxWorkset).
     /// <= 0, the measured demand-only ablation, disables the whole feature:
     /// no workset tail on kMigrate, no kWorksetPull rounds or workset
-    /// pushes, no post-copy boost.
+    /// pushes, no primed read streak.
     void set_workset_push(int k) { workset_push_ = k; }
     int workset_push() const { return workset_push_; }
 
@@ -195,7 +190,7 @@ public:
     std::uint64_t range_rpcs() const { return range_rpcs_.value; }
     const base::Histogram& remote_fault_latency() const { return remote_latency_; }
     /// Working-set pages this (home) kernel pushed to migration
-    /// destinations (pre-copy pulls + boosted batches).
+    /// destinations in kWorksetPull rounds.
     std::uint64_t workset_pushed() const { return workset_pushed_.value; }
     /// Workset pushes this (destination) kernel installed / failed to
     /// install.
@@ -216,8 +211,11 @@ private:
     /// state parked in the shard's pending map; the requester must call
     /// commit_install (locally or via kPageInstalled) after installing its
     /// PTE. This three-phase shape makes directory state and requester PTEs
-    /// change atomically with respect to other transactions. `access` may
-    /// carry kAccessKernelPeek: a plain read share, outside the migratory
+    /// change atomically with respect to other transactions. A read makes
+    /// the same read share as a pushed page: plan_read_share picks the
+    /// source, fetch_page copies it, and a source that fails leaves the
+    /// holder set before the plan runs again. `access` may carry
+    /// kAccessKernelPeek: a plain read share, outside the migratory
     /// detector.
     FaultStatus origin_transaction(ProcessSite& site, mem::Vaddr page,
                                    std::uint32_t access, topo::KernelId requester,
@@ -262,6 +260,13 @@ private:
     /// own copy.
     void serve_fetch(ProcessSite& site, std::span<FetchPart> parts);
 
+    /// One page's bytes from `source` into `out`: this kernel's own copy
+    /// through serve_fetch, else a one-page kPageFetch. With `downgrade` the
+    /// source loses its write bit first. False when the source is dead, dies
+    /// mid-fetch or no longer has the page.
+    bool fetch_page(ProcessSite& site, mem::Vaddr page, topo::KernelId source,
+                    bool downgrade, std::byte* out);
+
     /// The batched holder op behind kPageInvalidateRange and a range
     /// sweep's own legs: applies `op` to every present page of `vpns` that
     /// it changes, with one TLB-generation bump and one modeled shootdown
@@ -276,7 +281,10 @@ private:
     /// continues it doubles the next, up to `cap`. A stream continues at
     /// the next page, inside or just past its last window, or past up to
     /// kMaxHomeWindow pages this kernel maps with `access` (the thread read
-    /// through them without faulting). Charges no virtual time.
+    /// through them without faulting). A migrated thread's read streak
+    /// arrives primed (Migration::on_migrate): every page above its last
+    /// page lies inside its last window, so its first read fault opens the
+    /// stream's second window, at the home as well. Charges no virtual time.
     std::uint32_t stride_window(ProcessSite& site, const mem::Vma& vma, mem::Vaddr page,
                                 std::uint32_t access, std::uint32_t cap, task::Task* t);
 
@@ -288,18 +296,18 @@ private:
     FaultStatus settle_fault(ProcessSite& site, mem::Vaddr page, const Leg& leg);
 
     /// One guest fault leg routed to `home`: a home fault or window, or a
-    /// remote fault with its window and post-migration boost.
+    /// remote fault with its window.
     FaultStatus guest_fault(ProcessSite& site, const mem::Vma& vma, topo::KernelId home,
                             mem::Vaddr page, std::uint32_t access, task::Task* t);
 
     // The page-push pipeline (home side, DESIGN.md §10). Fault-around
-    // windows, read-aheads, post-migration boosted batches and kWorksetPull
-    // rounds all run it: claim_push_pages try-claims a page list for
-    // `requester` (skipping absent, busy and requester-held entries; never
-    // waiting); capture_pages plans each claimed page's read share and
-    // copies its bytes — local copies in one holder batch, remote ones with
-    // one kPageFetch per source kernel for each kMaxFaultAround pages, all
-    // in one streaming rpc_scatter — releasing the claim of any page whose
+    // windows, read-aheads and kWorksetPull rounds all run it:
+    // claim_push_pages try-claims a page list for `requester` (skipping
+    // absent, busy and requester-held entries; never waiting);
+    // capture_pages plans each claimed page's read share and copies its
+    // bytes — local copies in one holder batch, remote ones with one
+    // kPageFetch per source kernel for each kMaxFaultAround pages, all in
+    // one streaming rpc_scatter — releasing the claim of any page whose
     // source died or lost its copy, and hands every other page to `sink` as
     // soon as its bytes are in; push_window's sink parks each page's
     // pending state and ships it as kPagePush, which the requester's
@@ -380,15 +388,13 @@ private:
     std::shared_ptr<ReadAhead> read_ahead_at(Pid pid, mem::Vaddr page) const;
 
     /// A fault taken away from the page's `home`: one kPageFault round trip
-    /// (carrying the fault-around `window`, 0 for none, and the
-    /// post-migration `workset` boost), then the local install, its
-    /// attribution and the kPageInstalled confirm, and the same for each
-    /// page of a first-touch run the home granted. kRetry when the home
-    /// died mid-fault or asked for a retry.
+    /// (carrying the fault-around `window`, 0 for none), then the local
+    /// install, its attribution and the kPageInstalled confirm, and the
+    /// same for each page of a first-touch run the home granted. kRetry
+    /// when the home died mid-fault or asked for a retry.
     FaultStatus remote_fault(ProcessSite& site, const mem::Vma& vma,
                              topo::KernelId home, mem::Vaddr page,
-                             std::uint32_t access, std::uint32_t window, bool workset,
-                             task::Task* t);
+                             std::uint32_t access, std::uint32_t window, task::Task* t);
 
     /// The demand half of kPageFault: SEGV for an unknown process or an
     /// already-dead requester, kRetry for a stale sharded route, else the
@@ -451,8 +457,8 @@ private:
     std::vector<std::shared_ptr<ReadAhead>> read_aheads_;
 };
 
-// A remote window, a boosted batch and a kWorksetPull round fit one
-// kPageFetch per holder; a home window takes one per kMaxPages pages.
+// A remote window and a kWorksetPull round fit one kPageFetch per holder;
+// a home window takes one per kMaxPages pages.
 static_assert(PageFetchReq::kMaxPages == PageOwner::kMaxFaultAround &&
                   PageFetchReq::kMaxPages >= task::kMaxWorkset,
               "one kPageFetch carries a remote window's pages from one holder");

@@ -69,8 +69,10 @@ public:
     ProcessSite(Pid pid, topo::KernelId kernel, topo::KernelId origin)
         : space_(pid, kernel, origin) {
         if (race::enabled()) {
-            const std::string where =
-                "k" + std::to_string(kernel) + ".pid" + std::to_string(pid);
+            const std::string where = std::string("k")
+                                          .append(std::to_string(kernel))
+                                          .append(".pid")
+                                          .append(std::to_string(pid));
             for (int i = 0; i < kDirShards; ++i) {
                 race::name_lock(&dir_[static_cast<std::size_t>(i)].lock,
                                 where + ".dir_shard[" + std::to_string(i) + "]");

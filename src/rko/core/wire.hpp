@@ -82,13 +82,8 @@ struct PageFaultReq {
     std::int16_t requester;
     /// Pages including the faulting one; <= 1: no window.
     std::uint8_t window;
-    /// The requester is in its post-migration boost (DESIGN.md §15): the
-    /// home pushes the window before it replies, so the window lands
-    /// installed before the guest resumes.
-    bool workset;
 };
-static_assert(sizeof(PageFaultReq) == 24,
-              "window and workset must fill the bytes freed by `requester`");
+static_assert(sizeof(PageFaultReq) == 24, "window must fill the bytes freed by `requester`");
 static_assert(topo::kMaxKernels <= 1 << 15, "a KernelId fits PageFaultReq::requester");
 
 struct PageFaultResp {

@@ -20,7 +20,7 @@ const char* rpc_status_name(RpcStatus status) {
 Node::Node(sim::Engine& engine, const topo::CostModel& costs, KernelId id, int nworkers)
     : engine_(engine), costs_(costs), id_(id) {
     dispatcher_ = std::make_unique<sim::Actor>(
-        engine_, "k" + std::to_string(id) + "/dispatcher",
+        engine_, std::string("k").append(std::to_string(id)).append("/dispatcher"),
         [this](sim::Actor& self) { dispatcher_body(self); });
     spawn_workers(blocking_pool_, nworkers, "kworker");
     // Leaf handlers only wait on short local locks, so a small pool keeps
@@ -33,7 +33,9 @@ Node::~Node() = default;
 void Node::spawn_workers(Pool& pool, int count, const char* tag) {
     for (int w = 0; w < count; ++w) {
         pool.workers.push_back(std::make_unique<sim::Actor>(
-            engine_, "k" + std::to_string(id_) + "/" + tag + std::to_string(w),
+            engine_,
+            std::string("k").append(std::to_string(id_)).append("/").append(tag).append(
+                std::to_string(w)),
             [this, &pool](sim::Actor& self) { worker_body(self, pool); }));
     }
 }
@@ -498,7 +500,9 @@ void Node::post_local(std::function<void()> job) {
     jobs_.push_back(std::move(job));
     if (jobs_idle_.notify_one()) return;
     job_workers_.push_back(std::make_unique<sim::Actor>(
-        engine_, "k" + std::to_string(id_) + "/kjob" + std::to_string(job_workers_.size()),
+        engine_,
+        std::string("k").append(std::to_string(id_)).append("/kjob").append(
+            std::to_string(job_workers_.size())),
         [this](sim::Actor&) { job_worker_body(); }));
     job_workers_.back()->start();
 }

@@ -110,7 +110,8 @@ struct Task {
     /// crosses a different fabric edge. The reset must be explicit: a
     /// thread revisiting a kernel reactivates its *old* task record there,
     /// and a stale run would send a bogus multi-page window on the first
-    /// unrelated fault.
+    /// unrelated fault. With working-set push on, arrival then primes the
+    /// read streak: the pull round counts as the stream's first window.
     FaultStreak read_streak;
     FaultStreak write_streak;
 
@@ -126,11 +127,6 @@ struct Task {
     /// round (PageOwner::workset_prefault).
     std::array<std::uint64_t, kMaxWorkset> pending_workset{};
     std::uint32_t pending_workset_count = 0;
-    /// Post-copy boost deadline: until this virtual time the destination
-    /// treats this task's remote read faults as streaming (min-run 1, a
-    /// full kMaxFaultAround window from the first touch) so the tail
-    /// outside the shipped top-K streams in instead of trickling.
-    Nanos workset_boost_until = 0;
 
     /// Records a fault install on `vpn` in the working-set tracker.
     /// O(K) scan, K = kMaxWorkset; called once per page fault, where it is

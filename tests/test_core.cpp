@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "rko/api/machine.hpp"
+#include "rko/check/invariants.hpp"
 #include "rko/core/dfutex.hpp"
 #include "rko/core/migration.hpp"
 #include "rko/core/page_owner.hpp"
@@ -132,6 +133,89 @@ TEST(FutexTimeout, WakeBeforeDeadlineReturnsZero) {
     EXPECT_EQ(result, 0);
 }
 
+/// A flat-futex (futex_hierarchy = false) timed wait at kernel 1 on a word
+/// homed at kernel 0, then a second one that nobody wakes. A kernel-0 waker
+/// calls futex_wake(word, 1) at `wake_at`, or, given 0, once the waiter has
+/// exited. Audits must be clean either way.
+struct FlatTimedWait {
+    int first = -1;
+    Nanos first_returned = 0;
+    /// kFutexCancel kernel 0 had dispatched when the first wait returned.
+    std::uint64_t cancels = 0;
+    int second = -1;
+    Nanos second_waited = 0;
+    int woken = -1;
+};
+
+constexpr Nanos kFlatTimeout = 100_us;
+
+FlatTimedWait flat_timed_wait(Nanos wake_at) {
+    auto config = smp::popcorn_config(8, 4);
+    config.futex_hierarchy = false;
+    Machine machine(config);
+    auto& process = machine.create_process(0);
+    FlatTimedWait r;
+    Vaddr word = 0;
+    auto& waiter = process.spawn(
+        [&](Guest& g) {
+            word = g.mmap(kPageSize);
+            r.first = g.futex_wait_for(word, 0, kFlatTimeout);
+            g.flush_timing();
+            r.first_returned = g.now();
+            r.cancels = machine.kernel(0).node().dispatched(msg::MsgType::kFutexCancel);
+            r.second = g.futex_wait_for(word, 0, kFlatTimeout);
+            g.flush_timing();
+            r.second_waited = g.now() - r.first_returned;
+        },
+        1);
+    process.spawn(
+        [&](Guest& g) {
+            while (word == 0) g.yield();
+            if (wake_at == 0) {
+                g.join(waiter);
+            } else {
+                g.flush_timing();
+                if (wake_at > g.now()) g.compute(wake_at - g.now());
+            }
+            r.woken = g.futex_wake(word, 1);
+        },
+        0);
+    machine.run();
+    process.check_all_joined();
+    EXPECT_EQ(machine.kernel(0).futex().queued_waiters(), 0u) << "wake at " << wake_at;
+    const check::Report report = check::run_all(machine);
+    EXPECT_TRUE(report.ok()) << "wake at " << wake_at << " ns\n" << report.to_string();
+    return r;
+}
+
+TEST(FutexTimeout, FlatRemoteCancelWithdrawsTheWaiter) {
+    // Nobody wakes the waiter: its timeout withdraws the queue entry at the
+    // origin with one kFutexCancel, so a later wake finds no one.
+    const FlatTimedWait r = flat_timed_wait(0);
+    EXPECT_EQ(r.first, core::kEtimedout);
+    EXPECT_EQ(r.cancels, 1u);
+    EXPECT_EQ(r.second, core::kEtimedout);
+    EXPECT_EQ(r.woken, 0);
+}
+
+TEST(FutexTimeout, FlatRemoteCancelRacingAWakeUsesItUp) {
+    // A kernel-0 wake swept at 1 us steps across the waiter's deadline. Where
+    // the wake popped the queue entry after the waiter timed out, the cancel
+    // finds nothing: the wait consumes the wake in flight and returns 0, and
+    // the next timed wait still blocks for its full timeout.
+    const Nanos deadline = flat_timed_wait(0).first_returned;
+    int raced = 0;
+    for (Nanos at = deadline - 20_us; at <= deadline + 5_us; at += 1_us) {
+        const FlatTimedWait r = flat_timed_wait(at);
+        EXPECT_TRUE(r.first == 0 || r.first == core::kEtimedout) << "wake at " << at;
+        if (r.cancels == 0 || r.first != 0) continue;
+        ++raced;
+        EXPECT_EQ(r.second, core::kEtimedout) << "wake at " << at;
+        EXPECT_GE(r.second_waited, kFlatTimeout) << "wake at " << at;
+    }
+    EXPECT_GT(raced, 0);
+}
+
 TEST(FutexTimeout, ValueMismatchStillEagain) {
     Machine machine = make_machine();
     auto& process = machine.create_process(0);
@@ -201,7 +285,7 @@ TEST(Ssi, PsListsEveryThreadOnce) {
     auto& process = machine.create_process(0);
     Vaddr gate = 0;
     std::vector<core::TaskInfo> listing;
-    auto& init = process.spawn(
+    process.spawn(
         [&](Guest& g) {
             gate = g.mmap(kPageSize);
             while (g.read<std::uint32_t>(gate) == 0) g.futex_wait(gate, 0);

@@ -146,27 +146,33 @@ RetouchResult run_retouch(int workset_push, int home_shards, int pages) {
 }
 
 TEST(WorksetMigration, PushAndDemandAgreeOnGuestState) {
-    const RetouchResult demand = run_retouch(/*workset_push=*/0,
-                                             /*home_shards=*/1, /*pages=*/48);
-    const RetouchResult push = run_retouch(/*workset_push=*/32,
-                                           /*home_shards=*/1, /*pages=*/48);
-    // Pre-copy is a pure latency optimization: every byte the guest can
-    // observe is identical to the demand-only protocol.
-    EXPECT_EQ(demand.values, push.values);
-    for (int p = 0; p < 48; ++p) {
-        EXPECT_EQ(demand.values[static_cast<std::size_t>(p)],
-                  0x1000u + static_cast<std::uint64_t>(p));
+    // 48 pages fit the push budget plus one stream; 256 pages are mostly
+    // the tail past the budget, which must stream in as fast as it would
+    // without the push.
+    for (const int pages : {48, 256}) {
+        const RetouchResult demand = run_retouch(/*workset_push=*/0,
+                                                 /*home_shards=*/1, pages);
+        const RetouchResult push = run_retouch(/*workset_push=*/32,
+                                               /*home_shards=*/1, pages);
+        // Pre-copy is a pure latency optimization: every byte the guest can
+        // observe is identical to the demand-only protocol.
+        EXPECT_EQ(demand.values, push.values) << pages << " pages";
+        for (int p = 0; p < pages; ++p) {
+            EXPECT_EQ(demand.values[static_cast<std::size_t>(p)],
+                      0x1000u + static_cast<std::uint64_t>(p))
+                << "page " << p << " of " << pages;
+        }
+        // The demand run never speaks the workset protocol.
+        EXPECT_EQ(demand.pushed, 0u) << pages << " pages";
+        EXPECT_EQ(demand.hit, 0u) << pages << " pages";
+        // The push run pre-copied the tracked top-K and every push landed
+        // (nothing raced the installs in this single-thread workload).
+        EXPECT_GE(push.pushed, task::kMaxWorkset / 2) << pages << " pages";
+        EXPECT_EQ(push.hit, push.pushed) << pages << " pages";
+        EXPECT_EQ(push.wasted, 0u) << pages << " pages";
+        // And it pays: the retouch is cheaper than demand paging's.
+        EXPECT_LT(push.retouch, demand.retouch) << pages << " pages";
     }
-    // The demand run never speaks the workset protocol.
-    EXPECT_EQ(demand.pushed, 0u);
-    EXPECT_EQ(demand.hit, 0u);
-    // The push run pre-copied the tracked top-K and every push landed
-    // (nothing raced the installs in this single-thread workload).
-    EXPECT_GE(push.pushed, task::kMaxWorkset / 2);
-    EXPECT_EQ(push.hit, push.pushed);
-    EXPECT_EQ(push.wasted, 0u);
-    // And it is what the tentpole promises: cheaper re-touch.
-    EXPECT_LT(push.retouch, demand.retouch);
 }
 
 // --- Sharded homes serve the pull round identically --------------------------

@@ -74,6 +74,18 @@ HolderCounts operator-(HolderCounts after, const HolderCounts& before) {
     return after;
 }
 
+/// Asserts that no kernel holds a parked install and that the audits pass.
+void expect_settled(Machine& machine, api::Process& process, const std::string& where) {
+    for (topo::KernelId k = 0; k < machine.nkernels(); ++k) {
+        if (!machine.kernel(k).has_site(process.pid())) continue;
+        for (const auto& shard : machine.kernel(k).site(process.pid()).dir_shards()) {
+            EXPECT_TRUE(shard.pending.empty()) << where;
+        }
+    }
+    const check::Report report = check::run_all(machine);
+    EXPECT_TRUE(report.ok()) << where << "\n" << report.to_string();
+}
+
 // ---------------------------------------------------------------------------
 // Satellite: dataless replies must not be charged 4 KiB on the wire.
 // ---------------------------------------------------------------------------
@@ -469,14 +481,7 @@ std::pair<Nanos, Nanos> sweep_with_kill(SweptBy by, Nanos kill_at) {
         0);
     machine.run();
     process.check_all_joined();
-    for (topo::KernelId k = 0; k < machine.nkernels(); ++k) {
-        if (!machine.kernel(k).has_site(process.pid())) continue;
-        for (const auto& shard : machine.kernel(k).site(process.pid()).dir_shards()) {
-            EXPECT_TRUE(shard.pending.empty()) << "kill at " << kill_at << " ns";
-        }
-    }
-    const check::Report report = check::run_all(machine);
-    EXPECT_TRUE(report.ok()) << "kill at " << kill_at << " ns\n" << report.to_string();
+    expect_settled(machine, process, "kill at " + std::to_string(kill_at) + " ns");
     return window;
 }
 
@@ -496,6 +501,77 @@ TEST(RangedSweep, ProtNoneSurvivesByteSourceDeath) {
 }
 
 TEST(RangedSweep, DrainSurvivesSharerDeath) { kill_across_sweep(SweptBy::kDrain); }
+
+/// Kernel 1 writes 16 pages and kernel 2 reads them, so both share each
+/// page; then kernel 3 reads each one with demand faults (window 1), while
+/// kernel 1, every transaction's first byte source, is killed at `kill_at`
+/// (0: never). Whatever the instant, each page reads its value, since
+/// kernel 2 holds a copy, the audits stay clean and no pending install is
+/// left. Returns the span of kernel 3's reads and the kPageFetch the home
+/// sent.
+struct ShareReads {
+    Nanos start = 0;
+    Nanos end = 0;
+    std::uint64_t fetches = 0;
+};
+
+ShareReads share_reads_with_kill(Nanos kill_at) {
+    constexpr int kPages = 16;
+    auto config = sweep_config();
+    config.prefetch_window = 1;
+    Machine machine(config);
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    ShareReads reads;
+    Thread& writer = write_at_kernel1(process, &buf, kPages);
+    Thread& sharer = process.spawn(
+        [&](Guest& g) {
+            g.join(writer);
+            for (int p = 0; p < kPages; ++p) {
+                (void)g.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize);
+            }
+        },
+        2);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(sharer);
+            g.flush_timing();
+            reads.start = g.now();
+            for (int p = 0; p < kPages; ++p) {
+                EXPECT_EQ(g.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize),
+                          kSweepValue + static_cast<std::uint64_t>(p))
+                    << "page " << p << ", kill at " << kill_at;
+            }
+            g.flush_timing();
+            reads.end = g.now();
+        },
+        3);
+    // Keeps the survivors' failure detectors ticking past the lease.
+    process.spawn([](Guest& g) { g.compute(2_ms); }, 0);
+    if (kill_at != 0) {
+        machine.run_until(kill_at);
+        machine.kill_kernel(1);
+    }
+    machine.run();
+    process.check_all_joined();
+    expect_settled(machine, process, "kill at " + std::to_string(kill_at) + " ns");
+    reads.fetches = machine.kernel(0).pages().fetches();
+    return reads;
+}
+
+TEST(ReadShare, FallsBackWhenTheByteSourceDies) {
+    // Kills kernel 1 at 1 us steps across kernel 3's reads. A source that
+    // dies before it answers leaves the holder set, and the transaction
+    // plans again and fetches from kernel 2: one more kPageFetch than the
+    // clean run.
+    const ShareReads clean = share_reads_with_kill(0);
+    ASSERT_GT(clean.end, clean.start);
+    int refetched = 0;
+    for (Nanos at = clean.start; at <= clean.end; at += 1_us) {
+        if (share_reads_with_kill(at).fetches > clean.fetches) ++refetched;
+    }
+    EXPECT_GT(refetched, 0);
+}
 
 // ---------------------------------------------------------------------------
 // Parallel invalidation fan-out.
@@ -1313,18 +1389,6 @@ api::MachineConfig home_stream_config(int cores = 4, int kernels = 2) {
 Vaddr stream_page(int i) { return mem::kMmapBase + static_cast<Vaddr>(i) * kPageSize; }
 
 constexpr std::uint64_t kStreamValue = 0x700;
-
-/// Asserts that no kernel holds a parked install and that the audits pass.
-void expect_settled(Machine& machine, api::Process& process, const std::string& where) {
-    for (topo::KernelId k = 0; k < machine.nkernels(); ++k) {
-        if (!machine.kernel(k).has_site(process.pid())) continue;
-        for (const auto& shard : machine.kernel(k).site(process.pid()).dir_shards()) {
-            EXPECT_TRUE(shard.pending.empty()) << where;
-        }
-    }
-    const check::Report report = check::run_all(machine);
-    EXPECT_TRUE(report.ok()) << where << "\n" << report.to_string();
-}
 
 TEST(Prefetch, HomeStreamSpansHolders) {
     // Kernels 1, 2 and 3 write 32-page blocks in turn, and the home streams

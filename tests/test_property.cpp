@@ -370,18 +370,13 @@ INSTANTIATE_TEST_SUITE_P(
                     FuzzParam{12, 8, 2, 8, true, 4, 32},
                     FuzzParam{13, 8, 4, 8, true, 4, 32},
                     FuzzParam{15, 16, 8, 16, true, 4, 32}),
-    [](const testing::TestParamInfo<FuzzParam>& info) {
-        return "seed" + std::to_string(info.param.seed) + "_c" +
-               std::to_string(info.param.cores) + "_k" +
-               std::to_string(info.param.kernels) + "_t" +
-               std::to_string(info.param.threads) +
-               (info.param.read_replication ? "" : "_noshared") +
-               (info.param.home_shards != 0
-                    ? "_s" + std::to_string(info.param.home_shards)
-                    : "") +
-               (info.param.workset_push != 0
-                    ? "_w" + std::to_string(info.param.workset_push)
-                    : "");
+    [](const testing::TestParamInfo<FuzzParam>& param_info) {
+        const FuzzParam& p = param_info.param;
+        return "seed" + std::to_string(p.seed) + "_c" + std::to_string(p.cores) + "_k" +
+               std::to_string(p.kernels) + "_t" + std::to_string(p.threads) +
+               (p.read_replication ? "" : "_noshared") +
+               (p.home_shards != 0 ? "_s" + std::to_string(p.home_shards) : "") +
+               (p.workset_push != 0 ? "_w" + std::to_string(p.workset_push) : "");
     });
 
 } // namespace

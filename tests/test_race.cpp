@@ -109,7 +109,7 @@ TEST(Race, ConsistentOrderIsClean) {
             lock_b.unlock();
             lock_a.unlock();
         };
-        sim::Actor actor(engine, "a" + std::to_string(i), body);
+        sim::Actor actor(engine, std::string("a").append(std::to_string(i)), body);
         actor.start();
         engine.run();
     }

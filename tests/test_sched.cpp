@@ -37,7 +37,7 @@ struct SchedFixture {
         t.tid = static_cast<Tid>(tasks.size() + 1);
         tasks.push_back(std::move(task));
         actors.push_back(std::make_unique<Actor>(
-            engine, "t" + std::to_string(t.tid), [this, &t, body](Actor&) {
+            engine, std::string("t").append(std::to_string(t.tid)), [this, &t, body](Actor&) {
                 sched->acquire(t);
                 body(t);
                 sched->exit(t);

@@ -200,7 +200,7 @@ TEST(Actor, ManyActorsDeterministicDispatchCount) {
     int total = 0;
     for (int i = 0; i < 64; ++i) {
         actors.push_back(std::make_unique<Actor>(
-            engine, "a" + std::to_string(i), [&total](Actor& self) {
+            engine, std::string("a").append(std::to_string(i)), [&total](Actor& self) {
                 for (int j = 0; j < 10; ++j) {
                     ++total;
                     self.sleep_for(j + 1);
@@ -219,7 +219,7 @@ TEST(SpinLock, MutualExclusionAndFifo) {
     std::vector<std::unique_ptr<Actor>> actors;
     for (int i = 0; i < 4; ++i) {
         actors.push_back(std::make_unique<Actor>(
-            engine, "t" + std::to_string(i), [&, i](Actor& self) {
+            engine, std::string("t").append(std::to_string(i)), [&, i](Actor& self) {
                 lock.lock();
                 order.push_back(i);
                 self.sleep_for(1_us); // critical section
@@ -244,7 +244,7 @@ TEST(SpinLock, WaitTimeGrowsWithContention) {
         std::vector<std::unique_ptr<Actor>> actors;
         for (int i = 0; i < n; ++i) {
             actors.push_back(std::make_unique<Actor>(
-                engine, "t" + std::to_string(i), [&](Actor& self) {
+                engine, std::string("t").append(std::to_string(i)), [&](Actor& self) {
                     lock.lock();
                     self.sleep_for(1_us);
                     lock.unlock();

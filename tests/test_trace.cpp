@@ -228,7 +228,9 @@ TEST(Trace, RingWrapsKeepingNewestEvents) {
     // Oldest -> newest, and only the last 8 ticks (12..19) survive.
     for (std::size_t i = 0; i < events.size(); ++i) {
         EXPECT_EQ(events[i].arg, 12 + i);
-        if (i > 0) EXPECT_GT(events[i].ts, events[i - 1].ts);
+        if (i > 0) {
+            EXPECT_GT(events[i].ts, events[i - 1].ts);
+        }
     }
     engine.set_tracer(nullptr);
 }
