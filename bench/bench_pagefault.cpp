@@ -6,6 +6,7 @@
 //       remote write (invalidate + ownership move), write upgrade,
 //   (b) invalidation fan-out: write fault vs. number of sharing kernels,
 //   (c) false-sharing ping-pong: two kernels alternately writing one page,
+//       with its home at one end of each handoff, then as a third party,
 //   (d) protocol ablation: MSI-with-replication vs. migrate-on-any-fault
 //       (no Shared state) on a read-mostly workload,
 //   (e) page-migration throughput vs. working-set size (streaming a
@@ -213,42 +214,57 @@ int main(int argc, char** argv) {
                     "near-flat in the sharer count.\n");
     }
 
-    bench::section("(c) false-sharing ping-pong (2 kernels, one page)");
+    bench::section("(c) false-sharing ping-pong (one page homed at k0)");
     {
-        Machine machine(demand_config(4, 2));
-        auto& process = machine.create_process(0);
-        Vaddr page = 0;
+        // Two writers take turns to increment one page. With the home at
+        // one end of every handoff (k0 and k1), the home serves each grant
+        // from its own copy or relays the other writer's; between two
+        // other kernels (k1 and k2), the owner hands each grant straight
+        // to the next writer (DESIGN.md §17, "One hop").
         const int rounds = reps * 4;
-        Nanos elapsed = 0;
-        auto& a = process.spawn(
-            [&](Guest& g) {
-                page = g.mmap(kPageSize);
-                const Nanos t0 = g.now();
-                for (int i = 0; i < rounds; ++i) {
-                    // Wait for my turn (even), then write.
-                    while ((g.read<std::uint32_t>(page) & 1) != 0) g.yield();
-                    g.rmw_u32(page, [](std::uint32_t v) { return v + 1; });
-                }
-                g.flush_timing();
-                elapsed = g.now() - t0;
-            },
-            0);
-        process.spawn(
-            [&](Guest& g) {
-                while (page == 0) g.yield();
-                for (int i = 0; i < rounds; ++i) {
-                    while ((g.read<std::uint32_t>(page) & 1) == 0) g.yield();
-                    g.rmw_u32(page, [](std::uint32_t v) { return v + 1; });
-                }
-                g.join(a);
-            },
-            1);
-        machine.run();
-        process.check_all_joined();
-        std::printf("rounds=%d total=%s per-handoff=%s\n", rounds,
-                    fmt_ns(elapsed).c_str(), fmt_ns(elapsed / (2 * rounds)).c_str());
-        report.add_gauge("falseshare.handoff_ns",
-                         static_cast<double>(elapsed / (2 * rounds)));
+        const auto pingpong = [rounds](int nkernels, topo::KernelId ka,
+                                       topo::KernelId kb) {
+            Machine machine(demand_config(2 * nkernels, nkernels));
+            auto& process = machine.create_process(0);
+            Vaddr page = 0;
+            Nanos elapsed = 0;
+            auto& a = process.spawn(
+                [&](Guest& g) {
+                    page = g.mmap(kPageSize);
+                    const Nanos t0 = g.now();
+                    for (int i = 0; i < rounds; ++i) {
+                        // Wait for my turn (even), then write.
+                        while ((g.read<std::uint32_t>(page) & 1) != 0) g.yield();
+                        g.rmw_u32(page, [](std::uint32_t v) { return v + 1; });
+                    }
+                    g.flush_timing();
+                    elapsed = g.now() - t0;
+                },
+                ka);
+            process.spawn(
+                [&](Guest& g) {
+                    while (page == 0) g.yield();
+                    for (int i = 0; i < rounds; ++i) {
+                        while ((g.read<std::uint32_t>(page) & 1) == 0) g.yield();
+                        g.rmw_u32(page, [](std::uint32_t v) { return v + 1; });
+                    }
+                    g.join(a);
+                },
+                kb);
+            machine.run();
+            process.check_all_joined();
+            return elapsed / (2 * rounds);
+        };
+        Table table({"writers", "per-handoff"});
+        const Nanos home_end = pingpong(2, 0, 1);
+        table.add_row({"k0 <-> k1 (home at one end)", fmt_ns(home_end)});
+        const Nanos third_party = pingpong(3, 1, 2);
+        table.add_row({"k1 <-> k2 (third party)", fmt_ns(third_party)});
+        table.print();
+        std::printf("rounds=%d per writer\n", rounds);
+        report.add_gauge("falseshare.handoff_ns", static_cast<double>(home_end));
+        report.add_gauge("falseshare.third_party_handoff_ns",
+                         static_cast<double>(third_party));
         std::printf("(the worst case the paper tells programmers to avoid: once "
                     "the page turns migratory each handoff is one ownership "
                     "transfer, not read-replicate + write-invalidate)\n");

@@ -36,7 +36,7 @@ DEFAULT_KEYS = [
     "stream.*.move_ns",
     "stream.*.prefetch_move_ns",
     "fault.*_ns.mean",
-    "falseshare.handoff_ns",
+    "falseshare.*handoff_ns",
     "homes.*.unsharded_ns",
     "homes.*.sharded_ns",
 ]

@@ -25,10 +25,12 @@
 #                (the kRetry paths); failures print the offending seed and
 #                its repro line
 #   7. bench:    quick page-fault + rebalance + futex + migration +
-#                mmap-scale + apps benches vs the committed baselines —
-#                virtual time is exactly reproducible, so any >10% drift in
-#                a key protocol latency (for bench_apps: every IS, CG and
-#                churn Popcorn makespan, EXPERIMENTS E7) is a real
+#                mmap-scale + apps + messaging + spawn benches vs the
+#                committed baselines — virtual time is exactly
+#                reproducible, so any >10% drift in a key protocol latency
+#                (for bench_apps: every IS, CG and churn Popcorn makespan,
+#                EXPERIMENTS E7; for bench_messaging and bench_spawn: every
+#                round trip and spawn, E1 and E3) is a real
 #                regression. Host CPU time
 #                (host.cpu_ms) varies run to run, so it gets a loose 2x gate,
 #                on the three benches that run long enough to measure; it
@@ -148,6 +150,20 @@ scripts/bench_compare.py bench/baselines/bench_apps_quick.json \
     build/bench_out/bench_apps_quick.json \
     --key "is.*.popcorn_ns" --key "cg.*.popcorn_ns" --key "churn.*.popcorn_ns" \
   || fail bench "scripts/bench_compare.py bench/baselines/bench_apps_quick.json build/bench_out/bench_apps_quick.json --key 'is.*.popcorn_ns' --key 'cg.*.popcorn_ns' --key 'churn.*.popcorn_ns'"
+./build/bench/bench_messaging --quick \
+    --json=build/bench_out/bench_messaging_quick.json >/dev/null \
+  || fail bench "./build/bench/bench_messaging --quick --json=..."
+scripts/bench_compare.py bench/baselines/bench_messaging_quick.json \
+    build/bench_out/bench_messaging_quick.json \
+    --key "pingpong.*.rtt_ns" --key "pairs.*.rtt_ns" --key "wire.*.rtt_ns" \
+  || fail bench "scripts/bench_compare.py bench/baselines/bench_messaging_quick.json build/bench_out/bench_messaging_quick.json --key 'pingpong.*.rtt_ns' --key 'pairs.*.rtt_ns' --key 'wire.*.rtt_ns'"
+./build/bench/bench_spawn --quick \
+    --json=build/bench_out/bench_spawn_quick.json >/dev/null \
+  || fail bench "./build/bench/bench_spawn --quick --json=..."
+scripts/bench_compare.py bench/baselines/bench_spawn_quick.json \
+    build/bench_out/bench_spawn_quick.json \
+    --key "storm.*_spawn_ns" --key "endtoend.*_total_ns" \
+  || fail bench "scripts/bench_compare.py bench/baselines/bench_spawn_quick.json build/bench_out/bench_spawn_quick.json --key 'storm.*_spawn_ns' --key 'endtoend.*_total_ns'"
 for b in bench_pagefault bench_rebalance bench_mmap_scale; do
   scripts/bench_compare.py "bench/baselines/${b}_quick.json" \
       "build/bench_out/${b}_quick.json" --key host.cpu_ms --threshold 1.0 \

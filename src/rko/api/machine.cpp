@@ -168,6 +168,10 @@ void Machine::kill_kernel(topo::KernelId id) {
                        "origin kernels are immortal: cannot kill a process home");
     });
     k.elastic()->request_kill();
+    // Survivors whose balancers parked would never check a lease again.
+    for (auto& peer : kernels_) {
+        if (peer.get() != &k) peer->elastic()->watch_leases();
+    }
 }
 
 void Machine::drain_kernel(topo::KernelId id) {
@@ -266,6 +270,7 @@ trace::MetricsRegistry Machine::collect_metrics() {
         msg::Node& node = fabric_->node(k);
         merged.counter("msg.dispatched").inc(node.total_dispatched());
         merged.histogram("msg.delivery_ns").merge(node.delivery_latency());
+        merged.histogram("msg.kworker_queue_ns").merge(node.kworker_queue());
         merged.counter("msg.scatter.batches").inc(node.scatter_batches());
         merged.counter("msg.scatter.posts").inc(node.scatter_posts());
         merged.counter("msg.dead_letters").inc(node.dead_letters());

@@ -87,8 +87,10 @@ void Balancer::note_moved(const task::Task& t) { ++moves_[t.tid]; }
 bool Balancer::has_work() const {
     if (k_.live_task_count() > 0) return true;
     // In-flight RPCs keep the tick alive so the lease checker can notice a
-    // peer that died while we were waiting on it.
+    // peer that died while we were waiting on it, and so does a kill until
+    // each peer has renewed its lease since or been declared dead.
     if (k_.node().pending_replies() > 0) return true;
+    if (k_.elastic() != nullptr && k_.elastic()->watching_leases()) return true;
     // An otherwise idle kernel keeps ticking only while the gossip table
     // shows a peer with queued threads: thieves need to steal from it, and
     // under threshold-push the periodic gossip is what advertises this

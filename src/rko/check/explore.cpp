@@ -129,6 +129,7 @@ ScenarioResult finish(Machine& m) {
     for (topo::KernelId k = 0; k < m.nkernels(); ++k) {
         res.migratory_grants += m.kernel(k).pages().migratory_grants();
         res.migratory_reverts += m.kernel(k).pages().migratory_reverts();
+        res.migratory_forwarded += m.kernel(k).pages().migratory_forwarded();
         res.first_touch_grants += m.kernel(k).pages().first_touch_grants();
     }
     Fnv h;
@@ -1207,14 +1208,15 @@ ScenarioResult run_migrate_under_write_sharing(const ExploreConfig& cfg) {
 }
 
 /// Migratory pages (DESIGN.md §17) under every pattern that meets them on
-/// one page: incrementers on all four kernels read then write their own
-/// slot (false sharing, so the page turns migratory and is handed over by
-/// ownership grants); the one on k3 migrates every few rounds, so grants
-/// race the arriving thread's refaults; a spinner on k2 keeps reading a
-/// progress word, so grants meet a clean owner and revert the page; and
-/// threads on k0 and k1 bump a mutex-protected counter on the same page,
-/// so the futex path's origin peeks race the grants. Every final word is
-/// schedule-independent, so content is hashed across seeds.
+/// one page: incrementers on k1, k2 and k3 read then write their own slot
+/// (false sharing, so the page turns migratory and is handed over by
+/// ownership grants); k0, the home, never writes, so each grant goes one
+/// hop from its owner; a fourth incrementer migrates every few rounds, so
+/// grants race the arriving thread's refaults; a spinner on k2 keeps
+/// reading a progress word, so grants meet a clean owner and revert the
+/// page; and threads on k1 and k2 bump a mutex-protected counter on the
+/// same page, so the futex path's origin peeks race the grants. Every
+/// final word is schedule-independent, so content is hashed across seeds.
 ScenarioResult run_migratory_race(const ExploreConfig& cfg) {
     constexpr int kRounds = 12;
     constexpr int kLocked = 6;
@@ -1232,12 +1234,12 @@ ScenarioResult run_migratory_race(const ExploreConfig& cfg) {
                     g.write<std::uint64_t>(slot(i), g.read<std::uint64_t>(slot(i)) + 1);
                     g.compute(static_cast<Nanos>(2 + i) * 1_us);
                     if (i == 3 && r % 4 == 3) {
-                        g.migrate(static_cast<topo::KernelId>((r / 4) % 4));
+                        g.migrate(static_cast<topo::KernelId>(1 + (r / 4) % 3));
                     }
                 }
                 g.rmw_u32(done(), [](std::uint32_t v) { return v + 1; });
             },
-            static_cast<topo::KernelId>(i));
+            static_cast<topo::KernelId>(1 + i % 3));
     }
     process.spawn(
         [&](Guest& g) {
@@ -1261,8 +1263,48 @@ ScenarioResult run_migratory_race(const ExploreConfig& cfg) {
                     g.mutex_unlock(buf + 2048);
                 }
             },
-            static_cast<topo::KernelId>(i));
+            static_cast<topo::KernelId>(1 + i));
     }
+    machine.run();
+    return finish(machine);
+}
+
+/// One-hop migratory grants (DESIGN.md §17) meet fail-stops: incrementers
+/// on k1, k2 and k3 take turns on their own slots of two pages homed at the
+/// immortal origin, so every grant goes from one of them straight to
+/// another. k3 dies at 300 us, amid the handoffs, so grants it owes a
+/// reader are cancelled by the home, grants owed to it are rolled back,
+/// and answers it sent just before dying race those cancels; k2 dies at
+/// 650 us against a membership that already lost a kernel. Anchors keep
+/// k0's cores busy, so it never steals an incrementer and the home never
+/// writes. Which increments die with which kernel is schedule-dependent, so
+/// the assertions are the audits and per-seed replay reproducibility.
+ScenarioResult run_forward_kill_race(const ExploreConfig& cfg) {
+    constexpr int kRounds = 40;
+    Machine machine(elastic_storm_config(cfg));
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    auto& init = process.spawn([&](Guest& g) { buf = g.mmap(2 * kPageSize); }, 0);
+    for (int c = 0; c < 2; ++c) {
+        process.spawn([](Guest& g) { g.compute(1200_us); }, 0);
+    }
+    for (int i = 0; i < 6; ++i) {
+        process.spawn(
+            [&, i](Guest& g) {
+                g.join(init);
+                const Vaddr slot = buf + static_cast<Vaddr>(i % 2) * kPageSize +
+                                   static_cast<Vaddr>(i) * 64;
+                for (int r = 0; r < kRounds; ++r) {
+                    g.write<std::uint64_t>(slot, g.read<std::uint64_t>(slot) + 1);
+                    g.compute(static_cast<Nanos>(3 + i) * 1_us);
+                }
+            },
+            static_cast<topo::KernelId>(1 + i % 3));
+    }
+    machine.run_until(300_us);
+    machine.kill_kernel(3);
+    machine.run_until(650_us);
+    machine.kill_kernel(2);
     machine.run();
     return finish(machine);
 }
@@ -1411,11 +1453,16 @@ const std::vector<Scenario>& scenarios() {
          /*content_deterministic=*/true, /*expect_violation=*/false,
          &run_migrate_under_write_sharing},
         {"migratory_race",
-         "false-shared increments on four kernels hand a migratory page over "
-         "while a thread migrates, a reader spins, and a mutex guards a "
-         "counter on the same page",
+         "false-shared increments on three kernels hand a migratory page over "
+         "in one hop while a thread migrates, a reader spins, and a mutex "
+         "guards a counter on the same page",
          /*content_deterministic=*/true, /*expect_violation=*/false,
          &run_migratory_race},
+        {"forward_kill_race",
+         "one-hop migratory grants between three kernels race the owner's, "
+         "the reader's and another writer's fail-stop",
+         /*content_deterministic=*/false, /*expect_violation=*/false,
+         &run_forward_kill_race},
     };
     return list;
 }
@@ -1443,6 +1490,7 @@ SweepStats sweep(const Scenario& scenario, const SweepOptions& options) {
         stats.sim_time += first.vtime;
         stats.migratory_grants += first.migratory_grants;
         stats.migratory_reverts += first.migratory_reverts;
+        stats.migratory_forwarded += first.migratory_forwarded;
         stats.first_touch_grants += first.first_touch_grants;
 
         if (first.replay_hash != again.replay_hash) {

@@ -40,10 +40,11 @@ struct ScenarioResult {
     std::uint64_t replay_hash = 0;
     Nanos vtime = 0;
     std::uint64_t messages = 0;
-    /// Machine-wide pages.migratory.{grants,reverts}: how often the
-    /// migratory-page paths (DESIGN.md §17) ran.
+    /// Machine-wide pages.migratory.{grants,reverts,forwarded}: how often
+    /// the migratory-page paths (DESIGN.md §17) ran.
     std::uint64_t migratory_grants = 0;
     std::uint64_t migratory_reverts = 0;
+    std::uint64_t migratory_forwarded = 0;
     /// Machine-wide pages.first_touch.grants: pages granted as zero-fill
     /// in first-touch runs (DESIGN.md §10).
     std::uint64_t first_touch_grants = 0;
@@ -82,6 +83,7 @@ struct SweepStats {
     Nanos sim_time = 0;         ///< summed virtual end time (first run per seed)
     std::uint64_t migratory_grants = 0;  ///< summed over first runs
     std::uint64_t migratory_reverts = 0; ///< summed over first runs
+    std::uint64_t migratory_forwarded = 0; ///< summed over first runs
     std::uint64_t first_touch_grants = 0; ///< summed over first runs
     bool ok() const {
         return violations == 0 && replay_mismatches == 0 && content_mismatches == 0;

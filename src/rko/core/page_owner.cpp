@@ -228,6 +228,7 @@ PageOwner::PageOwner(kernel::Kernel& k)
       workset_wasted_(k.metrics().counter("migration.workset.wasted")),
       migratory_grants_(k.metrics().counter("pages.migratory.grants")),
       migratory_reverts_(k.metrics().counter("pages.migratory.reverts")),
+      migratory_forwarded_(k.metrics().counter("pages.migratory.forwarded")),
       first_touch_grants_(k.metrics().counter("pages.first_touch.grants")),
       remote_latency_(k.metrics().histogram("pages.remote_fault_ns")) {}
 
@@ -252,6 +253,11 @@ void PageOwner::install() {
         msg::MsgType::kPageInstalled, msg::HandlerClass::kLeaf,
         [this](msg::Node& node, msg::MessagePtr m) {
             on_page_installed(node, std::move(m));
+        });
+    k_.node().register_handler(
+        msg::MsgType::kPageForward, msg::HandlerClass::kLeaf,
+        [this](msg::Node& node, msg::MessagePtr m) {
+            on_page_forward(node, std::move(m));
         });
     k_.node().register_handler(
         msg::MsgType::kPagePush, msg::HandlerClass::kLeaf,
@@ -339,7 +345,8 @@ bool PageOwner::fetch_page(ProcessSite& site, mem::Vaddr page, topo::KernelId so
 FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                                           std::uint32_t access,
                                           topo::KernelId requester,
-                                          PageFaultResp& out) {
+                                          PageFaultResp& out,
+                                          const msg::Message* fault) {
     // With sharded homes the transaction runs at the page's home kernel,
     // which is the origin only for the shards it happens to own.
     RKO_ASSERT(site.is_origin() || k_.home_map().sharded());
@@ -444,6 +451,7 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
         // with whichever kernel actually supplied the bytes.
         out.source = static_cast<std::uint8_t>(requester);
         PageDirEntry updated = snapshot;
+        topo::KernelId forward_to = -1; // the owner a grant goes one hop from
         // Migratory page (DESIGN §17): a guest read of a page Exclusive at
         // another kernel takes ownership, so the requester's store that
         // follows needs no second transaction. Kernel peeks never do.
@@ -520,6 +528,17 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
             const topo::KernelId owner =
                 snapshot.state == PageDirEntry::State::kExclusive ? snapshot.owner : -1;
             bool owner_clean = false;
+            // One hop (DESIGN §17): a migratory grant from a third kernel's
+            // copy is forwarded. The owner hands the page to the requester
+            // itself, so this kworker neither waits for the bytes nor
+            // relays them; its clean bit comes back in the confirm.
+            if (migratory_grant && fault != nullptr && owner != k_.id() &&
+                victims == topo::kbit(owner)) {
+                invalidations_.inc();
+                migratory_forwarded_.inc();
+                forward_to = owner;
+                victims = 0;
+            }
             // The home's own copy drops inline (no message) and is the
             // cheapest byte source when one is needed.
             if ((victims & topo::kbit(k_.id())) != 0) {
@@ -579,7 +598,7 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                 out.source = static_cast<std::uint8_t>(requester);
             } else if (have_data) {
                 out.data_included = true;
-            } else {
+            } else if (forward_to < 0) {
                 // Every listed holder had already dropped the page — only
                 // possible transiently; hand out a fresh zero page.
                 out.zero_fill = true;
@@ -613,8 +632,26 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
         updated.busy = false;
         shard.pending[vpn] = updated;
         shard.pending_from[vpn] = requester;
+        if (forward_to >= 0 && k_.node().peer_dead(forward_to)) {
+            // The owner died since the plan, and its copy with it. The
+            // reaper may have swept the forwards already: grant a zero page.
+            forward_to = -1;
+            out.zero_fill = true;
+        } else if (forward_to >= 0) {
+            shard.forwards[vpn] = {forward_to, fault->hdr.ticket};
+        }
         shard.shadow.on_write();
         shard.lock.unlock();
+        if (forward_to >= 0) {
+            k_.node().send(forward_to,
+                           msg::make_message(msg::MsgType::kPageForward,
+                                             msg::MsgKind::kOneway,
+                                             PageForwardReq{site.pid(), page,
+                                                            fault->hdr.ticket,
+                                                            requester}));
+            out.status = FaultStatus::kForwarded;
+            return out.status;
+        }
         out.status = FaultStatus::kOk;
         return out.status;
     }
@@ -623,7 +660,7 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
 }
 
 void PageOwner::commit_install(ProcessSite& site, mem::Vaddr page,
-                               topo::KernelId requester, bool ok) {
+                               topo::KernelId requester, bool ok, bool clean) {
     const std::uint64_t vpn = mem::vpn_of(page);
     auto& shard = site.dir_shard(vpn);
     shard.lock.lock();
@@ -632,6 +669,13 @@ void PageOwner::commit_install(ProcessSite& site, mem::Vaddr page,
     PageDirEntry updated = pending_it->second;
     shard.pending.erase(pending_it);
     shard.pending_from.erase(vpn);
+    shard.forwards.erase(vpn);
+    if (clean && updated.migratory) {
+        // The forwarded grant's owner only read the page since its own
+        // grant: replicate this page again, as the relay would have.
+        updated.migratory = false;
+        migratory_reverts_.inc();
+    }
     apply_commit_locked(shard, vpn, updated, requester, ok, k_.node());
     shard.shadow.on_write();
     shard.busy_wait.notify_all();
@@ -656,6 +700,7 @@ bool PageOwner::abandon_pending(ProcessSite& site, mem::Vaddr page,
     const PageDirEntry updated = pending_it->second;
     shard.pending.erase(pending_it);
     shard.pending_from.erase(from_it);
+    shard.forwards.erase(vpn);
     apply_commit_locked(shard, vpn, updated, requester, /*ok=*/false, k_.node());
     shard.shadow.on_write();
     shard.busy_wait.notify_all();
@@ -793,14 +838,19 @@ FaultStatus PageOwner::remote_fault(ProcessSite& site, const mem::Vma& vma,
     // shard and the route recomputes.
     if (reply == nullptr) return FaultStatus::kRetry;
     const auto& resp = reply->payload_prefix_as<PageFaultResp>();
-    if (resp.status != FaultStatus::kOk) return resp.status;
-    const bool installed = install_locally(site, vma, page, access, resp);
+    // The home cancelled a grant it forwarded to an owner that died first:
+    // confirm it as not installed, then refault.
+    const bool cancelled = resp.status == FaultStatus::kCancelled;
+    if (resp.status != FaultStatus::kOk && !cancelled) return resp.status;
+    const bool installed = !cancelled && install_locally(site, vma, page, access, resp);
     if (installed) attribute_fault(t, page, resp.source);
     // Third leg: let the directory commit (or roll back) and release busy.
+    // It goes to the home even when the owner answered (DESIGN §17).
     k_.node().send(home,
                    msg::make_message(msg::MsgType::kPageInstalled, msg::MsgKind::kOneway,
                                      PageInstalledMsg{site.pid(), page, k_.id(),
-                                                      installed}));
+                                                      installed, resp.clean}));
+    if (cancelled) return FaultStatus::kRetry;
     if (resp.run > 0) install_first_touch_run(site, home, page, access, resp, t);
     return FaultStatus::kOk;
 }
@@ -1521,7 +1571,40 @@ std::pair<std::uint32_t, std::uint32_t> PageOwner::rehome_dead(ProcessSite& site
             abandon_pending(site, static_cast<mem::Vaddr>(vpn) << mem::kPageShift,
                             dead);
         }
-        // 2. Strip the corpse from every settled entry — no messages, the
+        // 2. Grants forwarded to the corpse that it may never have answered:
+        // answer each requester's ticket with a cancel. The pending state
+        // stays until the requester confirms whichever answer it took; a
+        // grant the owner sent before it died may still win.
+        struct Orphan {
+            std::uint64_t vpn;
+            topo::KernelId requester;
+            std::uint64_t ticket;
+        };
+        std::vector<Orphan> orphans;
+        shard.lock.lock();
+        shard.shadow.on_read();
+        for (auto it = shard.forwards.begin(); it != shard.forwards.end();) {
+            if (it->second.owner != dead) {
+                ++it;
+                continue;
+            }
+            orphans.push_back({it->first, shard.pending_from.at(it->first),
+                               it->second.ticket});
+            it = shard.forwards.erase(it);
+        }
+        shard.shadow.on_write();
+        shard.lock.unlock();
+        std::sort(orphans.begin(), orphans.end(),
+                  [](const Orphan& a, const Orphan& b) { return a.vpn < b.vpn; });
+        for (const Orphan& orphan : orphans) {
+            PageFaultResp cancel{};
+            cancel.status = FaultStatus::kCancelled;
+            k_.node().reply_to(orphan.requester, orphan.ticket,
+                               msg::make_message_prefix(msg::MsgType::kPageFault,
+                                                        msg::MsgKind::kReply, cancel,
+                                                        wire_bytes(cancel)));
+        }
+        // 3. Strip the corpse from every settled entry — no messages, the
         // dead kernel cannot answer. Entries busy under a live transaction
         // are skipped: the transaction itself routes around dead peers and
         // commits a post-death holder set.
@@ -1985,7 +2068,8 @@ void PageOwner::workset_prefault(ProcessSite& site, task::Task& t) {
 // Message handlers.
 // ---------------------------------------------------------------------------
 
-ProcessSite* PageOwner::serve_fault(const PageFaultReq& req, PageFaultResp& out) {
+ProcessSite* PageOwner::serve_fault(const msg::Message& m, PageFaultResp& out) {
+    const auto& req = m.payload_as<PageFaultReq>();
     if (!k_.has_site(req.pid) || k_.node().peer_dead(req.requester)) {
         // A fault from an already-declared-dead requester must not park a
         // pending install nobody will ever confirm; the reply dead-letters.
@@ -1999,10 +2083,9 @@ ProcessSite* PageOwner::serve_fault(const PageFaultReq& req, PageFaultResp& out)
         out.status = FaultStatus::kRetry;
         return nullptr;
     }
-    if (origin_transaction(site, req.va, req.access, req.requester, out) !=
-        FaultStatus::kOk) {
-        return nullptr;
-    }
+    const FaultStatus status =
+        origin_transaction(site, req.va, req.access, req.requester, out, &m);
+    if (status != FaultStatus::kOk && status != FaultStatus::kForwarded) return nullptr;
     if (out.zero_fill && req.window >= 2) {
         out.run = static_cast<std::uint8_t>(
             grant_first_touch_run(site, req.va, req.access, req.window, req.requester));
@@ -2065,7 +2148,7 @@ std::uint32_t PageOwner::grant_first_touch_run(ProcessSite& site, mem::Vaddr pag
 void PageOwner::on_page_fault(msg::Node& node, msg::MessagePtr m) {
     const auto& req = m->payload_as<PageFaultReq>();
     PageFaultResp resp{};
-    ProcessSite* site = serve_fault(req, resp);
+    ProcessSite* site = serve_fault(*m, resp);
     // Only a read window pushes: a write's pages would be read shares it
     // must upgrade at once.
     std::vector<mem::Vaddr> claimed;
@@ -2077,10 +2160,13 @@ void PageOwner::on_page_fault(msg::Node& node, msg::MessagePtr m) {
     // Dataless outcomes (SEGV, retry, zero-fill, upgrade) ship 8 bytes, not
     // 8 + 4 KiB — the wire carries only what the requester will read. The
     // reply goes first, so the requester installs the demand page while the
-    // pushes are still being generated behind it.
-    node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageFault,
-                                            msg::MsgKind::kReply, resp,
-                                            wire_bytes(resp)));
+    // pushes are still being generated behind it. A forwarded grant's owner
+    // answers instead.
+    if (resp.status != FaultStatus::kForwarded) {
+        node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageFault,
+                                                msg::MsgKind::kReply, resp,
+                                                wire_bytes(resp)));
+    }
     if (!claimed.empty()) push_window(*site, claimed, req.requester, /*workset=*/false);
 }
 
@@ -2123,7 +2209,30 @@ void PageOwner::on_page_installed(msg::Node& node, msg::MessagePtr m) {
         from_it != shard.pending_from.end() && from_it->second == done.requester;
     shard.lock.unlock();
     if (!current) return;
-    commit_install(site, done.va, done.requester, done.ok);
+    commit_install(site, done.va, done.requester, done.ok, done.clean);
+}
+
+void PageOwner::on_page_forward(msg::Node& node, msg::MessagePtr m) {
+    const auto& req = m->payload_as<PageForwardReq>();
+    // A home already declared dead here may have had its shard rebuilt from
+    // a census that counted this copy: keep it. The requester's ticket fails
+    // once it learns of the death too, and it refaults at the new home.
+    if (node.peer_dead(m->hdr.src)) return;
+    auto reply = msg::make_message(msg::MsgType::kPageFault, msg::MsgKind::kReply);
+    auto& resp = reply->emplace_payload<PageFaultResp>();
+    // Hand the copy over as a dropping kPageFetch would. A copy a racing
+    // munmap's replica sweep already dropped grants a zero page, as the
+    // relayed grant does.
+    FetchPart own{req.va, false, resp.data.data(), /*drop=*/true};
+    if (k_.has_site(req.pid)) serve_fetch(k_.site(req.pid), std::span(&own, 1));
+    resp.status = FaultStatus::kOk;
+    resp.data_included = own.had_page != 0;
+    resp.zero_fill = own.had_page == 0;
+    resp.source = static_cast<std::uint8_t>(k_.id());
+    resp.writable = true;
+    resp.clean = own.had_page == PageFetchResp::kHadPage;
+    reply->truncate_payload(wire_bytes(resp));
+    node.reply_to(req.requester, req.ticket, std::move(reply));
 }
 
 void PageOwner::on_page_invalidate_range(msg::Node& node, msg::MessagePtr m) {

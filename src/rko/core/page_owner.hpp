@@ -50,8 +50,8 @@ public:
     explicit PageOwner(kernel::Kernel& k);
 
     /// Registers kPageFault / kHomeRangeOp / kWorksetPull (blocking),
-    /// kPageFetch / kPageInvalidateRange / kPageInstalled / kPagePush /
-    /// kHomeRebuild (leaf).
+    /// kPageFetch / kPageInvalidateRange / kPageInstalled / kPageForward /
+    /// kPagePush / kHomeRebuild (leaf).
     void install();
 
     /// Protocol ablation: when false, read faults also take exclusive
@@ -133,10 +133,12 @@ public:
     /// Strips a DEAD kernel from every directory entry (its leases expired;
     /// no messages — the corpse cannot answer). Surviving sharers keep the
     /// data; pages whose only copy died are erased and refault as zero-fill.
-    /// Pending installs the dead requester never confirmed are rolled back.
-    /// Entries busy under a live transaction are skipped — the transaction
-    /// itself routes around dead peers. Returns {entries stripped, sole-copy
-    /// pages lost}.
+    /// Pending installs the dead requester never confirmed are rolled back,
+    /// and grants forwarded to the dead owner are cancelled: the requester's
+    /// ticket gets a kCancelled answer, and the pending state waits for its
+    /// confirm. Entries busy under a live transaction are skipped — the
+    /// transaction itself routes around dead peers. Returns {entries
+    /// stripped, sole-copy pages lost}.
     std::pair<std::uint32_t, std::uint32_t> rehome_dead(ProcessSite& site,
                                                         topo::KernelId dead);
 
@@ -201,6 +203,9 @@ public:
     /// because their owner never stored to them (DESIGN §17).
     std::uint64_t migratory_grants() const { return migratory_grants_.value; }
     std::uint64_t migratory_reverts() const { return migratory_reverts_.value; }
+    /// Migratory grants this (home) kernel forwarded to a third kernel's
+    /// copy, which answered the requester itself (DESIGN §17, "One hop").
+    std::uint64_t migratory_forwarded() const { return migratory_forwarded_.value; }
     /// Pages this (home) kernel granted as zero-fill in first-touch runs,
     /// after the faulting page of a remote fault's window (DESIGN.md §10).
     std::uint64_t first_touch_grants() const { return first_touch_grants_.value; }
@@ -216,15 +221,20 @@ private:
     /// source, fetch_page copies it, and a source that fails leaves the
     /// holder set before the plan runs again. `access` may carry
     /// kAccessKernelPeek: a plain read share, outside the migratory
-    /// detector.
+    /// detector. `fault`, a remote requester's kPageFault, lets a migratory
+    /// grant from a third kernel's copy go one hop: the state is parked as
+    /// for kOk, the owner is sent kPageForward, and kForwarded tells the
+    /// caller that the owner, not it, answers `fault`.
     FaultStatus origin_transaction(ProcessSite& site, mem::Vaddr page,
                                    std::uint32_t access, topo::KernelId requester,
-                                   PageFaultResp& out);
+                                   PageFaultResp& out,
+                                   const msg::Message* fault = nullptr);
 
     /// Commits (ok) or rolls back (!ok: requester removed from holders) the
-    /// pending state and releases the busy bit.
+    /// pending state and releases the busy bit. `clean`: a forwarded grant's
+    /// owner never stored to the page, so it stops being migratory.
     void commit_install(ProcessSite& site, mem::Vaddr page, topo::KernelId requester,
-                        bool ok);
+                        bool ok, bool clean = false);
 
     /// Tolerant rollback of a pending install: no-op (false) unless a
     /// pending for `page` exists AND is waiting on `requester`. Idempotent —
@@ -396,13 +406,14 @@ private:
                              topo::KernelId home, mem::Vaddr page,
                              std::uint32_t access, std::uint32_t window, task::Task* t);
 
-    /// The demand half of kPageFault: SEGV for an unknown process or an
+    /// The demand half of kPageFault `m`: SEGV for an unknown process or an
     /// already-dead requester, kRetry for a stale sharded route, else the
-    /// demand transaction, with its first-touch run when it answered
-    /// zero-fill to a fault with a `window`; both are rolled back if the
-    /// requester died meanwhile. Returns the site only when the transaction
-    /// parked an install a live requester will confirm.
-    ProcessSite* serve_fault(const PageFaultReq& req, PageFaultResp& out);
+    /// demand transaction (kForwarded: the owner answers `m`), with its
+    /// first-touch run when it answered zero-fill to a fault with a
+    /// `window`; both are rolled back if the requester died meanwhile.
+    /// Returns the site only when the transaction parked an install a live
+    /// requester will confirm.
+    ProcessSite* serve_fault(const msg::Message& m, PageFaultResp& out);
 
     /// A first-touch run (DESIGN.md §10): after a zero-fill answer to
     /// `requester`'s fault on `page`, creates entries for the pages after it,
@@ -428,6 +439,7 @@ private:
     void on_page_fetch(msg::Node& node, msg::MessagePtr m);
     void on_page_invalidate_range(msg::Node& node, msg::MessagePtr m);
     void on_page_installed(msg::Node& node, msg::MessagePtr m);
+    void on_page_forward(msg::Node& node, msg::MessagePtr m);
     void on_page_push(msg::Node& node, msg::MessagePtr m);
     void on_workset_pull(msg::Node& node, msg::MessagePtr m);
 
@@ -451,6 +463,7 @@ private:
     trace::Counter& workset_wasted_;
     trace::Counter& migratory_grants_;
     trace::Counter& migratory_reverts_;
+    trace::Counter& migratory_forwarded_;
     trace::Counter& first_touch_grants_;
     base::Histogram& remote_latency_;
     /// Read-aheads whose job has not ended, in post order.

@@ -113,6 +113,15 @@ public:
         /// straggling confirm from a reaped requester is recognized as
         /// stale (rko/elastic).
         std::unordered_map<std::uint64_t, topo::KernelId> pending_from;
+        /// Pending installs of forwarded migratory grants (DESIGN §17): the
+        /// owner answering the requester, and the requester's kPageFault
+        /// ticket, which the home answers with a cancel if that owner dies
+        /// first (PageOwner::rehome_dead). Erased with the pending state.
+        struct Forward {
+            topo::KernelId owner;
+            std::uint64_t ticket;
+        };
+        std::unordered_map<std::uint64_t, Forward> forwards;
         /// Busy-release broadcast: transactions blocked on a busy entry
         /// wait here and re-look-up after every release. Shard-level (not
         /// per-entry) so erasing an entry can never strand parked waiters.

@@ -61,7 +61,12 @@ struct VmaUpdateResp {
 
 // --- Page-ownership protocol (kPageFault / kPageFetch / kPageInvalidateRange)
 
-enum class FaultStatus : std::uint8_t { kOk = 0, kSegv, kRetry };
+/// A fault's outcome. kForwarded never travels: the home handed a migratory
+/// grant to the page's owner, which answers the requester's kPageFault
+/// itself (DESIGN §17). kCancelled is the home's answer in its place when
+/// that owner died first: the requester confirms the grant as not installed
+/// and refaults.
+enum class FaultStatus : std::uint8_t { kOk = 0, kSegv, kRetry, kForwarded, kCancelled };
 
 /// PageFaultReq::access flag above every mem::Prot bit: the fault is a
 /// kernel peek (the distributed futex reading a user word through
@@ -105,7 +110,11 @@ struct PageFaultResp {
     /// and confirms each one. Occupies a reserved byte, so a reply without
     /// data stays 8 bytes.
     std::uint8_t run;
-    std::uint8_t reserved; ///< keeps `data` at offset 8
+    /// A forwarded migratory grant (DESIGN §17): the owner that answered
+    /// never stored to the page since its own grant. The requester passes
+    /// it on in its kPageInstalled, and the home reverts the page. Occupies
+    /// the byte that keeps `data` at offset 8.
+    bool clean;
     std::array<std::byte, mem::kPageSize> data;
 };
 
@@ -153,6 +162,22 @@ struct PageInstalledMsg {
     mem::Vaddr va;
     topo::KernelId requester;
     bool ok;
+    /// PageFaultResp::clean of a forwarded grant: the home clears the
+    /// page's migratory bit at commit. Occupies padding.
+    bool clean = false;
+};
+static_assert(sizeof(PageInstalledMsg) == 24, "`clean` must fill padding");
+
+/// Home -> Exclusive owner of a migratory page (one-way, DESIGN §17): hand
+/// the page to `requester` yourself. The owner drops its copy as a dropping
+/// kPageFetch would, and answers the requester's kPageFault on its ticket
+/// with the bytes, `writable` and `clean`; the requester confirms to the
+/// home as for any fault.
+struct PageForwardReq {
+    Pid pid;
+    mem::Vaddr va;
+    std::uint64_t ticket; ///< the requester's kPageFault ticket
+    topo::KernelId requester;
 };
 
 // --- Coherence batching & fault-around prefetch (DESIGN.md §10) -------------

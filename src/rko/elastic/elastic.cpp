@@ -127,6 +127,24 @@ void Elastic::check_leases() {
     }
 }
 
+void Elastic::watch_leases() {
+    if (k_.node().dead()) return;
+    watch_since_ = k_.engine().now();
+    if (k_.balancer() != nullptr) k_.balancer()->doorbell();
+}
+
+bool Elastic::watching_leases() const {
+    if (watch_since_ < 0) return false;
+    for (const topo::KernelId peer : k_.fabric().peers_of(k_.id())) {
+        const Nanos seen = last_seen_[static_cast<std::size_t>(peer)];
+        if (state_[static_cast<std::size_t>(peer)] == PeerState::kAlive && seen >= 0 &&
+            seen < watch_since_) {
+            return true;
+        }
+    }
+    return false;
+}
+
 void Elastic::declare_dead(topo::KernelId subject, bool broadcast) {
     if (subject == k_.id()) return;
     if (state_[static_cast<std::size_t>(subject)] != PeerState::kAlive) return;

@@ -110,6 +110,13 @@ public:
     /// Runs on the balancer's tick actor (it may park in the probe rpc).
     void check_leases();
     Nanos lease_duration() const;
+    /// A kernel was killed (host side, api::Machine::kill_kernel). Idle
+    /// kernels park instead of renewing leases that every one of them
+    /// would renew, so the kill wakes this kernel's lease checker: its
+    /// balancer ticks until every peer it holds a lease on has renewed it
+    /// since now or been declared dead (watching_leases).
+    void watch_leases();
+    bool watching_leases() const;
 
     // --- Host-side requests (api::Machine); executed by the reaper ---
     void request_kill();
@@ -172,6 +179,8 @@ private:
                                         race::ShadowCell::Policy::kRacyOk};
     /// Virtual time each peer was last heard from; -1 = never (no lease yet).
     std::array<Nanos, static_cast<std::size_t>(topo::kMaxKernels)> last_seen_{};
+    /// The last kill's time (watch_leases); -1 = none.
+    Nanos watch_since_ = -1;
     std::deque<topo::KernelId> dead_queue_;
     /// One inherited home shard awaiting its census rebuild.
     struct HomeRebuild {

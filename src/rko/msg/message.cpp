@@ -18,6 +18,7 @@ const char* msg_type_name(MsgType type) {
     case MsgType::kPageFault: return "page_fault";
     case MsgType::kPageFetch: return "page_fetch";
     case MsgType::kPageInstalled: return "page_installed";
+    case MsgType::kPageForward: return "page_forward";
     case MsgType::kFutexWait: return "futex_wait";
     case MsgType::kFutexWake: return "futex_wake";
     case MsgType::kFutexGrant: return "futex_grant";

@@ -40,6 +40,8 @@ enum class MsgType : std::uint16_t {
     kPageFetch,         ///< directory -> holder: a page list's bytes, a reply each,
                         ///< optionally dropping each copy (leaf)
     kPageInstalled,     ///< requester -> directory: install done, commit (nb)
+    kPageForward,       ///< directory -> owner: hand a migratory page to the
+                        ///< requester yourself, on its ticket (oneway, leaf)
     // Distributed futex (core/dfutex)
     kFutexWait,         ///< queue a waiter at the origin futex table (blk)
     kFutexWake,         ///< wake up to n waiters at origin (blk)
@@ -94,6 +96,9 @@ struct Message {
     /// Tracing flow id correlating this send with its remote dispatch;
     /// 0 = untraced. Simulation metadata like ready_at.
     std::uint64_t trace_flow = 0;
+    /// Virtual time a blocking handler's message joined the kworker queue
+    /// (msg.kworker_queue_ns). Simulation metadata like ready_at.
+    Nanos queued_at = 0;
     std::array<std::byte, kMaxPayload> payload;
 
     template <typename T>

@@ -170,11 +170,10 @@ MessagePtr Node::rpc_timed(KernelId dst, MessagePtr request, Nanos timeout,
         self.park_for(remaining);
     }
     if (slot.outstanding > 0 && !dead_) {
-        // Timed out: withdraw the ticket and tombstone it so the late reply
-        // (if the peer is merely slow, not dead) is dropped, not asserted.
+        // Timed out: withdraw the ticket, so the late reply (if the peer is
+        // merely slow, not dead) is dropped, not asserted.
         pending_.erase(ticket);
         ticket_dst_.erase(ticket);
-        cancelled_.insert(ticket);
         ++rpc_failures_;
         RKO_ASSERT_MSG(status != nullptr,
                        "rpc timed out and the caller cannot handle it");
@@ -285,9 +284,13 @@ void Node::reply(const Message& request, MessagePtr response) {
 
 void Node::reply_part(const Message& request, std::uint32_t part, MessagePtr response) {
     RKO_ASSERT(request.hdr.kind == MsgKind::kRequest);
+    reply_to(request.hdr.src, request.hdr.ticket + part, std::move(response));
+}
+
+void Node::reply_to(KernelId dst, std::uint64_t ticket, MessagePtr response) {
     response->hdr.kind = MsgKind::kReply;
-    response->hdr.ticket = request.hdr.ticket + part;
-    send(request.hdr.src, std::move(response));
+    response->hdr.ticket = ticket;
+    send(dst, std::move(response));
 }
 
 void Node::complete_reply(MessagePtr message) {
@@ -295,9 +298,10 @@ void Node::complete_reply(MessagePtr message) {
     auto it = pending_.find(ticket);
     if (it == pending_.end()) {
         // A reply can legitimately outlive its ticket: rpc_timed withdrew
-        // it, or peer-death failed it while the reply (sent pre-death) was
-        // already in flight. Both tombstone the ticket; drop the straggler.
-        RKO_ASSERT_MSG(cancelled_.erase(ticket) != 0, "reply for unknown ticket");
+        // it, peer death failed it while the reply (sent pre-death) was
+        // already in flight, or a delegate and the kernel that forwarded
+        // the request both answered it. Drop the straggler.
+        RKO_ASSERT_MSG(ticket < next_ticket_, "reply for a ticket never issued");
         ++dead_letters_;
         return;
     }
@@ -334,7 +338,6 @@ void Node::fail_ticket(std::uint64_t ticket, RpcStatus status) {
     PendingReply* slot = it->second;
     pending_.erase(it);
     ticket_dst_.erase(ticket);
-    cancelled_.insert(ticket); // drop the reply if it was already in flight
     slot->status = status;
     ++rpc_failures_;
     land_part(*slot, ticket, nullptr); // a scatter slot's reply entry stays null
@@ -458,6 +461,7 @@ void Node::route(MessagePtr message) {
         leaf_pool_.idle.notify_one();
         return;
     case HandlerClass::kBlocking:
+        message->queued_at = engine_.now();
         blocking_pool_.queue.push_back(std::move(message));
         blocking_pool_.idle.notify_one();
         return;
@@ -476,6 +480,9 @@ void Node::worker_body(sim::Actor& self, Pool& pool) {
         if (dead_) {
             ++dead_letters_;
             continue;
+        }
+        if (&pool == &blocking_pool_) {
+            kworker_queue_.add(engine_.now() - message->queued_at);
         }
         const HandlerEntry& entry =
             handlers_[static_cast<std::size_t>(message->hdr.type)];

@@ -108,6 +108,13 @@ public:
     /// (a scatter item posted with ScatterItem::replies > part). Each part
     /// is one message; the parts fill consecutive result slots.
     void reply_part(const Message& request, std::uint32_t part, MessagePtr response);
+    /// Sends `response` as the reply to ticket `ticket` of kernel `dst`,
+    /// for a request that was forwarded with its requester and ticket: the
+    /// delegate it was forwarded to answers it, and so may the kernel that
+    /// forwarded it, in the delegate's place. The requester takes the first
+    /// reply on a ticket; a later one is dropped and counted in
+    /// dead_letters.
+    void reply_to(KernelId dst, std::uint64_t ticket, MessagePtr response);
 
     /// Sends `request` to every kernel in `dsts` and parks until all
     /// replies arrive; returns them in dst order. The request is copied per
@@ -186,7 +193,8 @@ public:
     /// only once this drops to zero.
     int handlers_running() const { return handlers_running_; }
 
-    /// Messages dropped because this node or the destination was dead.
+    /// Messages dropped because this node or the destination was dead, and
+    /// replies on tickets that had already completed or failed.
     std::uint64_t dead_letters() const { return dead_letters_; }
     /// Rpc tickets that failed (peer death or timeout) instead of replying.
     std::uint64_t rpc_failures() const { return rpc_failures_; }
@@ -197,6 +205,9 @@ public:
     }
     std::uint64_t total_dispatched() const;
     const base::Histogram& delivery_latency() const { return delivery_latency_; }
+    /// How long each blocking handler's message waited in the queue for a
+    /// free kworker (msg.kworker_queue_ns): queueing at a busy home.
+    const base::Histogram& kworker_queue() const { return kworker_queue_; }
     // Scatter-gather accounting (rpc_all and rpc_scatter; msg.scatter.* in
     // Machine::collect_metrics): batches posted, total requests in them,
     // the fan-out distribution, and the overlapped wait per batch — what a
@@ -286,7 +297,6 @@ private:
     std::unordered_map<std::uint64_t, PendingReply*> pending_;
     std::unordered_map<std::uint64_t, std::size_t> ticket_index_; // scatter result slot
     std::unordered_map<std::uint64_t, KernelId> ticket_dst_;      // for fail_pending
-    std::unordered_set<std::uint64_t> cancelled_; // timed-out tickets: drop late replies
     std::unordered_set<KernelId> dead_peers_;
     bool dead_ = false;
     std::uint64_t dead_letters_ = 0;
@@ -295,6 +305,7 @@ private:
 
     std::array<std::uint64_t, kNumMsgTypes> dispatched_{};
     base::Histogram delivery_latency_;
+    base::Histogram kworker_queue_;
     std::uint64_t scatter_batches_ = 0;
     std::uint64_t scatter_posts_ = 0;
     base::Histogram scatter_fanout_;

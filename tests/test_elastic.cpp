@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "rko/api/machine.hpp"
+#include "rko/check/invariants.hpp"
+#include "rko/smp/smp.hpp"
 
 namespace rko::api {
 namespace {
@@ -107,6 +109,46 @@ TEST(Elastic, KillLosesSoleCopiesAndRehomesDirectory) {
     machine.run();
     process.check_all_joined();
     EXPECT_EQ(observed, 0u); // the sole copy died with k2: zero-fill
+}
+
+// A kill after the machine went quiet: no guest thread runs past it, so
+// every survivor's balancer is parked and gossips nothing. The survivors
+// must still notice the silence, probe, declare k1 dead and strip it from
+// the directory, or the pages it wrote keep naming a dead holder.
+TEST(Elastic, KillAfterQuiesceIsStillDeclared) {
+    constexpr int kPages = 8;
+    MachineConfig config = smp::popcorn_config(8, 4);
+    config.balance.policy = balance::Policy::kIdleSteal;
+    config.balance.period = 20_us;
+    config.elastic.enabled = true;
+    config.elastic.lease_misses = 4;
+    config.check = false; // audited below, so a finding fails, not aborts
+    Machine machine(config);
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    auto& init = process.spawn([&](Guest& g) { buf = g.mmap(kPages * kPageSize); }, 0);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            for (int i = 0; i < kPages; ++i) {
+                g.write<std::uint32_t>(buf + static_cast<Vaddr>(i) * kPageSize, 1);
+            }
+        },
+        1);
+    machine.run();
+    process.check_all_joined();
+    const Nanos killed_at = machine.now();
+    machine.kill_kernel(1);
+    machine.run();
+
+    for (const topo::KernelId k : {0, 2, 3}) {
+        EXPECT_FALSE(machine.kernel(k).elastic()->alive(1)) << "survivor k" << k;
+    }
+    // Detected by lease expiry and a timed-out probe, not sooner.
+    EXPECT_GE(machine.now() - killed_at,
+              config.elastic.lease_misses * config.balance.period);
+    const check::Report report = check::run_all(machine);
+    EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 // Two waiters block on one futex word homed at k0 — one from k1, one from

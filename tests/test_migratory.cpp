@@ -2,12 +2,17 @@
 // then write is handed over in one directory transaction. The home marks
 // it when a kernel upgrades a page its own read just took from the last
 // writer, serves later guest read faults on it as ownership transfers, and
-// reverts it when a grant finds the owner never stored to the page. Kernel
-// peeks (the futex path reading a user word) take no part.
+// reverts it when a grant finds the owner never stored to the page. A grant
+// whose owner is a third kernel goes one hop: the owner hands the page to
+// the requester itself, and a kill of any of the three kernels mid-grant
+// leaves the directory consistent. Kernel peeks (the futex path reading a
+// user word) take no part.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "rko/api/machine.hpp"
@@ -30,6 +35,7 @@ struct PageCounters {
     std::uint64_t home_msgs = 0;
     std::uint64_t grants = 0;
     std::uint64_t reverts = 0;
+    std::uint64_t forwarded = 0;
 };
 
 PageCounters page_counters(Machine& machine) {
@@ -39,22 +45,24 @@ PageCounters page_counters(Machine& machine) {
         c.home_msgs += pages.home_msgs();
         c.grants += pages.migratory_grants();
         c.reverts += pages.migratory_reverts();
+        c.forwarded += pages.migratory_forwarded();
     }
     return c;
 }
 
-api::MachineConfig four_kernels() {
-    auto config = smp::popcorn_config(8, 4);
+api::MachineConfig kernels(int n) {
+    auto config = smp::popcorn_config(2 * n, n);
     config.home_shards = 1; // one home: every transaction counted once
     return config;
 }
 
-/// Four kernels take turns, kRounds times each, to read and then write
-/// their own slot of one page: `count += 1` on a false-shared page. The
-/// turns are spaced far enough apart that each one is a handoff. Returns
-/// the directory transactions the handoffs cost.
-PageCounters run_turns(int rounds, std::array<std::uint64_t, 4>* slots) {
-    Machine machine(four_kernels());
+/// The kernels in `writers` take turns, kRounds times each, to read and
+/// then write their own slot of one page homed at k0: `count += 1` on a
+/// false-shared page. The turns are spaced far enough apart that each one
+/// is a handoff. Returns the directory transactions the handoffs cost.
+PageCounters run_turns(int rounds, const std::array<topo::KernelId, 4>& writers,
+                       std::array<std::uint64_t, 4>* slots) {
+    Machine machine(kernels(1 + *std::max_element(writers.begin(), writers.end())));
     auto& process = machine.create_process(0);
     Vaddr page = 0;
     auto& init = process.spawn([&](Guest& g) { page = g.mmap(kPageSize); }, 0);
@@ -76,7 +84,7 @@ PageCounters run_turns(int rounds, std::array<std::uint64_t, 4>* slots) {
                     g.compute(100_us);
                 }
             },
-            static_cast<topo::KernelId>(k));
+            writers[static_cast<std::size_t>(k)]);
     }
     machine.run();
     process.check_all_joined();
@@ -87,19 +95,19 @@ PageCounters run_turns(int rounds, std::array<std::uint64_t, 4>* slots) {
                     g.read<std::uint64_t>(page + static_cast<Vaddr>(k) * 64);
             }
         },
-        0);
+        writers[0]);
     machine.run();
     process.check_all_joined();
     EXPECT_TRUE(check::run_all(machine).ok());
     const PageCounters after = page_counters(machine);
     return {after.home_msgs - before.home_msgs, after.grants - before.grants,
-            after.reverts - before.reverts};
+            after.reverts - before.reverts, after.forwarded - before.forwarded};
 }
 
 TEST(Pages, MigratoryHandoffIsOneTransaction) {
     constexpr int kRounds = 12;
     std::array<std::uint64_t, 4> slots{};
-    const PageCounters c = run_turns(kRounds, &slots);
+    const PageCounters c = run_turns(kRounds, {0, 1, 2, 3}, &slots);
     for (int k = 0; k < 4; ++k) {
         EXPECT_EQ(slots[static_cast<std::size_t>(k)], static_cast<std::uint64_t>(kRounds))
             << "slot " << k;
@@ -114,31 +122,57 @@ TEST(Pages, MigratoryHandoffIsOneTransaction) {
     EXPECT_EQ(c.reverts, 0u);
     EXPECT_LE(static_cast<double>(c.home_msgs), 1.5 * static_cast<double>(handoffs))
         << c.home_msgs << " home transactions for " << handoffs << " handoffs";
+    // A grant goes one hop only between two kernels that are not the home:
+    // half the handoffs here have k0 at one end.
+    EXPECT_GT(c.forwarded, 0u);
+    EXPECT_LT(c.forwarded, c.grants);
+}
+
+// The same turns with a home that never writes: every grant is between two
+// other kernels, so the owner hands the page straight to the next writer
+// and answers its fault on its ticket (DESIGN §17, "One hop").
+TEST(Pages, ThirdPartyHandoffGoesOneHop) {
+    constexpr int kRounds = 12;
+    std::array<std::uint64_t, 4> slots{};
+    const PageCounters c = run_turns(kRounds, {1, 2, 3, 4}, &slots);
+    for (int k = 0; k < 4; ++k) {
+        EXPECT_EQ(slots[static_cast<std::size_t>(k)], static_cast<std::uint64_t>(kRounds))
+            << "slot " << k;
+    }
+    const std::uint64_t handoffs = 4 * kRounds - 1;
+    EXPECT_GE(c.grants, handoffs - 2);
+    EXPECT_EQ(c.forwarded, c.grants);
+    EXPECT_EQ(c.reverts, 0u);
+    EXPECT_LE(static_cast<double>(c.home_msgs), 1.5 * static_cast<double>(handoffs));
 }
 
 // Once a migratory page's owner stops storing, readers must get their
 // replicas back: the first grant that finds a clean owner reverts the
-// page, and from then on readers share it.
-TEST(Pages, SpinningReadersRevertMigratory) {
+// page, and from then on readers share it. Threads on `writer_kernels`
+// take turns to read then write, then threads on `spinner_kernels` only
+// read; the page is homed at k0. Returns the counters the spin phase added.
+PageCounters spinning_readers_revert(int nkernels,
+                                     const std::array<topo::KernelId, 2>& writer_kernels,
+                                     const std::array<topo::KernelId, 2>& spinner_kernels) {
     constexpr int kSpins = 60;
-    Machine machine(four_kernels());
+    Machine machine(kernels(nkernels));
     auto& process = machine.create_process(0);
     Vaddr page = 0;
     auto& init = process.spawn([&](Guest& g) { page = g.mmap(kPageSize); }, 0);
-    // Kernels 0 and 1 take turns to read then write: migratory.
+    // The writers take turns to read then write: migratory.
     std::vector<Thread*> writers;
-    for (int k = 0; k < 2; ++k) {
+    for (int w = 0; w < 2; ++w) {
         writers.push_back(&process.spawn(
-            [&, k](Guest& g) {
+            [&, w](Guest& g) {
                 g.join(init);
-                g.compute(static_cast<Nanos>(k) * 25_us);
+                g.compute(static_cast<Nanos>(w) * 25_us);
                 for (int r = 0; r < 4; ++r) {
-                    const Vaddr slot = page + static_cast<Vaddr>(k) * 64;
+                    const Vaddr slot = page + static_cast<Vaddr>(w) * 64;
                     g.write<std::uint64_t>(slot, g.read<std::uint64_t>(slot) + 1);
                     g.compute(50_us);
                 }
             },
-            static_cast<topo::KernelId>(k)));
+            writer_kernels[static_cast<std::size_t>(w)]));
     }
     PageCounters at_spin;
     auto& gate = process.spawn(
@@ -147,22 +181,23 @@ TEST(Pages, SpinningReadersRevertMigratory) {
             at_spin = page_counters(machine);
         },
         0);
-    // Then kernels 2 and 3 only read it, over and over.
-    std::array<std::uint64_t, 4> spinner_faults{};
-    for (int k = 2; k < 4; ++k) {
+    // Then the spinners only read it, over and over.
+    std::array<std::uint64_t, 2> spinner_faults{};
+    for (int i = 0; i < 2; ++i) {
+        const topo::KernelId k = spinner_kernels[static_cast<std::size_t>(i)];
         process.spawn(
-            [&, k](Guest& g) {
+            [&, i, k](Guest& g) {
                 g.join(gate);
-                g.compute(static_cast<Nanos>(k - 2) * 5_us);
+                g.compute(static_cast<Nanos>(i) * 5_us);
                 const std::uint64_t f0 = machine.kernel(k).pages().remote_faults();
-                for (int i = 0; i < kSpins; ++i) {
+                for (int n = 0; n < kSpins; ++n) {
                     EXPECT_EQ(g.read<std::uint64_t>(page), 4u);
                     g.compute(2_us);
                 }
-                spinner_faults[static_cast<std::size_t>(k)] =
+                spinner_faults[static_cast<std::size_t>(i)] =
                     machine.kernel(k).pages().remote_faults() - f0;
             },
-            static_cast<topo::KernelId>(k));
+            k);
     }
     machine.run();
     process.check_all_joined();
@@ -175,17 +210,238 @@ TEST(Pages, SpinningReadersRevertMigratory) {
     // that spinner clean and reverted the page. No grant after that.
     EXPECT_EQ(end.reverts, 1u);
     EXPECT_LE(end.grants - at_spin.grants, 2u);
-    for (int k = 2; k < 4; ++k) {
-        EXPECT_LE(spinner_faults[static_cast<std::size_t>(k)], 2u) << "kernel " << k;
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_LE(spinner_faults[static_cast<std::size_t>(i)], 2u) << "spinner " << i;
     }
     // Both spinners end with a replica.
     const std::uint64_t vpn = mem::vpn_of(page);
     const core::PageDirEntry& entry =
         machine.kernel(0).site(process.pid()).dir_shard(vpn).entries.at(vpn);
     EXPECT_EQ(entry.state, core::PageDirEntry::State::kShared);
-    EXPECT_TRUE(entry.holds(2));
-    EXPECT_TRUE(entry.holds(3));
+    for (const topo::KernelId k : spinner_kernels) EXPECT_TRUE(entry.holds(k));
     EXPECT_FALSE(entry.migratory);
+    return {end.home_msgs - at_spin.home_msgs, end.grants - at_spin.grants,
+            end.reverts - at_spin.reverts, end.forwarded - at_spin.forwarded};
+}
+
+TEST(Pages, SpinningReadersRevertMigratory) {
+    spinning_readers_revert(4, {0, 1}, {2, 3});
+}
+
+// The same with a home that neither writes nor spins: both spin-phase
+// grants go one hop, so the second spinner's grant learns that the first
+// spinner was clean from the owner's answer, and only its confirm can
+// carry that to the home.
+TEST(Pages, SpinningReadersRevertForwardedMigratory) {
+    const PageCounters spin = spinning_readers_revert(5, {1, 2}, {3, 4});
+    EXPECT_GT(spin.grants, 0u);
+    EXPECT_EQ(spin.forwarded, spin.grants);
+}
+
+/// The kernels of a forwarded grant: `reader` read-faults on a migratory
+/// page Exclusive at `owner`, homed at `home`.
+struct GrantRoles {
+    topo::KernelId home;
+    topo::KernelId owner;
+    topo::KernelId reader;
+};
+
+/// One run of a forwarded grant, with `victim` (-1: none) killed at `kill_at`.
+struct ForwardRun {
+    Nanos read_start = -1; ///< when the reader's probe read began
+    Nanos read_end = -1;   ///< ...and when it returned
+    std::uint64_t seen = ~std::uint64_t{0}; ///< what the probe read
+    int reader_exit = -1;
+    bool hung = false; ///< the probe read had not returned 2 ms after the kill
+    /// Survivors mapping the page once the run settles, before `final`.
+    int mappers = 0;
+    /// The owner took the home's kPageForward off its fabric.
+    bool forward_dispatched = false;
+    std::uint64_t forwarded = 0;
+    std::uint64_t final = ~std::uint64_t{0}; ///< a read at k0 afterwards
+    std::string audit;                       ///< empty when the audits pass
+};
+
+/// The value the turns leave in the page before the probe read.
+constexpr std::uint64_t kLastValue = 3;
+
+/// The owner and the reader take turns to read then write one page until
+/// it is migratory and Exclusive, and dirty, at the owner (value
+/// kLastValue); then the reader reads it, a grant the home forwards to the
+/// owner. k0 is the origin and, unsharded, the home; with home_shards > 1
+/// the page is the first of its region homed at `roles.home`.
+ForwardRun forwarded_grant(int home_shards, const GrantRoles& roles,
+                           topo::KernelId victim, Nanos kill_at) {
+    auto config = smp::popcorn_config(8, 4, 4 * 1024);
+    config.home_shards = home_shards;
+    config.balance.policy = balance::Policy::kIdleSteal;
+    config.balance.period = 20_us;
+    config.elastic.enabled = true;
+    config.elastic.lease_misses = 4;
+    config.check = false; // audited below, so a finding fails, not aborts
+    Machine machine(config);
+    auto& process = machine.create_process(0);
+    ForwardRun run;
+    Vaddr page = 0;
+    auto& init = process.spawn(
+        [&](Guest& g) {
+            const Vaddr buf = g.mmap(64 * kPageSize);
+            core::ProcessSite& site = machine.kernel(0).site(process.pid());
+            for (page = buf; machine.kernel(0).pages().home_of(site, page) != roles.home;
+                 page += kPageSize) {
+            }
+        },
+        0);
+    const auto turn = [&](Thread& after, topo::KernelId k) -> Thread& {
+        return process.spawn(
+            [&page, &after](Guest& g) {
+                g.join(after);
+                g.write<std::uint64_t>(page, g.read<std::uint64_t>(page) + 1);
+            },
+            k);
+    };
+    // First touch by the owner, then a read-then-write turn each: the
+    // reader's upgrade marks the page, and the owner's read is a grant.
+    Thread& last = turn(turn(turn(init, roles.owner), roles.reader), roles.owner);
+    Thread& reader = process.spawn(
+        [&](Guest& g) {
+            g.join(last);
+            g.compute(20_us);
+            g.flush_timing();
+            run.read_start = g.now();
+            run.seen = g.read<std::uint64_t>(page);
+            g.flush_timing();
+            run.read_end = g.now();
+        },
+        roles.reader);
+    if (victim >= 0) {
+        machine.run_until(kill_at);
+        machine.kill_kernel(victim);
+    }
+    // Bounded: a fault nobody answers must fail the test, not hang it. A
+    // stuck reader is unwound by killing its kernel too.
+    machine.run_until(machine.now() + 2_ms);
+    run.hung = !reader.finished();
+    if (run.hung) machine.kill_kernel(roles.reader);
+    machine.run();
+    process.check_all_joined();
+    run.reader_exit = reader.exit_status();
+    run.forward_dispatched =
+        machine.kernel(roles.owner).node().dispatched(msg::MsgType::kPageForward) > 0;
+    for (topo::KernelId k = 0; k < machine.nkernels(); ++k) {
+        run.forwarded += machine.kernel(k).pages().migratory_forwarded();
+        if (k == victim || !machine.kernel(k).has_site(process.pid())) continue;
+        const mem::Pte* pte =
+            machine.kernel(k).site(process.pid()).space().page_table().find(page);
+        if (pte != nullptr && pte->present) ++run.mappers;
+    }
+    process.spawn([&](Guest& g) { run.final = g.read<std::uint64_t>(page); }, 0);
+    machine.run();
+    process.check_all_joined();
+    const check::Report report = check::run_all(machine);
+    if (!report.ok()) run.audit = report.to_string();
+    return run;
+}
+
+/// Kill times 100 ns apart across the reader's probe read of `base`, from
+/// 1 us before it to 1 us after it.
+std::vector<Nanos> kill_times(const ForwardRun& base) {
+    std::vector<Nanos> times;
+    for (Nanos at = base.read_start - 1_us; at <= base.read_end + 1_us; at += 100) {
+        times.push_back(at);
+    }
+    return times;
+}
+
+constexpr GrantRoles kOriginHome{0, 1, 2};
+
+TEST(Pages, ForwardedGrantNeedsNoKill) {
+    const ForwardRun run = forwarded_grant(1, kOriginHome, -1, 0);
+    EXPECT_FALSE(run.hung);
+    EXPECT_EQ(run.seen, kLastValue);
+    EXPECT_EQ(run.final, kLastValue);
+    EXPECT_TRUE(run.forward_dispatched);
+    EXPECT_EQ(run.forwarded, 2u); // the owner's turn and the probe read
+    EXPECT_EQ(run.audit, "");
+}
+
+// The owner dies at each point of the grant. Before it hands the page over,
+// its copy dies with it: the home answers the reader's ticket with a cancel
+// once it declares the owner dead, the reader confirms that it installed
+// nothing, and refaults a zero page. From the moment the owner's answer is
+// on the wire, the reader installs the page's last value. Either way the
+// fault never hangs and the directory ends consistent.
+TEST(Pages, ForwardedGrantSurvivesOwnerDeath) {
+    const ForwardRun base = forwarded_grant(1, kOriginHome, -1, 0);
+    int cancelled = 0;
+    int granted = 0;
+    for (const Nanos at : kill_times(base)) {
+        const ForwardRun run = forwarded_grant(1, kOriginHome, kOriginHome.owner, at);
+        SCOPED_TRACE(testing::Message() << "owner killed at " << at);
+        EXPECT_FALSE(run.hung);
+        EXPECT_EQ(run.reader_exit, 0);
+        EXPECT_EQ(run.audit, "");
+        if (run.seen == kLastValue) {
+            ++granted;
+        } else {
+            EXPECT_EQ(run.seen, 0u); // the only copy died with the owner
+            EXPECT_EQ(granted, 0) << "a later kill lost a grant an earlier one kept";
+            ++cancelled;
+        }
+        EXPECT_EQ(run.final, run.seen);
+    }
+    EXPECT_GT(cancelled, 0);
+    EXPECT_GT(granted, 0);
+}
+
+// The reader dies at each point of the grant. Its parked install is rolled
+// back as for any fault. Once its fault reached the home, the owner hands
+// its copy to the corpse and the page is lost, as a relayed grant loses
+// it; before, the owner keeps it.
+TEST(Pages, ForwardedGrantSurvivesReaderDeath) {
+    const ForwardRun base = forwarded_grant(1, kOriginHome, -1, 0);
+    int kept = 0;
+    int lost = 0;
+    for (const Nanos at : kill_times(base)) {
+        const ForwardRun run = forwarded_grant(1, kOriginHome, kOriginHome.reader, at);
+        SCOPED_TRACE(testing::Message() << "reader killed at " << at);
+        EXPECT_EQ(run.audit, "");
+        if (run.final == kLastValue) {
+            EXPECT_EQ(lost, 0) << "a later kill kept a page an earlier one lost";
+            ++kept;
+        } else {
+            EXPECT_EQ(run.final, 0u);
+            ++lost;
+        }
+    }
+    EXPECT_GT(kept, 0);
+    EXPECT_GT(lost, 0);
+}
+
+// A sharded home dies at each point of the grant. The reader's ticket fails
+// with it, and the survivor that inherits the shard rebuilds the entry from
+// a census that waits out grants in flight. The census names the page once:
+// at the reader if the owner's answer was on the wire, else at the owner,
+// and the reader's retry then shares it. The last value survives every kill.
+TEST(Pages, ForwardedGrantSurvivesShardedHomeDeath) {
+    constexpr GrantRoles kRoles{3, 1, 2};
+    const ForwardRun base = forwarded_grant(4, kRoles, -1, 0);
+    ASSERT_TRUE(base.forward_dispatched);
+    int before = 0;
+    int after = 0;
+    for (const Nanos at : kill_times(base)) {
+        const ForwardRun run = forwarded_grant(4, kRoles, kRoles.home, at);
+        SCOPED_TRACE(testing::Message() << "home killed at " << at);
+        EXPECT_FALSE(run.hung);
+        EXPECT_EQ(run.reader_exit, 0);
+        EXPECT_EQ(run.seen, kLastValue);
+        EXPECT_EQ(run.final, kLastValue);
+        EXPECT_EQ(run.audit, "");
+        EXPECT_EQ(run.mappers, run.forward_dispatched ? 1 : 2);
+        ++(run.forward_dispatched ? after : before);
+    }
+    EXPECT_GT(before, 0);
+    EXPECT_GT(after, 0);
 }
 
 // A guest read of a migratory page stays an ownership grant when it is a
@@ -196,7 +452,7 @@ TEST(Pages, MigratoryPageInHomeStreakIsGranted) {
     // With a window of 8 the stream's faults from the third on land at
     // pages 2, 10, 18 and 26, each opening a window.
     constexpr int kHot = 10;
-    auto config = four_kernels();
+    auto config = kernels(4);
     config.prefetch_window = 8;
     Machine machine(config);
     auto& process = machine.create_process(0);
@@ -270,7 +526,7 @@ TEST(Pages, FoldedHomeReadFeedsMigratoryDetector) {
     // pages after that window land by read-ahead, not by a streak fault.
     constexpr int kFolded = 2;
     constexpr int kWindowPage = 3;
-    auto config = four_kernels();
+    auto config = kernels(4);
     config.prefetch_window = 8;
     Machine machine(config);
     auto& process = machine.create_process(0);

@@ -433,6 +433,75 @@ TEST(Node, BlockingHandlersRunConcurrentlyOnWorkerPool) {
     h.finish();
 }
 
+TEST(Node, KworkerQueueWaitIsMeasured) {
+    // Six slow blocking handlers land together on a node with four
+    // kworkers: two of them wait about a handler's time for a free one.
+    FabricConfig config;
+    config.nworkers_per_node = 4;
+    Harness h(2, config);
+    h.fabric->node(1).register_handler(
+        MsgType::kVmaOp, HandlerClass::kBlocking, [&](Node& node, MessagePtr m) {
+            h.engine.current().sleep_for(100_us);
+            node.reply(*m, make_message(MsgType::kVmaOp, MsgKind::kReply,
+                                        m->payload_as<PingPayload>()));
+        });
+    h.start();
+    std::vector<std::unique_ptr<Actor>> apps;
+    for (int i = 0; i < 6; ++i) {
+        apps.push_back(std::make_unique<Actor>(h.engine, "app", [&, i](Actor&) {
+            h.fabric->node(0).rpc(1, make_message(MsgType::kVmaOp, MsgKind::kRequest,
+                                                  PingPayload{i}));
+        }));
+        apps.back()->start();
+    }
+    h.engine.run_until(10_ms);
+    const base::Histogram& wait = h.fabric->node(1).kworker_queue();
+    EXPECT_EQ(wait.count(), 6u);
+    EXPECT_GE(wait.max(), 90_us);
+    EXPECT_EQ(h.fabric->node(0).kworker_queue().count(), 0u); // replies never queue
+    h.finish();
+}
+
+TEST(Node, DelegateAnswersOnRequesterTicketAndLateReplyIsDropped) {
+    // k1 forwards k0's request to k2 with k0's ticket; k2 answers it at
+    // once, and k1 answers it too, later. k0 takes the delegate's reply;
+    // the second reply on the completed ticket is dropped and counted.
+    struct Forwarded {
+        KernelId requester;
+        std::uint64_t ticket;
+    };
+    Harness h(3);
+    h.fabric->node(1).register_handler(
+        MsgType::kVmaOp, HandlerClass::kBlocking, [&](Node& node, MessagePtr m) {
+            node.send(2, make_message(MsgType::kTaskExit, MsgKind::kOneway,
+                                      Forwarded{m->hdr.src, m->hdr.ticket}));
+            h.engine.current().sleep_for(50_us);
+            node.reply(*m, make_message(MsgType::kVmaOp, MsgKind::kReply, PingPayload{1}));
+        });
+    h.fabric->node(2).register_handler(
+        MsgType::kTaskExit, HandlerClass::kInline, [&](Node& node, MessagePtr m) {
+            const auto& fwd = m->payload_as<Forwarded>();
+            node.reply_to(fwd.requester, fwd.ticket,
+                          make_message(MsgType::kVmaOp, MsgKind::kReply, PingPayload{2}));
+        });
+    h.start();
+    int answer = 0;
+    KernelId answered_by = -1;
+    Actor app(h.engine, "app", [&](Actor&) {
+        MessagePtr reply = h.fabric->node(0).rpc(
+            1, make_message(MsgType::kVmaOp, MsgKind::kRequest, PingPayload{0}));
+        answer = reply->payload_as<PingPayload>().value;
+        answered_by = reply->hdr.src;
+    });
+    app.start();
+    h.engine.run_until(5_ms);
+    EXPECT_EQ(answer, 2);
+    EXPECT_EQ(answered_by, 2);
+    EXPECT_EQ(h.fabric->node(0).pending_replies(), 0u);
+    EXPECT_EQ(h.fabric->node(0).dead_letters(), 1u); // k1's late reply
+    h.finish();
+}
+
 TEST(Node, RpcScatterHeterogeneousPayloadsCollectInItemOrder) {
     // Unlike rpc_all (one request copied to every destination), rpc_scatter
     // ships a DIFFERENT message per item; replies land in item order.

@@ -99,9 +99,11 @@ int main(int argc, char** argv) {
                     stats.replay_mismatches, stats.content_mismatches,
                     stats.ok() ? "OK" : "FAIL");
         if (stats.migratory_grants != 0 || stats.migratory_reverts != 0) {
-            std::printf("%-24s migratory grants/run=%.2f reverts/run=%.2f\n", "",
-                        static_cast<double>(stats.migratory_grants) / stats.runs,
-                        static_cast<double>(stats.migratory_reverts) / stats.runs);
+            std::printf("%-24s migratory grants/run=%.2f reverts/run=%.2f "
+                        "forwarded/run=%.2f\n",
+                        "", static_cast<double>(stats.migratory_grants) / stats.runs,
+                        static_cast<double>(stats.migratory_reverts) / stats.runs,
+                        static_cast<double>(stats.migratory_forwarded) / stats.runs);
         }
         if (stats.first_touch_grants != 0) {
             std::printf("%-24s first-touch grants/run=%.2f\n", "",
