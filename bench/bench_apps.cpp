@@ -77,6 +77,12 @@ int main(int argc, char** argv) {
     const bench::Args args(argc, argv);
     bench::Reporter report(args, "bench_apps");
     const bool quick = args.quick();
+    // --seed (default 1) draws IS's keys and seeds each IS machine.
+    const std::uint64_t seed = args.seed();
+    const auto seeded = [seed](api::MachineConfig config) {
+        config.seed = seed;
+        return config;
+    };
 
     std::printf("E7: application benchmarks (virtual time; lower is better)\n");
 
@@ -87,9 +93,10 @@ int main(int argc, char** argv) {
             apps::IsConfig config;
             config.nthreads = cores;
             config.nkeys = quick ? 1u << 14 : 1u << 16;
-            Machine smp_machine(smp::smp_config(cores));
+            config.seed = seed;
+            Machine smp_machine(seeded(smp::smp_config(cores)));
             const Nanos smp_time = apps::is_sort(smp_machine, config);
-            Machine pop_machine(smp::popcorn_config(cores, kernels_for(cores)));
+            Machine pop_machine(seeded(smp::popcorn_config(cores, kernels_for(cores))));
             const Nanos pop_time = apps::is_sort(pop_machine, config);
             table.add_row({fmt("%d", cores), fmt_ns(smp_time), fmt_ns(pop_time),
                            fmt("%.2f", static_cast<double>(pop_time) /

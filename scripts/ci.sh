@@ -25,13 +25,14 @@
 #                (the kRetry paths); failures print the offending seed and
 #                its repro line
 #   7. bench:    quick page-fault + rebalance + futex + migration +
-#                mmap-scale + apps + messaging + spawn benches vs the
+#                mmap-scale + apps + messaging + spawn benches, and
+#                bench_apps at the full size EXPERIMENTS E7 cites, vs the
 #                committed baselines — virtual time is exactly
 #                reproducible, so any >10% drift in a key protocol latency
 #                (for bench_apps: every IS, CG and churn Popcorn makespan,
-#                EXPERIMENTS E7; for bench_messaging and bench_spawn: every
-#                round trip and spawn, E1 and E3) is a real
-#                regression. Host CPU time
+#                EXPERIMENTS E7, and at full size sim.events too; for
+#                bench_messaging and bench_spawn: every round trip and
+#                spawn, E1 and E3) is a real regression. Host CPU time
 #                (host.cpu_ms) varies run to run, so it gets a loose 2x gate,
 #                on the three benches that run long enough to measure; it
 #                catches a simulator host-cost regression (e.g. guest RAM
@@ -150,6 +151,13 @@ scripts/bench_compare.py bench/baselines/bench_apps_quick.json \
     build/bench_out/bench_apps_quick.json \
     --key "is.*.popcorn_ns" --key "cg.*.popcorn_ns" --key "churn.*.popcorn_ns" \
   || fail bench "scripts/bench_compare.py bench/baselines/bench_apps_quick.json build/bench_out/bench_apps_quick.json --key 'is.*.popcorn_ns' --key 'cg.*.popcorn_ns' --key 'churn.*.popcorn_ns'"
+./build/bench/bench_apps --json=build/bench_out/bench_apps_full.json >/dev/null \
+  || fail bench "./build/bench/bench_apps --json=..."
+scripts/bench_compare.py bench/baselines/bench_apps_full.json \
+    build/bench_out/bench_apps_full.json \
+    --key "is.*.popcorn_ns" --key "cg.*.popcorn_ns" --key "churn.*.popcorn_ns" \
+    --key sim.events \
+  || fail bench "scripts/bench_compare.py bench/baselines/bench_apps_full.json build/bench_out/bench_apps_full.json --key 'is.*.popcorn_ns' --key 'cg.*.popcorn_ns' --key 'churn.*.popcorn_ns' --key sim.events"
 ./build/bench/bench_messaging --quick \
     --json=build/bench_out/bench_messaging_quick.json >/dev/null \
   || fail bench "./build/bench/bench_messaging --quick --json=..."

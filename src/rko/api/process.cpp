@@ -355,6 +355,7 @@ void Guest::barrier_wait(mem::Vaddr addr, std::uint32_t nthreads) {
 
 Thread& Guest::spawn(GuestFn fn, topo::KernelId where) {
     thread_.mmu_->flush_charges();
+    t().enter_kernel();
     return thread_.process_.spawn_common(std::move(fn), where, this);
 }
 
@@ -368,6 +369,7 @@ core::MigrationBreakdown Guest::migrate(topo::KernelId dest) {
     core::MigrationBreakdown breakdown{};
     if (dest == thread_.kernel_id_) return breakdown;
     thread_.mmu_->detach();
+    t().enter_kernel();
     kernel::Kernel& src = k();
     if (!src.migration().migrate_out(t(), dest, &breakdown)) {
         // Destination dead or refusing: resume locally as if the
@@ -401,6 +403,7 @@ void Guest::yield() {
 
 void Guest::compute(Nanos ns) {
     thread_.mmu_->flush_charges();
+    t().enter_kernel();
     constexpr Nanos kQuantum = 100'000; // preemption checkpoints every 100 us
     while (ns > 0) {
         const Nanos chunk = std::min(ns, kQuantum);
@@ -414,16 +417,19 @@ void Guest::compute(Nanos ns) {
 
 std::uint32_t Guest::global_task_count() {
     thread_.mmu_->flush_charges();
+    t().enter_kernel();
     return k().ssi().global_task_count(pid());
 }
 
 std::vector<core::TaskInfo> Guest::ps() {
     thread_.mmu_->flush_charges();
+    t().enter_kernel();
     return k().ssi().ps(pid());
 }
 
 topo::KernelId Guest::least_loaded_kernel() {
     thread_.mmu_->flush_charges();
+    t().enter_kernel();
     return k().ssi().least_loaded_kernel();
 }
 

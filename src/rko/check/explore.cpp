@@ -131,6 +131,7 @@ ScenarioResult finish(Machine& m) {
         res.migratory_reverts += m.kernel(k).pages().migratory_reverts();
         res.migratory_forwarded += m.kernel(k).pages().migratory_forwarded();
         res.first_touch_grants += m.kernel(k).pages().first_touch_grants();
+        res.tenure_deferred += m.kernel(k).pages().tenure_deferred();
     }
     Fnv h;
     h.u64(res.content_hash);
@@ -1309,6 +1310,67 @@ ScenarioResult run_forward_kill_race(const ExploreConfig& cfg) {
     return finish(machine);
 }
 
+/// Tenure (DESIGN.md §17) under perfbench burst_rebalance's shape: threads
+/// on k0, k2 and k3 take a futex mutex and bump a counter on one page
+/// homed at k0 (under sharded homes the first of its region there, or the
+/// region's first page when k0 homes none of the process's shards). k0's
+/// contenders take the page by an atomic, so remote writers wait out their
+/// tenure, and idle steals move contenders between kernels. k3 dies
+/// at 150 us, amid the handoffs, perhaps holding the mutex or mid-wait
+/// behind a tenure; the lock is timed and bounded, so a mutex that died
+/// with its holder ends a survivor's rounds instead of hanging the run.
+/// Which increments die with k3 is schedule-dependent, so the assertions
+/// are the audits and per-seed replay reproducibility.
+ScenarioResult run_home_lock_race(const ExploreConfig& cfg) {
+    constexpr int kRounds = 10;
+    constexpr int kTries = 20;
+    Machine machine(elastic_storm_config(cfg));
+    auto& process = machine.create_process(0);
+    Vaddr page = 0;
+    auto& init = process.spawn(
+        [&](Guest& g) {
+            constexpr int kRegion = 64;
+            const Vaddr buf = g.mmap(kRegion * kPageSize);
+            core::ProcessSite& site = machine.kernel(0).site(process.pid());
+            page = buf;
+            for (int i = 0; i < kRegion; ++i) {
+                const Vaddr at = buf + static_cast<Vaddr>(i) * kPageSize;
+                if (machine.kernel(0).pages().home_of(site, at) == 0) {
+                    page = at;
+                    break;
+                }
+            }
+        },
+        0);
+    // Drepper's mutex 3 with timed waits, giving up after kTries.
+    const auto lock = [](Guest& g, Vaddr word) {
+        std::uint32_t c = g.cas_u32(word, 0, 1);
+        for (int tries = 0; c != 0 && tries < kTries; ++tries) {
+            if (c == 2 || g.cas_u32(word, 1, 2) != 0) g.futex_wait_for(word, 2, 10_us);
+            c = g.cas_u32(word, 0, 2);
+        }
+        return c == 0;
+    };
+    for (int i = 0; i < 6; ++i) {
+        process.spawn(
+            [&, i](Guest& g) {
+                g.join(init);
+                for (int r = 0; r < kRounds && lock(g, page); ++r) {
+                    const Vaddr counter = page + 64;
+                    g.flush_timing(); // a yield inside the critical section
+                    g.write<std::uint32_t>(counter, g.read<std::uint32_t>(counter) + 1);
+                    g.mutex_unlock(page);
+                    g.compute(static_cast<Nanos>(1 + i) * 1_us);
+                }
+            },
+            static_cast<topo::KernelId>(i % 3 == 0 ? 0 : 1 + i % 3));
+    }
+    machine.run_until(150_us);
+    machine.kill_kernel(3);
+    machine.run();
+    return finish(machine);
+}
+
 // ---------------------------------------------------------------------------
 // Sweep driver.
 // ---------------------------------------------------------------------------
@@ -1463,6 +1525,12 @@ const std::vector<Scenario>& scenarios() {
          "the reader's and another writer's fail-stop",
          /*content_deterministic=*/false, /*expect_violation=*/false,
          &run_forward_kill_race},
+        {"home_lock_race",
+         "a futex mutex and counter on one k0-homed page: k0's contenders "
+         "hold the page for their tenure while remote writers wait, steals "
+         "move contenders, and one remote kernel fail-stops",
+         /*content_deterministic=*/false, /*expect_violation=*/false,
+         &run_home_lock_race},
     };
     return list;
 }
@@ -1492,6 +1560,7 @@ SweepStats sweep(const Scenario& scenario, const SweepOptions& options) {
         stats.migratory_reverts += first.migratory_reverts;
         stats.migratory_forwarded += first.migratory_forwarded;
         stats.first_touch_grants += first.first_touch_grants;
+        stats.tenure_deferred += first.tenure_deferred;
 
         if (first.replay_hash != again.replay_hash) {
             ++stats.replay_mismatches;

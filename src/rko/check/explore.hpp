@@ -48,6 +48,9 @@ struct ScenarioResult {
     /// Machine-wide pages.first_touch.grants: pages granted as zero-fill
     /// in first-touch runs (DESIGN.md §10).
     std::uint64_t first_touch_grants = 0;
+    /// Machine-wide pages.tenure.deferred: remote write transactions that
+    /// waited out a home thread's tenure (DESIGN.md §17).
+    std::uint64_t tenure_deferred = 0;
     Report report; ///< invariant audit of the drained machine
 };
 
@@ -85,6 +88,7 @@ struct SweepStats {
     std::uint64_t migratory_reverts = 0; ///< summed over first runs
     std::uint64_t migratory_forwarded = 0; ///< summed over first runs
     std::uint64_t first_touch_grants = 0; ///< summed over first runs
+    std::uint64_t tenure_deferred = 0; ///< summed over first runs
     bool ok() const {
         return violations == 0 && replay_mismatches == 0 && content_mismatches == 0;
     }

@@ -230,7 +230,9 @@ PageOwner::PageOwner(kernel::Kernel& k)
       migratory_reverts_(k.metrics().counter("pages.migratory.reverts")),
       migratory_forwarded_(k.metrics().counter("pages.migratory.forwarded")),
       first_touch_grants_(k.metrics().counter("pages.first_touch.grants")),
-      remote_latency_(k.metrics().histogram("pages.remote_fault_ns")) {}
+      tenure_deferred_(k.metrics().counter("pages.tenure.deferred")),
+      remote_latency_(k.metrics().histogram("pages.remote_fault_ns")),
+      tenure_wait_(k.metrics().histogram("pages.tenure.wait_ns")) {}
 
 topo::KernelId PageOwner::home_of(ProcessSite& site, mem::Vaddr page) const {
     return home::home_of(k_.home_map(), site.pid(), site.origin(),
@@ -540,8 +542,10 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                 victims = 0;
             }
             // The home's own copy drops inline (no message) and is the
-            // cheapest byte source when one is needed.
+            // cheapest byte source when one is needed. A remote writer
+            // first waits out the tenure of a thread here (DESIGN §17).
             if ((victims & topo::kbit(k_.id())) != 0) {
+                if (want_write) wait_out_tenure(site, page);
                 invalidations_.inc();
                 if (need_data) {
                     FetchPart own{page, false, out.data.data(), /*drop=*/true};
@@ -1841,7 +1845,43 @@ FaultStatus PageOwner::home_fault(ProcessSite& site, const mem::Vma& vma,
     commit_install(site, page, k_.id(), ok);
     if (ok) attribute_fault(t, page, resp.source);
     if (installed != nullptr) *installed = ok;
+    // Tenure (DESIGN §17): only Mmu::rmw_u32 faults for read and write at
+    // once, and a zero-fill first touch takes the page from nobody.
+    if (ok && t != nullptr && access == (mem::kProtRead | mem::kProtWrite) &&
+        !resp.zero_fill) {
+        std::erase_if(tenured_, [t](const task::Task* held) {
+            return held == t || held->tenure_page == 0;
+        });
+        t->tenure_page = page;
+        t->tenure_until = k_.engine().now() + tenure_cap();
+        t->tenure_waiters = &tenure_waiters_;
+        tenured_.push_back(t);
+    }
     return FaultStatus::kOk;
+}
+
+Nanos PageOwner::tenure_cap() const {
+    const topo::CostModel& c = k_.costs();
+    return 2 * (c.msg_enqueue + c.msg_doorbell + c.msg_dispatch);
+}
+
+void PageOwner::wait_out_tenure(ProcessSite& site, mem::Vaddr page) {
+    const auto held = std::find_if(tenured_.begin(), tenured_.end(), [&](const task::Task* t) {
+        return t->tenure_page == page && t->pid == site.pid();
+    });
+    if (held == tenured_.end()) return;
+    task::Task& holder = **held;
+    const Nanos start = k_.engine().now();
+    const Nanos until = holder.tenure_until;
+    if (until <= start) return;
+    tenure_deferred_.inc();
+    const std::uint64_t entries = holder.kernel_entries;
+    while (holder.kernel_entries == entries && k_.engine().now() < until) {
+        if (k_.node().dead()) throw msg::LocalNodeDead{};
+        tenure_waiters_.wait_for(k_.engine(), until - k_.engine().now());
+    }
+    if (k_.node().dead()) throw msg::LocalNodeDead{};
+    tenure_wait_.add(k_.engine().now() - start);
 }
 
 /// An in-flight read-ahead (PageOwner::read_ahead): the range it offered,

@@ -7,7 +7,9 @@
 // at page granularity across kernels, which is what the hardware gives a
 // thread group on one kernel. A page kernels take turns to read and then
 // write (migratory) changes owner on the read instead, so each handoff
-// costs one transaction (DESIGN.md §17).
+// costs one transaction (DESIGN.md §17). A thread at the home that takes
+// a page by an atomic keeps it until it next enters the kernel, for at most
+// one message round trip, as a remote grantee does (tenure, §17).
 //
 // Transactions at the origin serialize per page with a busy bit (the shard
 // lock is never held across an await) and re-validate against the site's
@@ -209,6 +211,13 @@ public:
     /// Pages this (home) kernel granted as zero-fill in first-touch runs,
     /// after the faulting page of a remote fault's window (DESIGN.md §10).
     std::uint64_t first_touch_grants() const { return first_touch_grants_.value; }
+    /// Remote write transactions this (home) kernel deferred to the tenure
+    /// of one of its own threads (DESIGN.md §17); pages.tenure.wait_ns
+    /// holds how long each waited.
+    std::uint64_t tenure_deferred() const { return tenure_deferred_.value; }
+    /// The longest tenure: one message round trip in the cost model, what a
+    /// remote grantee's confirm and a later revoke take at the least.
+    Nanos tenure_cap() const;
 
 private:
     /// The heart of the protocol; runs at the origin (task or kworker).
@@ -348,8 +357,9 @@ private:
                               topo::KernelId requester, bool workset);
 
     /// A fault taken AT the page's home: the transaction with this kernel
-    /// as requester, then the local install and commit. `installed`, when
-    /// given, reports whether the page was mapped.
+    /// as requester, then the local install and commit. An atomic RMW fault
+    /// that took the page from another holder gives `t` the page's tenure.
+    /// `installed`, when given, reports whether the page was mapped.
     FaultStatus home_fault(ProcessSite& site, const mem::Vma& vma, mem::Vaddr page,
                            std::uint32_t access, task::Task* t,
                            bool* installed = nullptr);
@@ -433,6 +443,12 @@ private:
                                  mem::Vaddr page, std::uint32_t access,
                                  const PageFaultResp& resp, task::Task* t);
 
+    /// A remote writer's transaction, about to drop this home's copy of
+    /// `page`, waits until the thread here holding the page's tenure enters
+    /// the kernel or the tenure runs out. Throws msg::LocalNodeDead when
+    /// this kernel was killed meanwhile.
+    void wait_out_tenure(ProcessSite& site, mem::Vaddr page);
+
     void on_page_fault(msg::Node& node, msg::MessagePtr m);
     void on_home_range_op(msg::Node& node, msg::MessagePtr m);
     void on_home_rebuild(msg::Node& node, msg::MessagePtr m);
@@ -465,7 +481,15 @@ private:
     trace::Counter& migratory_reverts_;
     trace::Counter& migratory_forwarded_;
     trace::Counter& first_touch_grants_;
+    trace::Counter& tenure_deferred_;
     base::Histogram& remote_latency_;
+    base::Histogram& tenure_wait_;
+    /// This kernel's tasks that took a tenure here, at most once each; a
+    /// record whose tenure ended is dropped at the next grant.
+    std::vector<task::Task*> tenured_;
+    /// Transactions waiting out a tenure; each holder's next kernel entry
+    /// wakes them all (Task::tenure_waiters).
+    sim::WaitList tenure_waiters_;
     /// Read-aheads whose job has not ended, in post order.
     std::vector<std::shared_ptr<ReadAhead>> read_aheads_;
 };

@@ -163,62 +163,63 @@ void Kernel::for_each_live_task(const std::function<void(task::Task&)>& fn) {
     }
 }
 
-void Kernel::syscall_entry() {
+void Kernel::syscall_entry(task::Task& t) {
+    t.enter_kernel();
     sim::current_actor().sleep_for(costs_.syscall_entry);
 }
 
 mem::Vaddr Kernel::sys_mmap(task::Task& t, std::uint64_t length, std::uint32_t prot) {
-    syscall_entry();
+    syscall_entry(t);
     counters_.bump("sys_mmap");
     return vma_->mmap(site(t.pid), length, prot);
 }
 
 int Kernel::sys_munmap(task::Task& t, mem::Vaddr addr, std::uint64_t length) {
-    syscall_entry();
+    syscall_entry(t);
     counters_.bump("sys_munmap");
     return vma_->munmap(site(t.pid), addr, length);
 }
 
 int Kernel::sys_mprotect(task::Task& t, mem::Vaddr addr, std::uint64_t length,
                          std::uint32_t prot) {
-    syscall_entry();
+    syscall_entry(t);
     counters_.bump("sys_mprotect");
     return vma_->mprotect(site(t.pid), addr, length, prot);
 }
 
 int Kernel::sys_futex_wait(task::Task& t, mem::Vaddr uaddr, std::uint32_t val,
                            Nanos timeout) {
-    syscall_entry();
+    syscall_entry(t);
     counters_.bump("sys_futex_wait");
     return futex_->wait(t, site(t.pid), uaddr, val, timeout);
 }
 
 mem::Vaddr Kernel::sys_brk(task::Task& t, mem::Vaddr new_brk) {
-    syscall_entry();
+    syscall_entry(t);
     counters_.bump("sys_brk");
     return vma_->brk(site(t.pid), new_brk);
 }
 
 int Kernel::sys_futex_wake(task::Task& t, mem::Vaddr uaddr, std::uint32_t max_wake) {
-    syscall_entry();
+    syscall_entry(t);
     counters_.bump("sys_futex_wake");
     return futex_->wake(t, site(t.pid), uaddr, max_wake);
 }
 
 void Kernel::sys_yield(task::Task& t) {
-    syscall_entry();
+    syscall_entry(t);
     sched_.yield(t);
 }
 
 void Kernel::sys_exit(task::Task& t, int status) {
-    syscall_entry();
+    syscall_entry(t);
     counters_.bump("sys_exit");
     groups_->task_exited(t, status);
     sched_.exit(t);
 }
 
 void Kernel::sys_exit_local(task::Task& t, int status) {
-    syscall_entry();
+    syscall_entry(t);
     counters_.bump("sys_exit_local");
     t.exit_status = status;
     if (has_site(t.pid)) site(t.pid).local_tasks().erase(t.tid);
@@ -227,6 +228,7 @@ void Kernel::sys_exit_local(task::Task& t, int status) {
 
 mem::Mmu::FaultResult Kernel::handle_fault(task::Task& t, mem::Vaddr va,
                                            std::uint32_t access) {
+    t.enter_kernel();
     counters_.bump("page_faults");
     core::ProcessSite& s = site(t.pid);
     mem::Vma vma;

@@ -176,12 +176,14 @@ public:
     /// the node is dead and the origin's reaper owns the group record).
     void sys_exit_local(task::Task& t, int status);
 
-    /// The page-fault entry (installed as the task MMU's handler).
+    /// The page-fault entry (installed as the task MMU's handler). A trap
+    /// is a kernel entry (Task::enter_kernel).
     mem::Mmu::FaultResult handle_fault(task::Task& t, mem::Vaddr va,
                                        std::uint32_t access);
 
-    /// Charges the syscall entry cost; every sys_* calls it first.
-    void syscall_entry();
+    /// Counts `t`'s kernel entry and charges the syscall entry cost; every
+    /// sys_* calls it first.
+    void syscall_entry(task::Task& t);
 
 private:
     sim::Engine& engine_;

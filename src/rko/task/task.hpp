@@ -17,6 +17,7 @@
 #include "rko/base/units.hpp"
 #include "rko/mem/types.hpp"
 #include "rko/sim/actor.hpp"
+#include "rko/sim/sync.hpp"
 #include "rko/topo/topology.hpp"
 
 namespace rko::task {
@@ -163,6 +164,27 @@ struct Task {
     /// it against the gossiped hot-word census to steer contenders toward
     /// the grant-holder kernel.
     mem::Vaddr last_futex_word = 0;
+
+    // --- home tenure (core/page_owner, DESIGN.md §17) ---
+    /// Kernel entries this task made: traps, syscalls, yields, computes and
+    /// migrations (enter_kernel).
+    std::uint64_t kernel_entries = 0;
+    /// The page this task took at its home by an atomic RMW fault (0:
+    /// none). It holds the page until its next kernel entry or until
+    /// `tenure_until`, whichever comes first: a remote writer's transaction
+    /// waits that out before it drops the home's copy.
+    mem::Vaddr tenure_page = 0;
+    Nanos tenure_until = 0;
+    /// Where such transactions wait: the home's list, set with the tenure.
+    sim::WaitList* tenure_waiters = nullptr;
+
+    /// Counts a kernel entry, which ends any tenure this task holds.
+    void enter_kernel() {
+        ++kernel_entries;
+        if (tenure_page == 0) return;
+        tenure_page = 0;
+        tenure_waiters->notify_all();
+    }
 
     bool on_core() const { return core >= 0; }
 };

@@ -199,6 +199,7 @@ TEST(Check, ScenarioRegistry) {
     EXPECT_NE(check::find_scenario("push_race_sharded"), nullptr);
     EXPECT_NE(check::find_scenario("migratory_race"), nullptr);
     EXPECT_NE(check::find_scenario("forward_kill_race"), nullptr);
+    EXPECT_NE(check::find_scenario("home_lock_race"), nullptr);
     EXPECT_EQ(check::find_scenario("no_such_scenario"), nullptr);
 }
 

@@ -6,7 +6,9 @@
 // whose owner is a third kernel goes one hop: the owner hands the page to
 // the requester itself, and a kill of any of the three kernels mid-grant
 // leaves the directory consistent. Kernel peeks (the futex path reading a
-// user word) take no part.
+// user word) take no part. A thread at the home that takes a page by an
+// atomic keeps it until it next enters the kernel, for at most one message
+// round trip (tenure): a remote writer waits that out.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -588,6 +590,287 @@ TEST(Pages, FutexPeekNeverMarksMigratory) {
         const PageCounters c = page_counters(machine);
         EXPECT_EQ(c.grants, 0u) << threads << " threads";
         EXPECT_EQ(c.reverts, 0u) << threads << " threads";
+    }
+}
+
+
+// --- Tenure (DESIGN §17) ---
+
+/// Computes until `at` (no-op once past it): a start time that does not
+/// depend on how the thread got here.
+void wait_until(Guest& g, Nanos at) {
+    g.flush_timing();
+    if (g.now() < at) g.compute(at - g.now());
+}
+
+std::uint64_t tenure_deferred(Machine& machine) {
+    std::uint64_t n = 0;
+    for (topo::KernelId k = 0; k < machine.nkernels(); ++k) {
+        n += machine.kernel(k).pages().tenure_deferred();
+    }
+    return n;
+}
+
+/// When both threads of a tenure run start.
+constexpr Nanos kTenureStart = 100_us;
+
+/// One critical section at the home, raced by a remote one.
+struct CriticalRun {
+    Nanos lock_start = -1; ///< the k0 thread began its locking CAS...
+    Nanos unlocked = -1;   ///< ...and had unlocked
+    /// Faults at k0 after the k0 thread's CAS took the lock, through its
+    /// unlock.
+    std::uint64_t faults_held = ~std::uint64_t{0};
+    std::uint32_t counter = 0;
+    std::uint64_t deferred = 0;
+    bool audit_ok = false;
+};
+
+/// A k0 thread CAS-locks a word on a k0-homed page that k1 wrote last,
+/// does about a microsecond of user-mode work on the page, increments a
+/// counter on it and unlocks. With `contended`, a k1 thread starts `offset`
+/// after it and does the same. A thread that finds the lock taken computes
+/// for 500 ns and tries again.
+CriticalRun critical_section(bool contended, Nanos offset) {
+    Machine machine(kernels(2));
+    auto& process = machine.create_process(0);
+    CriticalRun run;
+    Vaddr page = 0;
+    auto& init = process.spawn([&](Guest& g) { page = g.mmap(kPageSize); }, 0);
+    auto& prime = process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            g.write<std::uint32_t>(page + 64, 0);
+        },
+        1);
+    const auto section = [&](Guest& g, std::uint64_t* faults_held) {
+        const Vaddr lock = page;
+        const Vaddr counter = page + 64;
+        while (g.cas_u32(lock, 0, 1) != 0) g.compute(500);
+        const std::uint64_t held_from = machine.kernel(0).pages().local_faults();
+        for (int i = 0; i < 500; ++i) g.read<std::uint32_t>(counter);
+        g.flush_timing();
+        g.write<std::uint32_t>(counter, g.read<std::uint32_t>(counter) + 1);
+        g.rmw_u32(lock, [](std::uint32_t) { return 0U; });
+        if (faults_held != nullptr) {
+            *faults_held = machine.kernel(0).pages().local_faults() - held_from;
+        }
+    };
+    process.spawn(
+        [&](Guest& g) {
+            g.join(prime);
+            wait_until(g, kTenureStart);
+            run.lock_start = g.now();
+            section(g, &run.faults_held);
+            g.flush_timing();
+            run.unlocked = g.now();
+        },
+        0);
+    if (contended) {
+        process.spawn(
+            [&](Guest& g) {
+                g.join(prime);
+                wait_until(g, kTenureStart + offset);
+                section(g, nullptr);
+            },
+            1);
+    }
+    machine.run();
+    process.check_all_joined();
+    process.spawn([&](Guest& g) { run.counter = g.read<std::uint32_t>(page + 64); }, 0);
+    machine.run();
+    process.check_all_joined();
+    run.deferred = tenure_deferred(machine);
+    run.audit_ok = check::run_all(machine).ok();
+    return run;
+}
+
+// The k1 thread's CAS lands at every point of the k0 thread's locking
+// fault and critical section. Whichever thread wins, the k0 thread keeps
+// the page from the CAS that took the lock through its unlock, and no
+// increment is lost.
+TEST(Tenure, HomeCriticalSectionKeepsItsPage) {
+    const CriticalRun base = critical_section(false, 0);
+    ASSERT_EQ(base.faults_held, 0u);
+    ASSERT_EQ(base.counter, 1u);
+    int deferred = 0;
+    for (Nanos offset = -1_us; offset <= base.unlocked - base.lock_start + 1_us;
+         offset += 100) {
+        const CriticalRun run = critical_section(true, offset);
+        SCOPED_TRACE(testing::Message() << "k1 starts " << offset << " ns after k0");
+        EXPECT_EQ(run.faults_held, 0u);
+        EXPECT_EQ(run.counter, 2u);
+        EXPECT_TRUE(run.audit_ok);
+        if (run.deferred > 0) ++deferred;
+    }
+    EXPECT_GT(deferred, 0);
+}
+
+/// A tenure that runs out: a thread at the page's home takes it at
+/// kTenureStart and then reads it in user mode for 40 us, never entering the
+/// kernel; a k1 thread stores to the page at `store_at`: 100 ns after the
+/// grant in the runs below, so its transaction waits out the rest of the
+/// tenure, or kLateStore, after the holder is done. Unsharded k0 is the home; with
+/// `home_shards` > 1 the page is the first of its region homed at `home`.
+/// `victim` (-1: none) is killed at `kill_at`.
+struct TenureRun {
+    Nanos granted = -1;     ///< the home's thread had its atomic's page
+    Nanos store_start = -1; ///< the k1 store began...
+    Nanos store_end = -1;   ///< ...and returned
+    std::uint64_t deferred = 0;
+    int holder_exit = -1;
+    int writer_exit = -1;
+    bool hung = false; ///< a thread had not finished 2 ms after the kill
+    std::uint64_t final = ~std::uint64_t{0}; ///< the k1 store's word, read afterwards
+    std::string audit;                       ///< empty when the audits pass
+};
+
+constexpr Nanos kLateStore = kTenureStart + 200_us;
+
+TenureRun spinning_tenure(bool atomic, Nanos store_at, int home_shards = 1,
+                          topo::KernelId home = 0, topo::KernelId victim = -1,
+                          Nanos kill_at = 0) {
+    auto config = smp::popcorn_config(8, 4, 4 * 1024);
+    config.home_shards = home_shards;
+    config.balance.policy = balance::Policy::kIdleSteal;
+    config.balance.period = 20_us;
+    config.elastic.enabled = true;
+    config.elastic.lease_misses = 4;
+    config.check = false; // audited below, so a finding fails, not aborts
+    Machine machine(config);
+    auto& process = machine.create_process(0);
+    TenureRun run;
+    Vaddr page = 0;
+    auto& init = process.spawn(
+        [&](Guest& g) {
+            const Vaddr buf = g.mmap(64 * kPageSize);
+            core::ProcessSite& site = machine.kernel(0).site(process.pid());
+            for (page = buf; machine.kernel(0).pages().home_of(site, page) != home;
+                 page += kPageSize) {
+            }
+        },
+        0);
+    auto& prime = process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            g.write<std::uint64_t>(page + 256, 1);
+        },
+        1);
+    Thread& holder = process.spawn(
+        [&](Guest& g) {
+            g.join(prime);
+            wait_until(g, kTenureStart);
+            if (atomic) {
+                g.rmw_u32(page, [](std::uint32_t v) { return v + 1; });
+            } else {
+                g.write<std::uint32_t>(page, 1);
+            }
+            run.granted = g.now();
+            for (int i = 0; i < 20'000; ++i) g.read<std::uint32_t>(page + 128);
+        },
+        home);
+    Thread& writer = process.spawn(
+        [&](Guest& g) {
+            g.join(prime);
+            wait_until(g, store_at);
+            run.store_start = g.now();
+            g.write<std::uint64_t>(page + 256, 7);
+            g.flush_timing();
+            run.store_end = g.now();
+        },
+        1);
+    if (victim >= 0) {
+        machine.run_until(kill_at);
+        machine.kill_kernel(victim);
+    }
+    // Bounded: a transaction nobody finishes must fail the test, not hang
+    // it. A stuck writer is unwound by killing its kernel too.
+    machine.run_until(machine.now() + 2_ms);
+    run.hung = !holder.finished() || !writer.finished();
+    if (!writer.finished() && !machine.kernel(1).node().dead()) machine.kill_kernel(1);
+    machine.run();
+    process.check_all_joined();
+    run.holder_exit = holder.exit_status();
+    run.writer_exit = writer.exit_status();
+    run.deferred = tenure_deferred(machine);
+    process.spawn([&](Guest& g) { run.final = g.read<std::uint64_t>(page + 256); }, 0);
+    machine.run();
+    process.check_all_joined();
+    const check::Report report = check::run_all(machine);
+    if (!report.ok()) run.audit = report.to_string();
+    return run;
+}
+
+// A home thread that never enters the kernel after its atomic keeps the
+// page for one message round trip, no longer: the remote store then costs
+// at most that much on top of the same store after a plain one.
+TEST(Tenure, SpinningHolderYieldsThePageAtTheCap) {
+    const TenureRun base = spinning_tenure(true, kLateStore);
+    ASSERT_FALSE(base.hung);
+    ASSERT_EQ(base.deferred, 0u);
+    const Nanos store_at = base.granted + 100;
+    const TenureRun plain = spinning_tenure(false, store_at);
+    const TenureRun held = spinning_tenure(true, store_at);
+    ASSERT_FALSE(plain.hung);
+    ASSERT_FALSE(held.hung);
+    EXPECT_EQ(plain.deferred, 0u);
+    EXPECT_EQ(held.deferred, 1u);
+    const Nanos cap = Machine(kernels(1)).kernel(0).pages().tenure_cap();
+    EXPECT_EQ(cap, 3'700);
+    const Nanos plain_ns = plain.store_end - plain.store_start;
+    const Nanos held_ns = held.store_end - held.store_start;
+    EXPECT_GT(held_ns, plain_ns);
+    EXPECT_LE(held_ns, plain_ns + cap);
+    EXPECT_EQ(held.final, 7u);
+    EXPECT_EQ(held.audit, "");
+}
+
+/// Kill times 100 ns apart across `base`'s deferred store, from 1 us before
+/// it to 1 us after it.
+std::vector<Nanos> store_kill_times(const TenureRun& base) {
+    std::vector<Nanos> times;
+    for (Nanos at = base.store_start - 1_us; at <= base.store_end + 1_us; at += 100) {
+        times.push_back(at);
+    }
+    return times;
+}
+
+// The waiting writer's kernel dies at each point of the deferral. The
+// home's transaction finishes its wait and rolls the dead requester's
+// install back, as for any fault whose requester dies.
+TEST(Tenure, DeferralSurvivesWriterDeath) {
+    const TenureRun first = spinning_tenure(true, kLateStore);
+    const TenureRun base = spinning_tenure(true, first.granted + 100);
+    ASSERT_EQ(base.deferred, 1u);
+    int killed = 0;
+    int stored = 0;
+    for (const Nanos at : store_kill_times(base)) {
+        const TenureRun run = spinning_tenure(true, base.store_start, 1, 0, 1, at);
+        SCOPED_TRACE(testing::Message() << "writer's kernel killed at " << at);
+        EXPECT_FALSE(run.hung);
+        EXPECT_EQ(run.holder_exit, 0);
+        EXPECT_EQ(run.audit, "");
+        ++(run.writer_exit == 0 ? stored : killed);
+    }
+    EXPECT_GT(killed, 0);
+    EXPECT_GT(stored, 0);
+}
+
+// A sharded home dies at each point of the deferral, with the tenure's
+// holder on it. The waiting transaction unwinds with its kernel; the
+// writer's fault moves to the shard's new home and its store lands.
+TEST(Tenure, DeferralSurvivesShardedHomeDeath) {
+    constexpr topo::KernelId kHome = 3;
+    const TenureRun first = spinning_tenure(true, kLateStore, 4, kHome);
+    const TenureRun base = spinning_tenure(true, first.granted + 100, 4, kHome);
+    ASSERT_EQ(base.deferred, 1u);
+    for (const Nanos at : store_kill_times(base)) {
+        const TenureRun run = spinning_tenure(true, base.store_start, 4, kHome, kHome, at);
+        SCOPED_TRACE(testing::Message() << "home killed at " << at);
+        EXPECT_FALSE(run.hung);
+        EXPECT_EQ(run.writer_exit, 0);
+        EXPECT_EQ(run.final, 7u);
+        EXPECT_EQ(run.audit, "");
     }
 }
 

@@ -109,6 +109,10 @@ int main(int argc, char** argv) {
             std::printf("%-24s first-touch grants/run=%.2f\n", "",
                         static_cast<double>(stats.first_touch_grants) / stats.runs);
         }
+        if (stats.tenure_deferred != 0) {
+            std::printf("%-24s tenure deferrals/run=%.2f\n", "",
+                        static_cast<double>(stats.tenure_deferred) / stats.runs);
+        }
         std::fflush(stdout);
         all_ok = all_ok && stats.ok();
     }
